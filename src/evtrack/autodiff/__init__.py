@@ -2,10 +2,9 @@
 
 from . import ops
 from .params import ParamStore, adamw_step, load_weights, read_weight_file, save_weights
-from .tensor import Graph, Tensor, backward, no_grad, precision, set_debug
+from .tensor import Tensor, backward, no_grad, precision, set_debug
 
 __all__ = [
-    "Graph",
     "ParamStore",
     "Tensor",
     "adamw_step",

@@ -153,15 +153,6 @@ def sigmoid(a) -> Tensor:
     return make_node(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
-def activation(a, kind: str) -> Tensor:
-    """Elementwise nonlinearity; `kind` is "relu" or "sigmoid"."""
-    if kind == "relu":
-        return relu(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    raise ConfigError(f"unknown activation kind {kind!r}")
-
-
 def softmax_lastdim(a) -> Tensor:
     """Softmax over the trailing axis, stabilized by max subtraction."""
     a = as_tensor(a)

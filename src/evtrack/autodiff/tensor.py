@@ -101,10 +101,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's storage, cut from the graph."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -199,48 +195,24 @@ def make_node(data: np.ndarray, parents, vjp) -> Tensor:
     return out
 
 
-class Graph:
-    """Topological record of one backward traversal.
-
-    Built on demand from a root node; `nodes` is leaf-to-root, and the
-    backward sweep visits each recorded node exactly once.
-    """
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Graph":
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return cls(order)
-
-    def run_backward(self, root: Tensor) -> None:
-        root.grad = np.ones_like(root.data)
-        for node in reversed(self.nodes):
-            if node._vjp is None or node.grad is None:
-                continue
-            grads = node._vjp(node.grad)
-            for parent, g in zip(node._parents, grads):
-                if g is None:
-                    continue
-                if not (parent.requires_grad or parent._vjp is not None):
-                    continue
-                # accumulation always allocates, so aliasing g is safe
-                parent.grad = g if parent.grad is None else parent.grad + g
+def _topological_order(root: Tensor) -> list[Tensor]:
+    """Every node reachable from `root`, each once, parents before children."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
 
 
 def backward(loss: Tensor, params=None) -> None:
@@ -251,7 +223,18 @@ def backward(loss: Tensor, params=None) -> None:
     """
     if loss.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
-    Graph.trace(loss).run_backward(loss)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(_topological_order(loss)):
+        if node._vjp is None or node.grad is None:
+            continue
+        grads = node._vjp(node.grad)
+        for parent, g in zip(node._parents, grads):
+            if g is None:
+                continue
+            if not (parent.requires_grad or parent._vjp is not None):
+                continue
+            # accumulation always allocates, so aliasing g is safe
+            parent.grad = g if parent.grad is None else parent.grad + g
     if params is not None:
         for p in params:
             if p.requires_grad and p.grad is None:

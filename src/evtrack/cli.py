@@ -8,6 +8,7 @@ Config resolution: --config file, then repeated --set key=value overrides.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -21,7 +22,7 @@ from .metrics import GtTrack, evaluate_tracks
 from .pipeline import TrackerModel, load_tracks_csv, run_offline, save_tracks_csv
 from .plotting import plot_sequence
 from .synth import generate_dataset, load_sequence
-from .training import TrainConfig, train
+from .training import train
 
 
 def _parse_sets(pairs) -> dict:
@@ -61,19 +62,19 @@ def cmd_gen_synth(args) -> str:
         cfg.translate_only = True
     generate_dataset(
         args.out,
-        seed=cfg.seed,
+        seed=cfg.train.seed,
         n_scenes=cfg.scenes,
         size=(cfg.synth_width, cfg.synth_height),
         n_sprites=cfg.sprites,
         duration_us=cfg.duration_us,
         frame_period_us=cfg.frame_period_us,
-        dt_track_us=cfg.dt_track_us,
+        dt_track_us=cfg.tracker.dt_track_us,
         theta=cfg.theta,
         dt_sim_us=cfg.dt_sim_us,
         translate_only=cfg.translate_only,
         speed_range=(cfg.speed_min, cfg.speed_max),
     )
-    return f"gen-synth ok scenes={cfg.scenes} seed={cfg.seed} out={args.out}"
+    return f"gen-synth ok scenes={cfg.scenes} seed={cfg.train.seed} out={args.out}"
 
 
 def _load_training_data(data_dir: str):
@@ -94,14 +95,9 @@ def cmd_train(args) -> str:
     if args.steps is not None:
         extra["steps"] = str(args.steps)
     cfg = _config(args, extra)
-    model = TrackerModel(cfg.tracker(), seed=cfg.seed)
-    tcfg = TrainConfig(
-        steps=cfg.steps, lr=cfg.lr, warmup_steps=cfg.warmup_steps,
-        weight_decay=cfg.weight_decay, gamma=cfg.gamma, seed=cfg.seed,
-        checkpoint_every=cfg.checkpoint_every,
-    )
+    model = TrackerModel(cfg.tracker, seed=cfg.train.seed)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    history = train(model, sequences, tcfg, out_dir, resume=args.resume,
+    history = train(model, sequences, cfg.train, out_dir, resume=args.resume,
                     weights_path=args.out)
     final = history[-1][1] if history else float("nan")
     return (
@@ -117,8 +113,15 @@ def cmd_track(args) -> str:
     manifest, frames, events, _, _ = load_sequence(args.data)
     cfg = _config(args, {"dt_track_us": str(manifest["dt_track_us"])})
     queries = load_queries_csv(args.queries)
-    model = TrackerModel(cfg.tracker(), seed=cfg.seed)
-    load_weights(model.store, args.weights)
+    model = TrackerModel(cfg.tracker, seed=cfg.train.seed)
+    trained = load_weights(model.store, args.weights).get("tracker", {})
+    differ = sorted(k for k, v in dataclasses.asdict(cfg.tracker).items()
+                    if k in trained and trained[k] != v)
+    if differ:
+        raise ConfigError(
+            f"{args.weights} was trained with another tracker config: "
+            + ", ".join(f"{k}={trained[k]!r} (now {getattr(cfg.tracker, k)!r})" for k in differ)
+        )
     with no_grad():
         tracks, _ = run_offline(model, frames, events, queries)
     save_tracks_csv(tracks, args.out)

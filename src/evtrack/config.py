@@ -4,52 +4,27 @@ Config files are flat "key = value" text; [section] headers are allowed
 for grouping but carry no meaning, and '#' starts a comment. Unknown keys
 are rejected. Command-line overrides beat file values, which beat
 defaults.
+
+Each key belongs to exactly one dataclass: the tracker fields to
+`TrackerConfig`, the training fields to `TrainConfig`, and the
+synthetic-data fields to `RunConfig` itself. Defaults and checks live
+there and nowhere else.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .pipeline import TrackerConfig, resolve_t_step
+from .pipeline import TrackerConfig
+from .training import TrainConfig
 
 
 @dataclass
 class RunConfig:
-    # tracker / model
-    bins: int = 5
-    window: int = 16
-    t_step: int | None = None  # window advance in slices; unset → window // 2
-    iterations: int = 4
-    downsample: int = 4
-    channels: int = 128
-    radius: int = 3
-    levels: int = 4
-    dt_track_us: int = 5000
-    frame_channels: int = 1
-    dim: int = 256
-    pairs: int = 2
-    heads: int = 4
-    mlp_ratio: int = 4
-    freqs: int = 16
-    pos_wavelength: float = 512.0
-    time_wavelength: float = 1_000_000.0
-    accumulate_mode: str = "since_frame"
-    fixed_window_us: int = 0
-    time_embed: bool = True
-    use_frames: bool = True
-    use_events: bool = True
-    # training
-    steps: int = 2000
-    lr: float = 0.0005
-    warmup_steps: int = 100
-    weight_decay: float = 0.0001
-    gamma: float = 0.8
-    seed: int = 0
-    checkpoint_every: int = 500
-    # evaluation
-    delta_px: float = 5.0
+    tracker: TrackerConfig = field(default_factory=TrackerConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
     # synthetic data
     scenes: int = 3
     synth_width: int = 64
@@ -64,42 +39,22 @@ class RunConfig:
     speed_max: float = 55.0
 
     def __post_init__(self):
-        self.t_step = resolve_t_step(self.t_step, self.window)
-
-    def tracker(self) -> TrackerConfig:
-        return TrackerConfig(
-            bins=self.bins,
-            window=self.window,
-            t_step=self.t_step,
-            iterations=self.iterations,
-            downsample=self.downsample,
-            channels=self.channels,
-            radius=self.radius,
-            levels=self.levels,
-            dt_track_us=self.dt_track_us,
-            frame_channels=self.frame_channels,
-            dim=self.dim,
-            pairs=self.pairs,
-            heads=self.heads,
-            mlp_ratio=self.mlp_ratio,
-            freqs=self.freqs,
-            pos_wavelength=self.pos_wavelength,
-            time_wavelength=self.time_wavelength,
-            accumulate_mode=self.accumulate_mode,
-            fixed_window_us=self.fixed_window_us,
-            time_embed=self.time_embed,
-            use_frames=self.use_frames,
-            use_events=self.use_events,
-        )
+        if self.speed_min > self.speed_max:
+            raise ConfigError("speed_min exceeds speed_max")
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_SECTIONS = {"tracker": TrackerConfig, "train": TrainConfig}
+# flat key -> (section the key is routed to, or None for RunConfig's own; its field)
+_KEYS = {f.name: (section, f) for section, cls in _SECTIONS.items()
+         for f in dataclasses.fields(cls)}
+_KEYS.update({f.name: (None, f) for f in dataclasses.fields(RunConfig)
+              if f.name not in _SECTIONS})
 
 
 def _coerce(key: str, raw: str):
-    if key not in _FIELDS:
+    if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    kind = _FIELDS[key].type
+    kind = _KEYS[key][1].type
     if isinstance(kind, str):
         kind = kind.removesuffix(" | None")  # an optional value parses as its type
     raw = raw.strip()
@@ -143,11 +98,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
             values.update(parse_config_text(f.read()))
     for key, raw in (overrides or {}).items():
         values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
-    for key in values:
-        if key not in _FIELDS:
+    routed = {section: {} for section in (*_SECTIONS, None)}
+    for key, value in values.items():
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    cfg = RunConfig(**values)
-    cfg.tracker()  # surface tracker-level validation now
-    if cfg.speed_min > cfg.speed_max:
-        raise ConfigError("speed_min exceeds speed_max")
-    return cfg
+        routed[_KEYS[key][0]][key] = value
+    return RunConfig(**{section: cls(**routed[section]) for section, cls in _SECTIONS.items()},
+                     **routed[None])

@@ -1,10 +1,9 @@
-"""Point queries, correlation pyramids, and matching-cost vectors.
+"""Correlation pyramids, window state, and matching-cost vectors.
 
-A query's content template is sampled from a *frame* feature map at its
-birth position and never mutated afterwards. Matching costs around a
-predicted position are inner products between a feature vector and
-bilinearly sampled fused features, stacked over integer offsets in
-[-r, r]^2 and over pyramid levels (level-major, then dy, then dx).
+Matching costs around a predicted position are inner products between a
+feature vector and bilinearly sampled fused features, stacked over
+integer offsets in [-r, r]^2 and over pyramid levels (level-major, then
+dy, then dx); samples past the border are zero.
 Positions live at full image resolution; division by scale*2^level
 happens only at sampling time.
 """
@@ -17,18 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, ops
-from .encoders import FeatureMap
 from .errors import ConfigError, UsageError
-
-
-@dataclass
-class PointQuery:
-    """A tracked target: immutable start position, birth time, template."""
-
-    id: int
-    p_init: np.ndarray  # (2,) full-resolution (x, y)
-    t_birth: int
-    template: Tensor | None = None  # (C,), sampled from a frame feature map
 
 
 @dataclass
@@ -62,10 +50,6 @@ class WindowState:
     def window(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def n_queries(self) -> int:
-        return self.positions.shape[1]
-
     def active_mask(self) -> np.ndarray:
         """(W, N) float mask: 1 where the slice is at/after the query's birth."""
         idx = self.start_index + np.arange(self.window)[:, None]
@@ -94,31 +78,14 @@ def build_pyramid(fused: Tensor, levels: int, base_scale: int) -> CorrelationPyr
     return CorrelationPyramid(maps, base_scale)
 
 
-def correlate(feature, pyramid: CorrelationPyramid, position, radius: int) -> Tensor:
-    """Cost vector for one feature vector at one full-res position.
-
-    Entry (level, dy, dx) is the inner product of `feature` with the fused
-    feature bilinearly sampled at position/levelscale + (dx, dy); samples
-    past the border are zero.
-    """
-    feature = ops.as_tensor(feature)
-    offs = offsets_grid(radius)
-    pieces = []
-    for level, fmap in enumerate(pyramid.levels):
-        pts = np.asarray(position, dtype=np.float64) / pyramid.level_scale(level) + offs
-        sampled = ops.bilinear_sample(fmap, pts)  # (K2, C)
-        pieces.append(ops.sum_(sampled * feature.reshape((1, -1)), axis=-1))
-    return ops.concat(pieces, axis=0)
-
-
 def correlate_batch(features: Tensor, level_stacks: list[Tensor], positions: Tensor,
                     radius: int, base_scale: int) -> Tensor:
     """Cost vectors for a whole window at once.
 
     `features` is (W, N, C); `level_stacks[level]` is (W, C, h, w) with the
     window's fused maps stacked along the slice axis; `positions` is
-    (W, N, 2). Returns (W, N, levels*(2r+1)^2) with the same layout as
-    `correlate`.
+    (W, N, 2). Returns (W, N, levels*(2r+1)^2) cost vectors, laid out as
+    the module docstring describes.
 
     Because the cost is linear in the map, this computes each query's
     scalar inner-product volume first (one matmul) and then bilinearly
@@ -139,71 +106,6 @@ def correlate_batch(features: Tensor, level_stacks: list[Tensor], positions: Ten
         sampled = ops.bilinear_sample(vol, pts.reshape((w_len * n, k2, 2)))
         pieces.append(sampled.reshape((w_len, n, k2)))
     return ops.concat(pieces, axis=-1)
-
-
-def _sample_scalar(vol: np.ndarray, x: float, y: float) -> float:
-    """Literal bilinear read of a scalar grid with zero padding."""
-    h, w = vol.shape
-    x0, y0 = int(np.floor(x)), int(np.floor(y))
-    fx, fy = x - x0, y - y0
-    total = 0.0
-    for dy, dx, wgt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, fx * (1 - fy)),
-                        (1, 0, (1 - fx) * fy), (1, 1, fx * fy)):
-        xi, yi = x0 + dx, y0 + dy
-        if 0 <= xi < w and 0 <= yi < h:
-            total += wgt * float(vol[yi, xi])
-    return total
-
-
-def correlate_oracle(feature: np.ndarray, pyramid: CorrelationPyramid, position,
-                     radius: int) -> np.ndarray:
-    """Brute-force reference: full inner-product volume, then window read-off."""
-    feature = np.asarray(feature, dtype=np.float64)
-    offs = offsets_grid(radius)
-    out = []
-    for level, fmap in enumerate(pyramid.levels):
-        vol = np.einsum("c,chw->hw", feature, fmap.data.astype(np.float64))
-        px = float(position[0]) / pyramid.level_scale(level)
-        py = float(position[1]) / pyramid.level_scale(level)
-        for dx, dy in offs:
-            out.append(_sample_scalar(vol, px + float(dx), py + float(dy)))
-    return np.array(out, dtype=np.float64)
-
-
-def init_queries(positions, frame_map: FeatureMap, window: int,
-                 ids=None, t_birth: int | None = None) -> tuple[list[PointQuery], WindowState]:
-    """Create queries from full-res positions and replicate their state.
-
-    Templates are bilinear samples of the frame feature map at
-    position/scale; the returned state holds `window` replicas of both the
-    positions and the templates.
-    """
-    positions = np.asarray(positions, dtype=np.float32).reshape(-1, 2)
-    if positions.shape[0] == 0:
-        raise UsageError("init_queries needs at least one query position")
-    c, h, w = frame_map.tensor.shape
-    scale = frame_map.scale
-    if np.any(positions < 0) or np.any(positions[:, 0] > w * scale) or np.any(positions[:, 1] > h * scale):
-        raise UsageError("query positions must lie within image bounds")
-    if frame_map.source != "frame":
-        raise UsageError(f"templates must come from a frame feature map, got {frame_map.source!r}")
-    n = positions.shape[0]
-    ids = list(range(n)) if ids is None else list(ids)
-    birth = frame_map.t_frame if t_birth is None else t_birth
-
-    templates = ops.bilinear_sample(frame_map.tensor, positions / scale)  # (N, C)
-    queries = [
-        PointQuery(ids[i], positions[i].copy(), birth, ops.getitem(templates, i))
-        for i in range(n)
-    ]
-    state = WindowState(
-        positions=np.repeat(positions[None], window, axis=0),
-        features=ops.stack([templates] * window, axis=0),
-        durations_us=np.zeros(window, dtype=np.int64),
-        slice_times=np.zeros(window, dtype=np.int64),
-        valid_from=np.zeros(n, dtype=np.int64),
-    )
-    return queries, state
 
 
 def load_queries_csv(path: str) -> list[tuple[int, int, float, float]]:

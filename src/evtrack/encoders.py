@@ -35,27 +35,6 @@ class EncoderConfig:
             self.widths = (max(8, c // 4), max(16, c // 2), c)
 
 
-@dataclass
-class FeatureMap:
-    """A (C, h, w) feature grid tied to its source timestamps.
-
-    `scale` is the full-resolution pixel span of one feature cell.
-    """
-
-    tensor: Tensor
-    source: str  # frame | event | fused
-    t_frame: int
-    t_slice: int
-    scale: int
-
-
-@dataclass
-class FusionState:
-    """Mean flow magnitude of the previous slice, in pixels per slice."""
-
-    dp_prev: float = 0.0
-
-
 class Conv2dLayer:
     def __init__(self, store: ParamStore, name: str, cin: int, cout: int, k: int, rng,
                  stride: int = 1, zero_init: bool = False):

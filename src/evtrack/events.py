@@ -1,4 +1,4 @@
-"""Event streams, the time-binned stack representation, and slice schedules.
+"""Event streams, the time-binned stack representation, and the binary event format.
 
 An event stream is tensorized by splitting a time window into `bins` bins
 per polarity and writing, per pixel and bin, the normalized timestamp of
@@ -8,27 +8,16 @@ the window onto [0, bins-1], so values never exceed bins-1.
 
 from __future__ import annotations
 
-import bisect
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWindowError, UsageError
+from .errors import ConfigError, DegenerateWindowError
 
 EVENT_MAGIC = b"FETAPEVT"
 _HEADER = struct.Struct("<8sHH4x")
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("pad", "V3")])
-
-
-@dataclass(frozen=True)
-class Event:
-    """One sensor event: pixel, microsecond timestamp, polarity in {-1,+1}."""
-
-    x: int
-    y: int
-    t_us: int
-    polarity: int
 
 
 class EventStream:
@@ -55,23 +44,8 @@ class EventStream:
         if n and not np.all(np.abs(self.ps) == 1):
             raise ConfigError("polarity must be -1 or +1")
 
-    @classmethod
-    def from_events(cls, events, geometry) -> "EventStream":
-        events = list(events)
-        return cls(
-            [e.x for e in events],
-            [e.y for e in events],
-            [e.t_us for e in events],
-            [e.polarity for e in events],
-            geometry,
-        )
-
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __iter__(self):
-        for i in range(len(self.ts)):
-            yield Event(int(self.xs[i]), int(self.ys[i]), int(self.ts[i]), int(self.ps[i]))
 
     def between(self, t_start: int, t_end: int) -> "EventStream":
         """Events with t_start <= t <= t_end (bounds inclusive)."""
@@ -97,13 +71,6 @@ class EventStack:
         return np.ascontiguousarray(self.values.transpose(2, 1, 0))
 
 
-def _check_window(t_start: int, t_end: int, bins: int) -> None:
-    if t_end <= t_start:
-        raise DegenerateWindowError(f"event window [{t_start}, {t_end}] has non-positive duration")
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
-
-
 def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) -> EventStack:
     """Tensorize events in [t_start, t_end] (events outside are ignored).
 
@@ -113,7 +80,10 @@ def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) 
     k(x-xi)*k(y-yi)*t* with the triangular kernel k(a) = max(0, 1-|a|),
     and coincident contributions resolve by max.
     """
-    _check_window(t_start, t_end, bins)
+    if t_end <= t_start:
+        raise DegenerateWindowError(f"event window [{t_start}, {t_end}] has non-positive duration")
+    if bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {bins}")
     x_ext, y_ext = stream.geometry
     out = np.zeros((x_ext, y_ext, 2 * bins), dtype=np.float64)
     window = stream.between(t_start, t_end)
@@ -139,87 +109,6 @@ def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) 
                     contrib[ok],
                 )
     return EventStack(out.astype(np.float32), int(t_start), int(t_end), int(bins))
-
-
-def event_stack_oracle(stream: EventStream, t_start: int, t_end: int, bins: int) -> EventStack:
-    """Per-event reference loop with the same contract as build_event_stack."""
-    _check_window(t_start, t_end, bins)
-    x_ext, y_ext = stream.geometry
-    out = np.zeros((x_ext, y_ext, 2 * bins), dtype=np.float64)
-    for ev in stream:
-        if ev.t_us < t_start or ev.t_us > t_end:
-            continue
-        t_star = float(ev.t_us - t_start) / float(t_end - t_start) * (bins - 1)
-        bin_idx = int(np.floor(t_star))
-        ch_base = 0 if ev.polarity > 0 else bins
-        x0 = int(np.floor(float(ev.x)))
-        y0 = int(np.floor(float(ev.y)))
-        for dx in (0, 1):
-            for dy in (0, 1):
-                xn, yn = x0 + dx, y0 + dy
-                if not (0 <= xn < x_ext and 0 <= yn < y_ext):
-                    continue
-                kx = max(0.0, 1.0 - abs(xn - float(ev.x)))
-                ky = max(0.0, 1.0 - abs(yn - float(ev.y)))
-                contrib = kx * ky * t_star
-                ch = ch_base + bin_idx
-                if contrib > out[xn, yn, ch]:
-                    out[xn, yn, ch] = contrib
-    return EventStack(out.astype(np.float32), int(t_start), int(t_end), int(bins))
-
-
-@dataclass
-class SliceSchedule:
-    """Output slice times, each paired with the latest frame at or before it."""
-
-    entries: list[tuple[int, int]] = field(default_factory=list)  # (t_frame, t_slice)
-    dt_track_us: int = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def slice_times(self) -> list[int]:
-        return [t_slice for _, t_slice in self.entries]
-
-
-def make_schedule(frame_times, t_begin: int, t_finish: int, dt_track_us: int) -> SliceSchedule:
-    """Regular slice grid over [t_begin, t_finish] with frame pairing."""
-    frame_times = sorted(int(t) for t in frame_times)
-    if dt_track_us <= 0:
-        raise ConfigError(f"dt_track_us must be positive, got {dt_track_us}")
-    if not frame_times or frame_times[0] > t_begin:
-        raise UsageError(f"no frame at or before t_begin={t_begin}")
-    entries = []
-    t = int(t_begin)
-    while t <= t_finish:
-        i = bisect.bisect_right(frame_times, t) - 1
-        entries.append((frame_times[i], t))
-        t += int(dt_track_us)
-    return SliceSchedule(entries, int(dt_track_us))
-
-
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def load_text_events(path: str, geometry: tuple[int, int] | None = None) -> EventStream:
-    """Read whitespace-separated "t x y p" lines; t in seconds, p in {0,1}."""
-    ts, xs, ys, ps = [], [], [], []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ConfigError(f"bad event line in {path}: {line.strip()!r}")
-            t_sec, x, y, p = float(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-            ts.append(int(round(t_sec * 1_000_000)))
-            xs.append(x)
-            ys.append(y)
-            ps.append(1 if p > 0 else -1)
-    if geometry is None:
-        geometry = (max(xs) + 1 if xs else 1, max(ys) + 1 if ys else 1)
-    return EventStream(xs, ys, ts, ps, geometry)
 
 
 def save_binary_events(stream: EventStream, path: str) -> None:

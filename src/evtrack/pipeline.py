@@ -30,20 +30,6 @@ from .refiner import RefinerConfig, TokenLayout, WindowRefiner
 _UNBORN = np.iinfo(np.int64).max
 
 
-def resolve_t_step(t_step: int | None, window: int) -> int:
-    """The window advance: t_step if set, else window // 2 (half-window
-    overlap); either way it must satisfy 1 <= t_step < window."""
-    derived = t_step is None
-    if derived:
-        t_step = window // 2
-    if not (1 <= t_step < window):
-        origin = " (derived as window // 2)" if derived else ""
-        raise ConfigError(
-            f"need 1 <= t_step < window, got t_step={t_step}{origin}, window={window}"
-        )
-    return t_step
-
-
 @dataclass
 class TrackerConfig:
     bins: int = 5  # event-stack bins per polarity
@@ -72,7 +58,14 @@ class TrackerConfig:
     use_events: bool = True
 
     def __post_init__(self):
-        self.t_step = resolve_t_step(self.t_step, self.window)
+        derived = self.t_step is None
+        if derived:
+            self.t_step = self.window // 2  # half-window overlap
+        if not (1 <= self.t_step < self.window):
+            origin = " (derived as window // 2)" if derived else ""
+            raise ConfigError(
+                f"need 1 <= t_step < window, got t_step={self.t_step}{origin}, window={self.window}"
+            )
         if self.accumulate_mode not in ("since_frame", "fixed"):
             raise ConfigError(f"unknown accumulate_mode {self.accumulate_mode!r}")
         if self.dt_track_us <= 0:
@@ -185,6 +178,7 @@ class TrackSession:
         if len(set(self.query_ids)) != len(self.query_ids):
             raise ConfigError("duplicate query ids")
         self.p_init = np.array([[r[2], r[3]] for r in rows], dtype=np.float32)
+        self._reject_queries(~np.isfinite(self.p_init).all(axis=1), "is not finite")
         self.t_birth = np.array([r[1] for r in rows], dtype=np.int64)
         n = len(rows)
         self._templates: list[Tensor | None] = [None] * n
@@ -228,10 +222,16 @@ class TrackSession:
                 raise OrderingError(f"frame at {t} after frame at {self._last_frame_t}")
             if last_slice is not None and t <= last_slice and t not in self._frame_raw:
                 raise OrderingError(f"frame at {t} arrived after slices past it were processed")
+            image = np.asarray(image, dtype=np.float32)
+            if not self._frame_raw:  # the first frame fixes the sensor size
+                h, w = image.shape[-2:]
+                x, y = self.p_init[:, 0], self.p_init[:, 1]
+                self._reject_queries((x < 0) | (x >= w) | (y < 0) | (y >= h),
+                                     f"lies outside the {w}x{h} sensor")
             self._last_frame_t = t
             if t not in self._frame_raw:
                 bisect.insort(self._frame_times, t)
-                self._frame_raw[t] = np.asarray(image, dtype=np.float32)
+                self._frame_raw[t] = image
             self._watermark = t if self._watermark is None else max(self._watermark, t)
         if events is not None:
             batch = events if isinstance(events, EventStream) else EventStream(*events)
@@ -265,6 +265,12 @@ class TrackSession:
         return [by_id[qid] for qid in self.query_ids]
 
     # -------------------------------------------------------------- internals
+
+    def _reject_queries(self, bad: np.ndarray, what: str):
+        if bad.any():
+            n = int(np.argmax(bad))
+            x, y = self.p_init[n]
+            raise UsageError(f"query {self.query_ids[n]} at ({x:g}, {y:g}) {what}")
 
     def _append_events(self, batch: EventStream):
         if self._events is None:

@@ -9,6 +9,7 @@ with linear warm-up followed by cosine decay.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -20,21 +21,12 @@ from .errors import TrainingError, UsageError
 from .pipeline import TrackerModel, run_offline
 
 
-@dataclass
-class LossConfig:
-    gamma: float = 0.8  # iteration weight base; later snapshots weigh more
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise UsageError(f"gamma must be in (0, 1], got {self.gamma}")
-
-
 def iteration_weights(m: int, gamma: float) -> np.ndarray:
     """[gamma^(m-1), ..., gamma, 1.0] for m snapshots."""
     return gamma ** np.arange(m - 1, -1, -1, dtype=np.float64)
 
 
-def window_loss(snapshots, gt: np.ndarray, mask: np.ndarray, cfg: LossConfig) -> Tensor:
+def window_loss(snapshots, gt: np.ndarray, mask: np.ndarray, gamma: float) -> Tensor:
     """Weighted mean L1 trajectory error over one window.
 
     `snapshots` is the list of (W, N, 2) position tensors from refinement,
@@ -50,7 +42,7 @@ def window_loss(snapshots, gt: np.ndarray, mask: np.ndarray, cfg: LossConfig) ->
     if mask.shape != gt.shape[:2]:
         raise UsageError(f"mask shape {mask.shape} != {gt.shape[:2]}")
     denom = float(max(mask.sum(), 1.0))
-    weights = iteration_weights(len(snapshots), cfg.gamma)
+    weights = iteration_weights(len(snapshots), gamma)
     total = None
     for w, snap in zip(weights, snapshots):
         term = ops.sum_(ops.abs_(snap - gt) * mask[..., None]) * (float(w) / denom)
@@ -73,10 +65,13 @@ class TrainConfig:
     lr: float = 5e-4
     warmup_steps: int = 100
     weight_decay: float = 1e-4
-    gamma: float = 0.8
+    gamma: float = 0.8  # iteration weight base; later snapshots weigh more
     seed: int = 0
     checkpoint_every: int = 500
-    log_every: int = 1
+
+    def __post_init__(self):
+        if not (0.0 < self.gamma <= 1.0):
+            raise UsageError(f"gamma must be in (0, 1], got {self.gamma}")
 
 
 def _gt_lookup(gt_by_id: dict[int, list]) -> dict[int, dict[int, tuple[float, float]]]:
@@ -84,7 +79,7 @@ def _gt_lookup(gt_by_id: dict[int, list]) -> dict[int, dict[int, tuple[float, fl
 
 
 def sequence_loss(model: TrackerModel, frames, events, queries, gt_by_id,
-                  loss_cfg: LossConfig) -> tuple[Tensor, int]:
+                  gamma: float) -> tuple[Tensor, int]:
     """Accumulated window losses over one tracked sequence."""
     lookup = _gt_lookup(gt_by_id)
     _, session = run_offline(model, frames, events, queries, record_windows=True)
@@ -101,7 +96,7 @@ def sequence_loss(model: TrackerModel, frames, events, queries, gt_by_id,
                     mask[i, q] = 0.0
                 else:
                     gt[i, q] = hit
-        wl = window_loss(run.snapshots, gt, mask, loss_cfg)
+        wl = window_loss(run.snapshots, gt, mask, gamma)
         total = wl if total is None else total + wl
     if total is None:
         raise UsageError("sequence produced no refinement windows")
@@ -149,7 +144,6 @@ def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,
     if not sequences:
         raise UsageError("training needs at least one sequence")
     os.makedirs(out_dir, exist_ok=True)
-    loss_cfg = LossConfig(gamma=cfg.gamma)
     start = 0
     history: list[tuple[int, float, float]] = []
     log_path = os.path.join(out_dir, "loss_log.csv")
@@ -168,7 +162,7 @@ def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,
             lr = lr_schedule(step, cfg.lr, cfg.warmup_steps, cfg.steps)
 
             model.store.zero_grad()
-            loss, _ = sequence_loss(model, frames, events, queries, gt_by_id, loss_cfg)
+            loss, _ = sequence_loss(model, frames, events, queries, gt_by_id, cfg.gamma)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise TrainingError(f"non-finite loss at step {step}")
@@ -176,9 +170,8 @@ def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,
             adamw_step(model.store, lr=lr, weight_decay=cfg.weight_decay)
 
             history.append((step, loss_val, lr))
-            if step % cfg.log_every == 0:
-                log.write(f"{step},{loss_val:.6f},{lr:.8f}\n")
-                log.flush()
+            log.write(f"{step},{loss_val:.6f},{lr:.8f}\n")
+            log.flush()
             if cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
                 save_checkpoint(model, os.path.join(out_dir, "checkpoint.bin"), step + 1)
             if stop_fn is not None and stop_fn(step, loss_val):
@@ -187,5 +180,5 @@ def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,
     done = history[-1][0] + 1 if history else start
     save_checkpoint(model, os.path.join(out_dir, "checkpoint.bin"), done)
     save_weights(model.store, weights_path or os.path.join(out_dir, "weights.bin"),
-                 extra={"step": done})
+                 extra={"step": done, "tracker": dataclasses.asdict(model.cfg)})
     return history

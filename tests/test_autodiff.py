@@ -68,15 +68,6 @@ def test_linear_examples():
         ops.linear(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
 
 
-def test_activation_values():
-    assert ops.activation(Tensor([-1.0]), "relu").data[0] == 0.0
-    assert ops.activation(Tensor([0.0]), "sigmoid").data[0] == 0.5
-    v = ops.activation(Tensor([10.0], dtype=np.float64), "sigmoid").data[0]
-    assert abs(v - 0.9999546) < 1e-6
-    with pytest.raises(ConfigError):
-        ops.activation(Tensor([0.0]), "tanh")
-
-
 def test_softmax_rows():
     y = ops.softmax_lastdim(Tensor([[0.0, math.log(3.0)]], dtype=np.float64))
     assert np.allclose(y.data, [[0.25, 0.75]])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import zlib
@@ -6,17 +7,19 @@ import numpy as np
 import pytest
 
 from evtrack.cli import main
-from evtrack.config import load_config, parse_config_text
-from evtrack.errors import ConfigError
+from evtrack.config import RunConfig, load_config, parse_config_text
+from evtrack.errors import ConfigError, UsageError
 from evtrack.pipeline import TrackerConfig, load_tracks_csv
+from evtrack.training import TrainConfig
 
 
 class TestConfig:
     def test_defaults_match_published_setup(self):
         cfg = load_config()
-        assert (cfg.bins, cfg.window, cfg.t_step, cfg.iterations) == (5, 16, 8, 4)
-        assert (cfg.downsample, cfg.channels) == (4, 128)
-        assert cfg.lr == pytest.approx(0.0005)
+        tracker = cfg.tracker
+        assert (tracker.bins, tracker.window, tracker.t_step, tracker.iterations) == (5, 16, 8, 4)
+        assert (tracker.downsample, tracker.channels) == (4, 128)
+        assert cfg.train.lr == pytest.approx(0.0005)
 
     def test_parse_sections_comments_and_bools(self):
         text = """
@@ -49,14 +52,24 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("channels = 64\nwindow = 8\n")
         cfg = load_config(str(path), {"channels": "32"})
-        assert cfg.channels == 32
-        assert cfg.window == 8
+        assert cfg.tracker.channels == 32
+        assert cfg.tracker.window == 8
 
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError):
             load_config(None, {"t_step": "16", "window": "16"})
         with pytest.raises(ConfigError, match="t_step=0, window=16"):
             load_config(None, {"t_step": "0"})
+        with pytest.raises(ConfigError, match="dt_track_us"):
+            load_config(None, {"dt_track_us": "0"})
+        with pytest.raises(ConfigError, match="accumulate_mode"):
+            load_config(None, {"accumulate_mode": "bogus"})
+        with pytest.raises(ConfigError, match="use_frames/use_events"):
+            load_config(None, {"use_frames": "false", "use_events": "false"})
+        with pytest.raises(ConfigError, match="speed_min"):
+            load_config(None, {"speed_min": "60", "speed_max": "50"})
+        with pytest.raises(UsageError, match="gamma"):
+            load_config(None, {"gamma": "0"})
 
     def test_derived_t_step_validated(self):
         with pytest.raises(ConfigError, match=r"t_step=0 \(derived as window // 2\)"):
@@ -66,10 +79,22 @@ class TestConfig:
 
     def test_t_step_defaults_to_half_window(self):
         cfg = load_config(None, {"window": "6"})
-        assert cfg.t_step == 3
-        assert cfg.tracker().t_step == 3
+        assert cfg.tracker.t_step == 3
         assert TrackerConfig(window=4).t_step == 2
         assert TrackerConfig().t_step == 8
+
+    def test_flat_keys_are_the_component_fields(self):
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        tracker, train = names(TrackerConfig), names(TrainConfig)
+        synth = names(RunConfig) - {"tracker", "train"}
+        assert not (tracker & train or tracker & synth or train & synth)
+        for key in tracker | train | synth:
+            assert key in parse_config_text(f"{key} = 1")
+        for key in ("delta_px", "log_every", "tracker", "train"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config_text(f"{key} = 1")
 
     def test_t_step_parses_as_int(self):
         assert parse_config_text("t_step = 4") == {"t_step": 4}
@@ -177,6 +202,17 @@ class TestCli:
         assert main(["eval", "--pred", str(tmp_path / "nope.csv"),
                      "--gt", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_track_rejects_changed_tracker_config(self, pipeline_dirs, tiny_cli_args,
+                                                  tmp_path, capsys):
+        _, data, weights = pipeline_dirs
+        seq = os.path.join(data, "seq_000")
+        assert main(["track", "--data", seq, "--weights", weights,
+                     "--queries", os.path.join(seq, "queries.csv"),
+                     "--out", str(tmp_path / "t.csv"), *tiny_cli_args,
+                     "--set", "time_wavelength=2.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "time_wavelength" in err
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         assert main(["gen-synth", "--out", str(tmp_path / "x"), "--scenes", "1",

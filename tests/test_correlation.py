@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
-from evtrack.autodiff import Tensor, ops
-from evtrack.correlation import (
-    CorrelationPyramid,
-    build_pyramid,
-    correlate,
-    correlate_batch,
-    correlate_oracle,
-    init_queries,
-    load_queries_csv,
-    offsets_grid,
-)
-from evtrack.encoders import FeatureMap
+from evtrack.autodiff import Tensor, no_grad, ops
+from evtrack.correlation import build_pyramid, correlate_batch, load_queries_csv, offsets_grid
 from evtrack.errors import ConfigError, UsageError
+from evtrack.pipeline import TrackSession
+from oracles import correlate_oracle
+from util_fixtures import tiny_model
 
 
 def random_pyramid(rng, channels=8, h=12, w=16, levels=3, scale=4):
     fused = Tensor(rng.standard_normal((channels, h, w)).astype(np.float32))
     return build_pyramid(fused, levels, scale)
+
+
+def correlate(feature, pyramid, position, radius):
+    """Cost vector of one feature at one position: correlate_batch with W = N = 1."""
+    stacks = [level.reshape((1, *level.shape)) for level in pyramid.levels]
+    feature = ops.as_tensor(feature).reshape((1, 1, -1))
+    position = Tensor(np.asarray(position, dtype=np.float32).reshape(1, 1, 2))
+    return correlate_batch(feature, stacks, position, radius, pyramid.base_scale).reshape((-1,))
 
 
 def test_pyramid_shapes_hand_case():
@@ -124,40 +125,48 @@ def test_offsets_layout():
     assert np.array_equal(offs[8], [1, 1])
 
 
-def make_frame_map(rng, c=8, h=10, w=12, scale=4):
-    return FeatureMap(
-        tensor=Tensor(rng.standard_normal((c, h, w)).astype(np.float32)),
-        source="frame",
-        t_frame=0,
-        t_slice=0,
-        scale=scale,
-    )
+def test_init_queries_replicates(monkeypatch):
+    """A session samples each template from its birth frame's features and
+    replicates position and template over the first window's W slices."""
+    model = tiny_model()  # window 4, 25 ms slices, 16 channels, 1/4 features
+    states = []
+    refine = model.refiner.refine
 
+    def spy(state, *args, **kwargs):
+        states.append(state)
+        return refine(state, *args, **kwargs)
 
-def test_init_queries_replicates(rng):
-    fmap = make_frame_map(rng)
+    monkeypatch.setattr(model.refiner, "refine", spy)
     pos = np.array([[8.0, 4.0], [8.0, 4.0], [20.0, 16.0]])
-    queries, state = init_queries(pos, fmap, window=16)
-    assert state.positions.shape == (16, 3, 2)
+    image = np.random.default_rng(0).random((1, 40, 48)).astype(np.float32)
+    with no_grad():
+        session = TrackSession(model, [(i, 0, x, y) for i, (x, y) in enumerate(pos)])
+        session.advance(frame=(0, image))
+        session.advance(frame=(75_000, image))
+        session.finish()
+        cells = model.frame_encoder(Tensor(image)).data
+    state = states[0]
+    assert state.positions.shape == (4, 3, 2)
     assert np.all(state.positions == pos[None])
-    assert state.features.shape == (16, 3, 8)
+    assert state.features.shape == (4, 3, 16)
     # grid-aligned position: template equals the stored cell exactly
-    assert np.allclose(queries[0].template.data, fmap.tensor.data[:, 1, 2])
+    assert np.allclose(state.features.data[0, 0], cells[:, 1, 2])
     # identical positions give identical templates
-    assert np.array_equal(queries[0].template.data, queries[1].template.data)
+    assert np.array_equal(state.features.data[:, 0], state.features.data[:, 1])
     # all W entries replicate the template
     assert np.all(state.features.data[:, 2] == state.features.data[0, 2])
 
 
-def test_init_queries_errors(rng):
-    fmap = make_frame_map(rng)
+def test_init_queries_errors():
+    model = tiny_model()
     with pytest.raises(UsageError):
-        init_queries(np.zeros((0, 2)), fmap, 8)
-    with pytest.raises(UsageError):
-        init_queries(np.array([[1e5, 1e5]]), fmap, 8)
-    fused = FeatureMap(fmap.tensor, "fused", 0, 0, 4)
-    with pytest.raises(UsageError):
-        init_queries(np.array([[1.0, 1.0]]), fused, 8)
+        TrackSession(model, [])
+    # templates come from frame features, so a query born between frames fails
+    image = np.zeros((1, 40, 48), dtype=np.float32)
+    session = TrackSession(model, [(0, 10_000, 1.0, 1.0)])
+    with no_grad(), pytest.raises(UsageError, match="not a frame time"):
+        session.advance(frame=(0, image))
+        session.advance(frame=(50_000, image))
 
 
 def test_query_csv(tmp_path):

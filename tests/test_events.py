@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtrack.autodiff import no_grad
 from evtrack.errors import ConfigError, DegenerateWindowError, UsageError
-from evtrack.events import (
-    Event,
-    EventStream,
-    build_event_stack,
-    event_stack_oracle,
-    load_binary_events,
-    load_text_events,
-    make_schedule,
-    save_binary_events,
-)
+from evtrack.events import EventStream, build_event_stack, load_binary_events, save_binary_events
+from evtrack.pipeline import run_offline
+from oracles import event_stack_oracle
+from util_fixtures import tiny_model
+
+
+def stream_of(rows, geometry):
+    """An EventStream from (x, y, t_us, polarity) rows."""
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return EventStream(*cols, geometry)
 
 
 def random_stream(rng, x_ext=12, y_ext=9, n=None, t_max=10_000):
@@ -37,7 +38,7 @@ def test_empty_stream_gives_zeros():
 
 def test_single_event_hand_case():
     # t* = 500/1000 * 4 = 2.0 -> positive channel, bin 2
-    stream = EventStream.from_events([Event(3, 4, 500, 1)], (8, 8))
+    stream = stream_of([(3, 4, 500, 1)], (8, 8))
     stack = build_event_stack(stream, 0, 1000, 5)
     assert stack.values[3, 4, 2] == np.float32(2.0)
     expected = np.zeros((8, 8, 10), dtype=np.float32)
@@ -46,19 +47,19 @@ def test_single_event_hand_case():
 
 
 def test_same_bin_max_wins():
-    stream = EventStream.from_events([Event(3, 4, 500, 1), Event(3, 4, 700, 1)], (8, 8))
+    stream = stream_of([(3, 4, 500, 1), (3, 4, 700, 1)], (8, 8))
     stack = build_event_stack(stream, 0, 1000, 5)
     assert stack.values[3, 4, 2] == np.float32(2.8)
 
 
 def test_event_at_window_end_lands_in_last_bin():
-    stream = EventStream.from_events([Event(1, 1, 1000, -1)], (4, 4))
+    stream = stream_of([(1, 1, 1000, -1)], (4, 4))
     stack = build_event_stack(stream, 0, 1000, 5)
     assert stack.values[1, 1, 5 + 4] == np.float32(4.0)
 
 
 def test_events_outside_window_ignored():
-    stream = EventStream.from_events([Event(0, 0, 50, 1), Event(1, 1, 5000, 1)], (4, 4))
+    stream = stream_of([(0, 0, 50, 1), (1, 1, 5000, 1)], (4, 4))
     stack = build_event_stack(stream, 100, 1000, 3)
     assert not stack.values.any()
 
@@ -93,7 +94,7 @@ def test_oracle_equivalence_randomized():
         t_hi = int(rng.integers(500, 10_000))
         fast = build_event_stack(stream, 0, t_hi, bins)
         slow = event_stack_oracle(stream, 0, t_hi, bins)
-        assert np.array_equal(fast.values, slow.values)
+        assert np.array_equal(fast.values, slow)
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,52 +102,75 @@ def test_oracle_equivalence_randomized():
                           st.integers(0, 1000), st.sampled_from([-1, 1])),
                 max_size=40))
 def test_permutation_invariance(raw):
-    raw_sorted = sorted(raw, key=lambda e: e[2])
-    events = [Event(x, y, t, p) for x, y, t, p in raw_sorted]
-    stream = EventStream.from_events(events, (8, 6))
-    base = build_event_stack(stream, 0, 1000, 4).values
+    events = sorted(raw, key=lambda e: e[2])
+    base = build_event_stack(stream_of(events, (8, 6)), 0, 1000, 4).values
     rng = np.random.default_rng(0)
     perm = list(rng.permutation(len(events)))
     # permuted arrival order has to re-sort timestamps to stay a valid
     # stream, but the max-reduction result is identical either way
-    shuffled = sorted((events[i] for i in perm), key=lambda e: e.t_us)
-    again = build_event_stack(EventStream.from_events(shuffled, (8, 6)), 0, 1000, 4).values
+    shuffled = sorted((events[i] for i in perm), key=lambda e: e[2])
+    again = build_event_stack(stream_of(shuffled, (8, 6)), 0, 1000, 4).values
     assert np.array_equal(base, again)
 
 
 def test_temporal_monotonicity():
-    stream = EventStream.from_events([Event(2, 2, 400, 1)], (6, 6))
+    stream = stream_of([(2, 2, 400, 1)], (6, 6))
     before = build_event_stack(stream, 0, 1000, 5).values[2, 2, :5].copy()
-    later = EventStream.from_events([Event(2, 2, 400, 1), Event(2, 2, 900, 1)], (6, 6))
+    later = stream_of([(2, 2, 400, 1), (2, 2, 900, 1)], (6, 6))
     after = build_event_stack(later, 0, 1000, 5).values[2, 2, :5]
     assert np.all(after >= before)
 
 
-def test_make_schedule_hand_case():
-    sched = make_schedule([0, 50_000], 0, 100_000, 5_000)
-    assert len(sched) == 21
-    for t_frame, t_slice in sched.entries:
-        assert t_frame == (0 if t_slice < 50_000 else 50_000)
-    times = sched.slice_times()
+def run_schedule(frame_times, t_end, dt_track_us, birth=None, monkeypatch=None):
+    """Track one query through blank 16x16 frames and one event at t_end.
+
+    Returns the slice times of the track and, when `monkeypatch` is given,
+    {t_slice: duration_us} as the refiner saw it.
+    """
+    model = tiny_model(dt_track_us=dt_track_us)
+    durations = {}
+    if monkeypatch is not None:
+        refine = model.refiner.refine
+
+        def spy(state, *args, **kwargs):
+            durations.update(zip(state.slice_times.tolist(), state.durations_us.tolist()))
+            return refine(state, *args, **kwargs)
+
+        monkeypatch.setattr(model.refiner, "refine", spy)
+    frames = [(t, np.zeros((1, 16, 16), dtype=np.float32)) for t in frame_times]
+    events = stream_of([(0, 0, t_end, 1)], (16, 16))
+    query = (0, frame_times[0] if birth is None else birth, 8.0, 8.0)
+    with no_grad():
+        tracks, _ = run_offline(model, frames, events, [query])
+    return [t for t, _, _ in tracks[0].samples], durations
+
+
+def test_make_schedule_hand_case(monkeypatch):
+    times, durations = run_schedule([0, 50_000], 100_000, 5_000, monkeypatch=monkeypatch)
+    assert len(times) == 21
     assert times[0] == 0 and times[-1] == 100_000
     assert np.all(np.diff(times) == 5_000)
+    # each slice accumulates events since the latest frame at or before it
+    assert sorted(durations) == times
+    for t_slice, duration in durations.items():
+        assert duration == t_slice - (0 if t_slice < 50_000 else 50_000)
 
 
 def test_make_schedule_single_slice_and_errors():
-    sched = make_schedule([0], 100, 150, 1_000_000)
-    assert sched.entries == [(0, 100)]
-    with pytest.raises(UsageError):
-        make_schedule([500], 100, 1000, 100)
+    times, _ = run_schedule([100], 150, 1_000_000)
+    assert times == [100]
+    with pytest.raises(UsageError):  # the query needs a frame at its birth
+        run_schedule([500], 1000, 100, birth=100)
     with pytest.raises(ConfigError):
-        make_schedule([0], 0, 1000, 0)
+        tiny_model(dt_track_us=0)
 
 
 def test_schedule_rate_independent_of_frames():
     # 24 Hz frames, 5 ms slices -> 200 Hz output
     frames = [int(i * 1e6 / 24) for i in range(25)]
-    sched = make_schedule(frames, 0, 1_000_000, 5_000)
-    assert len(sched) == 201
-    per_frame = len(sched) / 24
+    times, _ = run_schedule(frames, 1_000_000, 5_000)
+    assert len(times) == 201
+    per_frame = len(times) / 24
     assert 8.0 < per_frame < 8.7
 
 
@@ -164,18 +188,6 @@ def test_binary_roundtrip(tmp_path, rng):
     import os
 
     assert os.path.getsize(path) == 16 + 16 * len(stream)
-
-
-def test_text_events(tmp_path):
-    path = tmp_path / "events.txt"
-    path.write_text("0.000100 3 4 1\n0.000200 5 6 0\n")
-    stream = load_text_events(str(path), geometry=(10, 10))
-    assert list(stream.ts) == [100, 200]
-    assert list(stream.ps) == [1, -1]
-    with pytest.raises(ConfigError):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("0.1 3\n")
-        load_text_events(str(bad))
 
 
 def test_stream_validation():

@@ -190,6 +190,18 @@ class TestStreaming:
         with pytest.raises(UsageError):
             TrackSession(model, [])
 
+    def test_bad_query_positions_rejected(self, seq):
+        frames, _, _, _, _, _ = seq  # 32x32 sensor
+        model = tiny_model(seed=0)
+        with pytest.raises(UsageError, match="not finite"):
+            TrackSession(model, [(0, 0, float("nan"), 4.0)])
+        for x, y in ((500.0, -300.0), (32.0, 4.0), (4.0, 32.0), (-0.5, 4.0)):
+            session = TrackSession(model, [(0, 0, 4.0, 4.0), (1, 0, x, y)])
+            with pytest.raises(UsageError, match="outside the 32x32 sensor"):
+                session.advance(frame=frames[0])
+        session = TrackSession(model, [(0, 0, 0.0, 31.9)])
+        session.advance(frame=frames[0])
+
 
 class TestHandoff:
     def test_split_counts(self, seq):

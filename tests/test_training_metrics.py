@@ -7,7 +7,6 @@ from evtrack.autodiff import Tensor, backward, precision
 from evtrack.errors import MetricError, TrainingError, UsageError
 from evtrack.metrics import GtTrack, evaluate_tracks, expected_feature_age, feature_age
 from evtrack.training import (
-    LossConfig,
     TrainConfig,
     iteration_weights,
     load_checkpoint,
@@ -27,7 +26,7 @@ class TestWindowLoss:
     def test_perfect_prediction_zero(self):
         gt = np.random.default_rng(0).uniform(0, 10, size=(4, 2, 2)).astype(np.float32)
         snaps = [Tensor(gt.copy()) for _ in range(4)]
-        loss = window_loss(snaps, gt, np.ones((4, 2)), LossConfig())
+        loss = window_loss(snaps, gt, np.ones((4, 2)), 0.8)
         assert float(loss.data) == 0.0
 
     def test_constant_one_pixel_error(self):
@@ -35,7 +34,7 @@ class TestWindowLoss:
         pred = gt.copy()
         pred[..., 0] += 1.0  # 1 px error in x everywhere
         snaps = [Tensor(pred.copy()) for _ in range(4)]
-        loss = window_loss(snaps, gt, np.ones((16, 3)), LossConfig(gamma=0.8))
+        loss = window_loss(snaps, gt, np.ones((16, 3)), 0.8)
         assert float(loss.data) == pytest.approx(2.952, abs=1e-5)
 
     def test_mask_excludes_entries(self):
@@ -44,17 +43,17 @@ class TestWindowLoss:
         pred[:, 1, :] = 100.0  # huge error only on the masked query
         mask = np.ones((4, 2))
         mask[:, 1] = 0.0
-        loss = window_loss([Tensor(pred)], gt, mask, LossConfig())
+        loss = window_loss([Tensor(pred)], gt, mask, 0.8)
         assert float(loss.data) == 0.0
 
     def test_shape_errors(self):
         with pytest.raises(UsageError):
-            window_loss([], np.zeros((2, 2, 2)), np.ones((2, 2)), LossConfig())
+            window_loss([], np.zeros((2, 2, 2)), np.ones((2, 2)), 0.8)
         with pytest.raises(UsageError):
             window_loss([Tensor(np.zeros((2, 2, 2)))], np.zeros((3, 2, 2)),
-                        np.ones((2, 2)), LossConfig())
+                        np.ones((2, 2)), 0.8)
         with pytest.raises(UsageError):
-            LossConfig(gamma=0.0)
+            TrainConfig(gamma=0.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -67,10 +66,10 @@ class TestWindowLoss:
             def scalar_fn(*arrs):
                 with precision("f64"):
                     snaps = [Tensor(a) for a in arrs]
-                    return float(window_loss(snaps, gt, mask, LossConfig()).data)
+                    return float(window_loss(snaps, gt, mask, 0.8).data)
 
             tensors = [Tensor(a, requires_grad=True) for a in arrays]
-            loss = window_loss(tensors, gt, mask, LossConfig())
+            loss = window_loss(tensors, gt, mask, 0.8)
             backward(loss)
             for i, t in enumerate(tensors):
                 num = numerical_grad(scalar_fn, arrays, i)
