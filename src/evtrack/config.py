@@ -54,20 +54,19 @@ _KEYS.update({f.name: (None, f) for f in dataclasses.fields(RunConfig)
 def _coerce(key: str, raw: str):
     if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    kind = _KEYS[key][1].type
-    if isinstance(kind, str):
-        kind = kind.removesuffix(" | None")  # an optional value parses as its type
+    # every config module defers annotations, so a field's type is its source string
+    kind = _KEYS[key][1].type.removesuffix(" | None")  # an optional value parses as its type
     raw = raw.strip()
     try:
-        if kind == "bool" or kind is bool:
+        if kind == "bool":
             if raw.lower() in ("true", "1", "yes", "on"):
                 return True
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind == "int" or kind is int:
+        if kind == "int":
             return int(raw)
-        if kind == "float" or kind is float:
+        if kind == "float":
             return float(raw)
         return raw
     except ValueError as exc:

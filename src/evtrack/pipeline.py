@@ -6,11 +6,14 @@ refine as soon as they fill, and each slice is emitted exactly once. The
 offline entry point feeds a whole sequence through the same path, so
 offline and incremental runs are identical by construction.
 
-Window hand-off: the overlapping W-T_step slices carry refined positions
-and working features (detached); the T_step new slices replicate the last
-refined position and the persistent template. Later windows overwrite
-provisional positions of overlapping slices; a slice is only emitted when
-it leaves the window (or at the end of the stream).
+Rolling window: the session holds the slices it has not emitted yet,
+oldest first, and refines them once there are W. A refinement stores each
+slice's position and (detached) working feature, then emits and drops the
+oldest T_step slices, so W-T_step refined slices carry over. The T_step
+slices appended next start from the last refined position and the
+persistent template, and later windows refine the carried ones again; a
+slice is emitted only when it leaves the window (or at the end of the
+stream).
 """
 
 from __future__ import annotations
@@ -121,22 +124,15 @@ class Track:
 
 
 @dataclass
-class _SliceRecord:
+class _Slice:
+    """One slice of the rolling window; a refinement fills in the rest."""
+
     index: int
-    t_frame: int
     t_slice: int
     duration_us: int
     pyramid: CorrelationPyramid
-
-
-@dataclass
-class _Carried:
-    """Window overlap carried across a hand-off."""
-
-    positions: np.ndarray  # (W - t_step, N, 2)
-    features: Tensor  # (W - t_step, N, C), detached
-    durations_us: np.ndarray
-    start_index: int
+    position: np.ndarray | None = None  # (N, 2) refined
+    feature: np.ndarray | None = None  # (N, C) refined, detached
 
 
 @dataclass
@@ -147,22 +143,6 @@ class WindowRun:
     start_index: int
     slice_times: np.ndarray
     active: np.ndarray  # (W, N) float mask
-
-
-def handoff(final_positions: np.ndarray, final_features: Tensor, durations_us: np.ndarray,
-            t_step: int, start_index: int) -> _Carried:
-    """Carry the trailing W-t_step slices of a refined window forward.
-
-    Positions and features are detached copies of the refined values; the
-    caller appends t_step fresh slices (replicated last position, template
-    features) as they arrive.
-    """
-    return _Carried(
-        positions=final_positions[t_step:].copy(),
-        features=Tensor(final_features.data[t_step:].copy()),
-        durations_us=durations_us[t_step:].copy(),
-        start_index=start_index + t_step,
-    )
 
 
 class TrackSession:
@@ -187,25 +167,19 @@ class TrackSession:
         self.record_windows = record_windows
         self.window_runs: list[WindowRun] = []
 
+        self._sensor: tuple[int, int] | None = None  # (W, H), fixed by the first input
         self._frame_times: list[int] = []
         self._frame_raw: dict[int, np.ndarray] = {}
         self._frame_feats: dict[int, Tensor] = {}
         self._events: EventStream | None = None
         self._watermark: int | None = None
-        self._last_frame_t: int | None = None
         self._last_event_t: int | None = None
 
-        self._t_begin: int | None = None
         self._next_slice_t: int | None = None
         self._n_slices = 0
-        self._slice_times: list[int] = []
-        self._new_records: list[_SliceRecord] = []
-        self._carried: _Carried | None = None
-        self._pyramid_cache: dict[int, CorrelationPyramid] = {}
-        self._latest_pos: dict[int, np.ndarray] = {}
+        self._window: list[_Slice] = []  # slices not emitted yet, oldest first
         self._flow_pair = None  # (last, prev, active) refined positions
-        self._emitted_through = 0
-        self._emitted_samples: list[tuple[int, int, float, float]] = []
+        self._tracks = [Track(qid) for qid in self.query_ids]
         self._finished = False
 
     # ------------------------------------------------------------------ input
@@ -214,27 +188,24 @@ class TrackSession:
         """Feed the next frame (t_us, image) or event batch; returns new samples."""
         if self._finished:
             raise UsageError("session already finished")
-        last_slice = self._slice_times[-1] if self._slice_times else None
+        last_slice = self._window[-1].t_slice if self._window else None
         if frame is not None:
             t, image = frame
             t = int(t)
-            if self._last_frame_t is not None and t < self._last_frame_t:
-                raise OrderingError(f"frame at {t} after frame at {self._last_frame_t}")
-            if last_slice is not None and t <= last_slice and t not in self._frame_raw:
+            last_frame = self._frame_times[-1] if self._frame_times else None
+            if last_frame is not None and t < last_frame:
+                raise OrderingError(f"frame at {t} after frame at {last_frame}")
+            if last_slice is not None and t <= last_slice and t != last_frame:
                 raise OrderingError(f"frame at {t} arrived after slices past it were processed")
             image = np.asarray(image, dtype=np.float32)
-            if not self._frame_raw:  # the first frame fixes the sensor size
-                h, w = image.shape[-2:]
-                x, y = self.p_init[:, 0], self.p_init[:, 1]
-                self._reject_queries((x < 0) | (x >= w) | (y < 0) | (y >= h),
-                                     f"lies outside the {w}x{h} sensor")
-            self._last_frame_t = t
-            if t not in self._frame_raw:
-                bisect.insort(self._frame_times, t)
+            self._check_frame_shape(image.shape)
+            if t != last_frame:
+                self._frame_times.append(t)
                 self._frame_raw[t] = image
             self._watermark = t if self._watermark is None else max(self._watermark, t)
         if events is not None:
             batch = events if isinstance(events, EventStream) else EventStream(*events)
+            self._fix_sensor(batch.geometry, "event batch")
             if len(batch):
                 t0, t1 = int(batch.ts[0]), int(batch.ts[-1])
                 if self._last_event_t is not None and t0 < self._last_event_t:
@@ -251,18 +222,15 @@ class TrackSession:
         if self._finished:
             return []
         emitted = self._pump(flush=True)
-        if self._new_records:
+        if self._window and self._window[-1].position is None:
             emitted += self._refine_and_emit(final=True)
-        elif self._n_slices:
-            emitted += self._emit_range(self._emitted_through, self._n_slices)
+        else:
+            emitted += self._emit(len(self._window))
         self._finished = True
         return emitted
 
     def tracks(self) -> list[Track]:
-        by_id = {qid: Track(qid) for qid in self.query_ids}
-        for qid, t, x, y in self._emitted_samples:
-            by_id[qid].samples.append((t, x, y))
-        return [by_id[qid] for qid in self.query_ids]
+        return list(self._tracks)
 
     # -------------------------------------------------------------- internals
 
@@ -272,12 +240,30 @@ class TrackSession:
             x, y = self.p_init[n]
             raise UsageError(f"query {self.query_ids[n]} at ({x:g}, {y:g}) {what}")
 
+    def _check_frame_shape(self, shape: tuple[int, ...]):
+        c = self.cfg.frame_channels
+        if len(shape) != 3 or shape[0] != c:
+            w, h = self._sensor or ("W", "H")
+            raise ConfigError(f"frame has shape {shape}, expected ({c}, {h}, {w})")
+        self._fix_sensor((shape[2], shape[1]), "frame")
+
+    def _fix_sensor(self, size: tuple[int, int], what: str):
+        """The first frame or event batch fixes the sensor (W, H); later ones must match."""
+        w, h = size
+        if self._sensor is None:
+            x, y = self.p_init[:, 0], self.p_init[:, 1]
+            self._reject_queries((x < 0) | (x >= w) | (y < 0) | (y >= h),
+                                 f"lies outside the {w}x{h} sensor")
+            self._sensor = size
+        elif size != self._sensor:
+            raise ConfigError(
+                f"{what} is {w}x{h}, but the sensor is {self._sensor[0]}x{self._sensor[1]}"
+            )
+
     def _append_events(self, batch: EventStream):
         if self._events is None:
             self._events = batch
             return
-        if batch.geometry != self._events.geometry:
-            raise ConfigError("event geometry changed mid-stream")
         self._events = EventStream(
             np.concatenate([self._events.xs, batch.xs]),
             np.concatenate([self._events.ys, batch.ys]),
@@ -292,11 +278,10 @@ class TrackSession:
         return self._frame_feats[t_frame]
 
     def _next_slice_time(self) -> int | None:
-        if self._t_begin is None:
+        if self._next_slice_t is None:
             if not self._frame_times:
                 return None
-            self._t_begin = self._frame_times[0]
-            self._next_slice_t = self._t_begin
+            self._next_slice_t = self._frame_times[0]
         if not self.cfg.use_events:
             # frames-only ablation: the slice grid is the frame times
             i = bisect.bisect_left(self._frame_times, self._next_slice_t)
@@ -316,8 +301,7 @@ class TrackSession:
                 break
             self._process_slice(t_slice)
             self._next_slice_t = t_slice + (self.cfg.dt_track_us if self.cfg.use_events else 1)
-            need = self.cfg.window if self._carried is None else self.cfg.t_step
-            if len(self._new_records) == need:
+            if len(self._window) == self.cfg.window:
                 emitted += self._refine_and_emit(final=False)
         return emitted
 
@@ -326,12 +310,6 @@ class TrackSession:
             return 0.0
         last, prev, active = self._flow_pair
         return mean_flow(last, prev, active)
-
-    def _event_geometry(self):
-        if self._events is not None:
-            return self._events.geometry
-        img = self._frame_raw[self._frame_times[0]]
-        return (img.shape[-1], img.shape[-2])
 
     def _process_slice(self, t_slice: int):
         cfg = self.cfg
@@ -345,11 +323,11 @@ class TrackSession:
         duration = max(0, t_slice - t_ev0)
 
         if cfg.use_events:
-            x_ext, y_ext = self._event_geometry()
             if duration > 0 and self._events is not None:
                 raw = build_event_stack(self._events, t_ev0, t_slice, cfg.bins).channel_first()
             else:
                 # a slice coinciding with its frame accumulates no events yet
+                x_ext, y_ext = self._sensor
                 raw = np.zeros((2 * cfg.bins, y_ext, x_ext), dtype=np.float32)
             f_event = self.model.event_encoder(Tensor(raw))
             f_image = self._frame_features(t_frame) if cfg.use_frames else None
@@ -362,8 +340,7 @@ class TrackSession:
             duration = 0
 
         pyramid = build_pyramid(fused, cfg.levels, cfg.downsample)
-        self._new_records.append(_SliceRecord(idx, t_frame, t_slice, duration, pyramid))
-        self._slice_times.append(t_slice)
+        self._window.append(_Slice(idx, t_slice, duration, pyramid))
         self._n_slices += 1
 
         newly = (self._valid_from == _UNBORN) & (self.t_birth <= t_slice)
@@ -399,84 +376,52 @@ class TrackSession:
         return ops.stack(cols, axis=0)
 
     def _assemble_state(self) -> WindowState:
-        records = self._new_records
-        templates = self._template_matrix()
-        new_len = len(records)
-        if self._carried is None:
-            positions = np.repeat(self.p_init[None], new_len, axis=0)
-            features = ops.stack([templates] * new_len, axis=0)
-            durations = np.array([r.duration_us for r in records], dtype=np.int64)
-            start = records[0].index
-        else:
-            last = self._carried.positions[-1]
-            positions = np.concatenate(
-                [self._carried.positions, np.repeat(last[None], new_len, axis=0)], axis=0
-            )
-            features = ops.concat(
-                [self._carried.features, ops.stack([templates] * new_len, axis=0)], axis=0
-            )
-            durations = np.concatenate(
-                [self._carried.durations_us, [r.duration_us for r in records]]
-            ).astype(np.int64)
-            start = self._carried.start_index
-        w_len = positions.shape[0]
-        times = np.array(self._slice_times[start : start + w_len], dtype=np.int64)
+        """Refined slices keep their position and feature; fresh ones start
+        from the last refined position (or the query position) and the template."""
+        refined = [s for s in self._window if s.position is not None]
+        n_fresh = len(self._window) - len(refined)
+        last = refined[-1].position if refined else self.p_init
+        fresh = ops.stack([self._template_matrix()] * n_fresh, axis=0)
+        features = fresh
+        if refined:
+            features = ops.concat([np.stack([s.feature for s in refined]), fresh], axis=0)
         return WindowState(
-            positions=positions.astype(np.float32),
+            positions=np.stack([s.position for s in refined] + [last] * n_fresh).astype(np.float32),
             features=features,
-            durations_us=durations,
-            slice_times=times,
+            durations_us=np.array([s.duration_us for s in self._window], dtype=np.int64),
+            slice_times=np.array([s.t_slice for s in self._window], dtype=np.int64),
             valid_from=self._valid_from.copy(),
-            start_index=start,
+            start_index=self._window[0].index,
         )
-
-    def _window_pyramids(self, state: WindowState) -> list[CorrelationPyramid]:
-        by_index = dict(self._pyramid_cache)
-        for rec in self._new_records:
-            by_index[rec.index] = rec.pyramid
-        pyramids = [by_index[state.start_index + i] for i in range(state.window)]
-        self._pyramid_cache = {state.start_index + i: p for i, p in enumerate(pyramids)}
-        return pyramids
 
     def _refine_and_emit(self, final: bool):
-        cfg = self.cfg
         state = self._assemble_state()
-        pyramids = self._window_pyramids(state)
         snapshots, pos_final, feats_final = self.model.refiner.refine(
-            state, pyramids, self.p_init, time_embed=cfg.time_embed
+            state, [s.pyramid for s in self._window], self.p_init, time_embed=self.cfg.time_embed
         )
         pos_data = pos_final.data
-
-        for i in range(state.window):
-            self._latest_pos[state.start_index + i] = pos_data[i].copy()
+        for s, position, feature in zip(self._window, pos_data, feats_final.data):
+            s.position, s.feature = position, feature
         if state.window >= 2:
             active = (state.start_index + state.window - 1) >= self._valid_from
-            self._flow_pair = (pos_data[-1].copy(), pos_data[-2].copy(), active)
+            self._flow_pair = (pos_data[-1], pos_data[-2], active)
 
         if self.record_windows:
             self.window_runs.append(
-                WindowRun(snapshots, state.start_index, state.slice_times.copy(), state.active_mask())
+                WindowRun(snapshots, state.start_index, state.slice_times, state.active_mask())
             )
+        return self._emit(len(self._window) if final else self.cfg.t_step)
 
-        if final:
-            emitted = self._emit_range(self._emitted_through, state.start_index + state.window)
-        else:
-            emitted = self._emit_range(self._emitted_through, state.start_index + cfg.t_step)
-            self._carried = handoff(pos_data, feats_final, state.durations_us, cfg.t_step,
-                                    state.start_index)
-        self._new_records = []
-        return emitted
-
-    def _emit_range(self, lo: int, hi: int):
+    def _emit(self, count: int):
+        """Emit the oldest `count` window slices and drop them from the window."""
         emitted = []
-        for idx in range(lo, hi):
-            pos = self._latest_pos[idx]
-            t = self._slice_times[idx]
-            for n, qid in enumerate(self.query_ids):
-                if self._valid_from[n] <= idx:
-                    emitted.append((qid, t, float(pos[n, 0]), float(pos[n, 1])))
-        self._emitted_through = max(self._emitted_through, hi)
-        self._emitted_samples.extend(emitted)
+        for s in self._window[:count]:
+            for n, track in enumerate(self._tracks):
+                if self._valid_from[n] <= s.index:
+                    sample = (s.t_slice, float(s.position[n, 0]), float(s.position[n, 1]))
+                    track.samples.append(sample)
+                    emitted.append((track.id, *sample))
+        del self._window[:count]
         return emitted
 
 

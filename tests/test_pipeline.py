@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtrack.autodiff import no_grad
-from evtrack.errors import OrderingError, UsageError
+from evtrack.errors import ConfigError, OrderingError, UsageError
 from evtrack.events import EventStream
 from evtrack.pipeline import (
     Track,
     TrackerConfig,
     TrackSession,
-    handoff,
     load_tracks_csv,
     run_offline,
     save_tracks_csv,
@@ -202,21 +203,156 @@ class TestStreaming:
         session = TrackSession(model, [(0, 0, 0.0, 31.9)])
         session.advance(frame=frames[0])
 
+    def test_query_outside_sensor_rejected_when_events_come_first(self, seq):
+        _, events, _, _, _, _ = seq  # 32x32 sensor
+        session = TrackSession(tiny_model(seed=0), [(0, 0, 4.0, 40.0)])
+        with pytest.raises(UsageError, match="outside the 32x32 sensor"):
+            session.advance(events=events)
+
+    def test_frame_size_change_rejected(self, seq):
+        frames, _, queries, _, _, _ = seq
+        with no_grad():
+            session = TrackSession(tiny_model(seed=0), queries)
+            session.advance(frame=frames[0])
+            with pytest.raises(ConfigError, match="frame is 40x32, but the sensor is 32x32"):
+                session.advance(frame=(frames[1][0], np.zeros((1, 32, 40), dtype=np.float32)))
+
+    def test_frame_not_channels_height_width_rejected(self, seq):
+        frames, _, queries, _, _, _ = seq
+        t, img = frames[0]
+        session = TrackSession(tiny_model(seed=0), queries)
+        with pytest.raises(ConfigError, match=r"shape \(32, 32\), expected \(1, H, W\)"):
+            session.advance(frame=(t, img[0]))
+        with no_grad():
+            session.advance(frame=(t, img))
+        with pytest.raises(ConfigError, match=r"shape \(2, 32, 32\), expected \(1, 32, 32\)"):
+            session.advance(frame=(frames[1][0], np.concatenate([img, img])))
+
+    def test_event_geometry_change_rejected(self, seq):
+        frames, events, queries, _, _, _ = seq
+        wide = EventStream(events.xs, events.ys, events.ts, events.ps, (40, 32))
+        with no_grad():
+            session = TrackSession(tiny_model(seed=0), queries)
+            session.advance(frame=frames[0])
+            with pytest.raises(ConfigError, match="event batch is 40x32, but the sensor is 32x32"):
+                session.advance(events=wide)
+            # events first: the frame must then match their geometry
+            session = TrackSession(tiny_model(seed=0), queries)
+            session.advance(events=wide)
+            with pytest.raises(ConfigError, match="frame is 32x32, but the sensor is 40x32"):
+                session.advance(frame=frames[0])
+
+
+@pytest.fixture(scope="module")
+def tied_seq(seq):
+    """`seq` plus one event at every frame and slice time, so the splits
+    below meet events that share a frame's timestamp."""
+    frames, events, queries, _, _, slice_times = seq
+    extra = np.array(sorted({t for t, _ in frames} | set(slice_times)), dtype=np.int64)
+    ts = np.concatenate([events.ts, extra])
+    order = np.argsort(ts, kind="stable")
+    ones = np.ones(len(extra), dtype=np.int64)
+    events = EventStream(np.concatenate([events.xs, 5 * ones])[order],
+                         np.concatenate([events.ys, 7 * ones])[order], ts[order],
+                         np.concatenate([events.ps, ones])[order], events.geometry)
+    model = tiny_model(seed=0, randomize_heads=True)
+    with no_grad():
+        tracks, _ = run_offline(model, frames, events, queries)
+    return frames, events, queries, model, tracks
+
+
+@st.composite
+def input_splits(draw, n_events, n_frames):
+    """Event cut indices, one before/after-ties flag per frame, and the
+    input positions where empty event batches are slipped in."""
+    cuts = draw(st.lists(st.integers(0, n_events), max_size=12))
+    frame_after_ties = draw(st.lists(st.booleans(), min_size=n_frames, max_size=n_frames))
+    empties = draw(st.lists(st.integers(0, n_events), max_size=4))
+    return cuts, frame_after_ties, empties
+
+
+def _chunked_inputs(frames, events, split):
+    """Feed order for one split: ("f", (t, image)) and ("e", EventStream)
+    items, frames and events each in time order, every frame ahead of the
+    events after its timestamp."""
+    cuts, frame_after_ties, empties = split
+    ts = events.ts
+    frame_at = [int(np.searchsorted(ts, t, side="right" if after else "left"))
+                for (t, _), after in zip(frames, frame_after_ties)]
+    bounds = sorted({0, len(events), *cuts, *frame_at, *empties})
+    empty = EventStream([], [], [], [], events.geometry)
+    items = []
+    for lo, hi in zip(bounds, bounds[1:] + [None]):
+        items += [("f", frame) for frame, at in zip(frames, frame_at) if at == lo]
+        items += [("e", empty)] * empties.count(lo)
+        if hi is not None and hi > lo:
+            items.append(("e", EventStream(events.xs[lo:hi], events.ys[lo:hi], ts[lo:hi],
+                                           events.ps[lo:hi], events.geometry)))
+    return items
+
+
+class TestChunking:
+    """Streaming output equals offline output for any split of the input."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_split_gives_offline_tracks(self, tied_seq, data):
+        frames, events, queries, model, offline_tracks = tied_seq
+        split = data.draw(input_splits(len(events), len(frames)))
+        with no_grad():
+            session = TrackSession(model, queries)
+            for kind, payload in _chunked_inputs(frames, events, split):
+                if kind == "f":
+                    session.advance(frame=payload)
+                else:
+                    session.advance(events=payload)
+            session.finish()
+        for a, b in zip(offline_tracks, session.tracks(), strict=True):
+            assert a.id == b.id
+            assert a.samples == b.samples
+
 
 class TestHandoff:
-    def test_split_counts(self, seq):
-        from evtrack.autodiff import Tensor
+    def test_split_counts(self):
+        # 21 slices, window 5, step 2: each window carries 3 refined slices
+        frames, events, queries, _, _, slice_times = tiny_sequence(seed=3, duration_us=500_000)
+        model = tiny_model(seed=0, randomize_heads=True, window=5, t_step=2)
+        cfg = model.cfg
+        calls = []
+        refine = model.refiner.refine
 
-        rng = np.random.default_rng(0)
-        final_pos = rng.standard_normal((16, 3, 2)).astype(np.float32)
-        final_feat = Tensor(rng.standard_normal((16, 3, 8)).astype(np.float32))
-        durs = np.arange(16, dtype=np.int64)
-        carried = handoff(final_pos, final_feat, durs, 8, 0)
-        assert carried.positions.shape == (8, 3, 2)
-        assert np.array_equal(carried.positions, final_pos[8:])
-        assert np.array_equal(carried.features.data, final_feat.data[8:])
-        assert np.array_equal(carried.durations_us, durs[8:])
-        assert carried.start_index == 8
+        def spy(state, pyramids, p_init, **kw):
+            snapshots, pos, feats = refine(state, pyramids, p_init, **kw)
+            calls.append((state.start_index, state.positions.copy(), state.features.data.copy(),
+                          state.durations_us.copy(), pos.data.copy(), feats.data.copy()))
+            return snapshots, pos, feats
+
+        model.refiner.refine = spy
+        with no_grad():
+            session = TrackSession(model, queries)
+            cursor = 0
+            for t, img in frames + [(None, None)]:
+                hi = len(events) if t is None else int(np.searchsorted(events.ts, t))
+                session.advance(events=EventStream(
+                    events.xs[cursor:hi], events.ys[cursor:hi], events.ts[cursor:hi],
+                    events.ps[cursor:hi], events.geometry))
+                assert len(session._window) <= cfg.window
+                cursor = hi
+                if t is not None:
+                    session.advance(frame=(t, img))
+                    assert len(session._window) <= cfg.window
+            session.finish()
+        assert len(slice_times) == 21 and len(calls) >= 5
+        keep = cfg.window - cfg.t_step
+        for prev, cur in zip(calls, calls[1:]):
+            start0, _, _, durs0, pos0, feats0 = prev
+            start, positions, features, durs, _, _ = cur
+            assert start == start0 + cfg.t_step
+            assert np.array_equal(positions[:keep], pos0[cfg.t_step:])
+            assert np.array_equal(features[:keep], feats0[cfg.t_step:])
+            assert np.array_equal(durs[:keep], durs0[cfg.t_step:])
+            # the fresh slices start from the last refined position
+            assert np.array_equal(positions[keep:], np.broadcast_to(pos0[-1], positions[keep:].shape))
 
     def test_templates_survive_handoffs(self, seq):
         frames, events, queries, _, _, _ = seq
