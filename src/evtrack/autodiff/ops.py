@@ -140,9 +140,11 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(a, 0) elementwise. NaN stays NaN, so a non-finite value is passed
+    on to the caller's finiteness checks instead of being zeroed."""
     a = as_tensor(a)
     mask = a.data > 0
-    return make_node(np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
+    return make_node(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a) -> Tensor:
@@ -156,9 +158,9 @@ def sigmoid(a) -> Tensor:
 def softmax_lastdim(a) -> Tensor:
     """Softmax over the trailing axis, stabilized by max subtraction."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -188,31 +190,36 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, weight, bias=None) -> Tensor:
-    """Affine map over the trailing dimension: y = x @ weight.T + bias."""
+    """Affine map over the trailing dimension: y = x @ weight.T + bias.
+
+    The leading axes are flattened first, so forward and both weight and
+    input gradients are one 2-D GEMM each; `np.matmul` on an (N, W, D)
+    input would call BLAS once per leading index.
+    """
     x, weight = as_tensor(x), as_tensor(weight)
     if weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
         raise ConfigError(
             f"linear dimension mismatch: input trailing dim {x.shape[-1]}, weight {weight.shape}"
         )
-    out = np.matmul(x.data, weight.data.T)
+    d_out = weight.shape[0]
+    x_flat = x.data.reshape(-1, x.shape[-1])
+    out = x_flat @ weight.data.T
     if bias is not None:
         bias = as_tensor(bias)
-        if bias.shape != (weight.shape[0],):
-            raise ConfigError(f"linear bias shape {bias.shape} != ({weight.shape[0]},)")
-        out = out + bias.data
-
-    x_flat = x.data.reshape(-1, x.shape[-1])
+        if bias.shape != (d_out,):
+            raise ConfigError(f"linear bias shape {bias.shape} != ({d_out},)")
+        out += bias.data
 
     def vjp(g):
-        g_flat = g.reshape(-1, weight.shape[0])
-        gx = np.matmul(g, weight.data)
-        gw = np.matmul(g_flat.T, x_flat)
+        g_flat = g.reshape(-1, d_out)
+        gx = (g_flat @ weight.data).reshape(x.shape)
+        gw = g_flat.T @ x_flat
         if bias is None:
             return gx, gw
         return gx, gw, g_flat.sum(axis=0)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return make_node(out, parents, vjp)
+    return make_node(out.reshape(x.shape[:-1] + (d_out,)), parents, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +447,9 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    """numpy's reshape: a view of `a` unless its strides rule one out."""
     a = as_tensor(a)
-    out = a.data.reshape(shape)
-    return make_node(out.copy(), (a,), lambda g: (g.reshape(a.shape),))
+    return make_node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes) -> Tensor:

@@ -195,13 +195,16 @@ class TrackSession:
             last_frame = self._frame_times[-1] if self._frame_times else None
             if last_frame is not None and t < last_frame:
                 raise OrderingError(f"frame at {t} after frame at {last_frame}")
-            if last_slice is not None and t <= last_slice and t != last_frame:
+            if t == last_frame:
+                raise OrderingError(f"second frame at {t}")
+            if last_slice is not None and t <= last_slice:
                 raise OrderingError(f"frame at {t} arrived after slices past it were processed")
             image = np.asarray(image, dtype=np.float32)
             self._check_frame_shape(image.shape)
-            if t != last_frame:
-                self._frame_times.append(t)
-                self._frame_raw[t] = image
+            if self.cfg.use_frames:
+                self._check_births_between(last_frame, t)
+            self._frame_times.append(t)
+            self._frame_raw[t] = image
             self._watermark = t if self._watermark is None else max(self._watermark, t)
         if events is not None:
             batch = events if isinstance(events, EventStream) else EventStream(*events)
@@ -246,6 +249,18 @@ class TrackSession:
             w, h = self._sensor or ("W", "H")
             raise ConfigError(f"frame has shape {shape}, expected ({c}, {h}, {w})")
         self._fix_sensor((shape[2], shape[1]), "frame")
+
+    def _check_births_between(self, last_frame: int | None, t: int):
+        """Templates come from the frame at a query's birth, so a birth
+        strictly between two consecutive frames (or before the first one)
+        can never be served."""
+        lo = -np.inf if last_frame is None else last_frame
+        bad = (self.t_birth > lo) & (self.t_birth < t)
+        if bad.any():
+            n = int(np.argmax(bad))
+            raise UsageError(
+                f"query {self.query_ids[n]} born at {int(self.t_birth[n])}, which is not a frame time"
+            )
 
     def _fix_sensor(self, size: tuple[int, int], what: str):
         """The first frame or event batch fixes the sensor (W, H); later ones must match."""

@@ -68,6 +68,31 @@ def test_linear_examples():
         ops.linear(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("d_out", [2, 256])  # the head_pos and proj widths
+def test_linear_flattened_matches_per_slice(d_out):
+    rng = np.random.default_rng(d_out)
+    x = rng.standard_normal((16, 8, 256)).astype(np.float32)  # (W, N, D)
+    w = (rng.standard_normal((d_out, 256)) / 16).astype(np.float32)
+    b = rng.standard_normal(d_out).astype(np.float32)
+    y = ops.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    assert y.shape == (16, 8, d_out) and y.dtype == np.float32
+    for i in range(len(x)):
+        np.testing.assert_allclose(y[i], x[i] @ w.T + b, rtol=1e-5, atol=1e-6)
+
+
+def test_reshape_of_contiguous_input_is_a_view():
+    a = Tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+    out = ops.reshape(a, (6, 4))
+    assert np.shares_memory(out.data, a.data)
+    assert np.array_equal(out.data, a.data.reshape(6, 4))
+
+
+def test_relu_passes_nan_on():
+    """NaN stays NaN, so the refiner's finiteness check still sees it."""
+    y = ops.relu(Tensor([np.nan, -1.0, 2.0])).data
+    assert np.isnan(y[0]) and y[1] == 0.0 and y[2] == 2.0
+
+
 def test_softmax_rows():
     y = ops.softmax_lastdim(Tensor([[0.0, math.log(3.0)]], dtype=np.float64))
     assert np.allclose(y.data, [[0.25, 0.75]])
@@ -381,6 +406,21 @@ def _build_linear(rng, tensors=None, make_arrays=False):
     if make_arrays:
         return [rng.standard_normal((2, 3, 4)), rng.standard_normal((5, 4)), rng.standard_normal(5)]
     return ops.linear(*tensors)
+
+
+@case("linear_1d", 3)
+def _build_linear_1d(rng, tensors=None, make_arrays=False):
+    if make_arrays:
+        return [rng.standard_normal(4), rng.standard_normal((3, 4)), rng.standard_normal(3)]
+    return ops.mul(ops.linear(*tensors), np.arange(1.0, 4.0))
+
+
+@case("linear_4d_no_bias", 2)
+def _build_linear_4d(rng, tensors=None, make_arrays=False):
+    if make_arrays:
+        return [rng.standard_normal((2, 3, 2, 4)), rng.standard_normal((5, 4))]
+    w = np.arange(60, dtype=np.float64).reshape(2, 3, 2, 5)
+    return ops.mul(ops.linear(*tensors), w)
 
 
 @case("conv2d", 3)

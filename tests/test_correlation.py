@@ -164,8 +164,14 @@ def test_init_queries_errors():
     # templates come from frame features, so a query born between frames fails
     image = np.zeros((1, 40, 48), dtype=np.float32)
     session = TrackSession(model, [(0, 10_000, 1.0, 1.0)])
-    with no_grad(), pytest.raises(UsageError, match="not a frame time"):
+    with no_grad():
         session.advance(frame=(0, image))
+        with pytest.raises(UsageError, match="query 0 born at 10000, which is not a frame time"):
+            session.advance(frame=(50_000, image))
+    assert session._n_slices == 0  # rejected before any slice was processed
+    # with no earlier frame, a birth before the first frame is rejected by it
+    session = TrackSession(model, [(0, 10_000, 1.0, 1.0)])
+    with pytest.raises(UsageError, match="not a frame time"):
         session.advance(frame=(50_000, image))
 
 

@@ -186,6 +186,16 @@ class TestStreaming:
             with pytest.raises(OrderingError):
                 session.advance(events=early)
 
+    def test_second_frame_at_same_time_rejected(self, seq):
+        frames, _, queries, _, _, _ = seq
+        t, img = frames[0]
+        with no_grad():
+            session = TrackSession(tiny_model(seed=0), queries)
+            session.advance(frame=(t, img))
+            with pytest.raises(OrderingError, match=f"second frame at {t}"):
+                session.advance(frame=(t, np.full_like(img, 7.0)))
+        assert np.array_equal(session._frame_raw[t], img.astype(np.float32))  # the first kept
+
     def test_empty_queries_rejected(self, seq):
         model = tiny_model(seed=0)
         with pytest.raises(UsageError):
