@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .autodiff import load_weights, no_grad
+from .autodiff import load_weights
 from .config import RunConfig, load_config
 from .correlation import load_queries_csv
 from .errors import ConfigError, EvtrackError
@@ -122,8 +122,7 @@ def cmd_track(args) -> str:
             f"{args.weights} was trained with another tracker config: "
             + ", ".join(f"{k}={trained[k]!r} (now {getattr(cfg.tracker, k)!r})" for k in differ)
         )
-    with no_grad():
-        tracks, _ = run_offline(model, frames, events, queries)
+    tracks, _ = run_offline(model, frames, events, queries)
     save_tracks_csv(tracks, args.out)
     samples = sum(len(t.samples) for t in tracks)
     return f"track ok tracks={len(tracks)} samples={samples} out={args.out}"

@@ -26,9 +26,6 @@ class CorrelationPyramid:
     levels: list[Tensor]
     base_scale: int  # full-res pixels per level-0 cell
 
-    def level_scale(self, level: int) -> float:
-        return float(self.base_scale * (2**level))
-
 
 @dataclass
 class WindowState:

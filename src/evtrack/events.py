@@ -1,15 +1,16 @@
 """Event streams, the time-binned stack representation, and the binary event format.
 
-An event stream is tensorized by splitting a time window into `bins` bins
-per polarity and writing, per pixel and bin, the normalized timestamp of
-the most recent event there (max over contributions). Normalization maps
-the window onto [0, bins-1], so values never exceed bins-1.
+Events sit on integer pixel coordinates. A stream is tensorized by
+splitting a time window into `bins` bins per polarity and writing, per
+pixel and bin, the normalized timestamp of the latest event there (the
+max over the cell's events). Normalization maps the window onto
+[0, bins-1], so values never exceed bins-1. The stack is channel-first,
+(2*bins, Y, X), which is the event encoder's input layout.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,68 +48,32 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.ts)
 
-    def between(self, t_start: int, t_end: int) -> "EventStream":
-        """Events with t_start <= t <= t_end (bounds inclusive)."""
-        lo = np.searchsorted(self.ts, t_start, side="left")
-        hi = np.searchsorted(self.ts, t_end, side="right")
-        return EventStream(self.xs[lo:hi], self.ys[lo:hi], self.ts[lo:hi], self.ps[lo:hi], self.geometry)
 
+def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) -> np.ndarray:
+    """Tensorize events in [t_start, t_end] into a (2*bins, Y, X) float32 stack.
 
-@dataclass
-class EventStack:
-    """(X, Y, 2*bins) tensor of per-bin normalized timestamps.
-
-    Channels [0, bins) hold positive polarity, [bins, 2*bins) negative.
-    """
-
-    values: np.ndarray
-    t_start: int
-    t_end: int
-    bins: int
-
-    def channel_first(self) -> np.ndarray:
-        """View as (2*bins, Y, X) for the convolutional encoder."""
-        return np.ascontiguousarray(self.values.transpose(2, 1, 0))
-
-
-def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) -> EventStack:
-    """Tensorize events in [t_start, t_end] (events outside are ignored).
-
-    Each event lands in bin floor(t*) of its polarity half, where
+    Events outside the window are ignored. Each event lands on its integer
+    pixel (x, y) in channel `half + floor(t*)`, where half is 0 for
+    positive and `bins` for negative polarity and
     t* = (t - t_start)/(t_end - t_start)*(bins-1); an event exactly at
     t_end gets t* = bins-1 and lands in the last bin. The written value is
-    k(x-xi)*k(y-yi)*t* with the triangular kernel k(a) = max(0, 1-|a|),
-    and coincident contributions resolve by max.
+    t*, and coincident events resolve by max, which is the latest event
+    in the cell because t* grows with t.
     """
     if t_end <= t_start:
         raise DegenerateWindowError(f"event window [{t_start}, {t_end}] has non-positive duration")
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     x_ext, y_ext = stream.geometry
-    out = np.zeros((x_ext, y_ext, 2 * bins), dtype=np.float64)
-    window = stream.between(t_start, t_end)
-    if len(window):
-        t_star = (window.ts - t_start).astype(np.float64) / float(t_end - t_start) * (bins - 1)
-        bin_idx = np.floor(t_star).astype(np.int64)
-        ch_base = np.where(window.ps > 0, 0, bins)
-        xf = window.xs.astype(np.float64)
-        yf = window.ys.astype(np.float64)
-        x0 = np.floor(xf).astype(np.int64)
-        y0 = np.floor(yf).astype(np.int64)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                xn = x0 + dx
-                yn = y0 + dy
-                kx = np.maximum(0.0, 1.0 - np.abs(xn - xf))
-                ky = np.maximum(0.0, 1.0 - np.abs(yn - yf))
-                contrib = kx * ky * t_star
-                ok = (xn >= 0) & (xn < x_ext) & (yn >= 0) & (yn < y_ext)
-                np.maximum.at(
-                    out,
-                    (xn[ok], yn[ok], (ch_base + bin_idx)[ok]),
-                    contrib[ok],
-                )
-    return EventStack(out.astype(np.float32), int(t_start), int(t_end), int(bins))
+    lo = np.searchsorted(stream.ts, t_start, side="left")
+    hi = np.searchsorted(stream.ts, t_end, side="right")
+    t_star = (stream.ts[lo:hi] - t_start).astype(np.float64) / float(t_end - t_start) * (bins - 1)
+    channel = np.where(stream.ps[lo:hi] > 0, 0, bins) + np.floor(t_star).astype(np.int64)
+    cell = (channel * y_ext + stream.ys[lo:hi]) * x_ext + stream.xs[lo:hi]
+    out = np.zeros(2 * bins * y_ext * x_ext, dtype=np.float32)
+    # float32 rounding is monotone, so the max of rounded values is the rounded max
+    np.maximum.at(out, cell, t_star.astype(np.float32))
+    return out.reshape(2 * bins, y_ext, x_ext)
 
 
 def save_binary_events(stream: EventStream, path: str) -> None:

@@ -14,16 +14,27 @@ slices appended next start from the last refined position and the
 persistent template, and later windows refine the carried ones again; a
 slice is emitted only when it leaves the window (or at the end of the
 stream).
+
+Held input: each event batch is validated once, on arrival, and kept as a
+chunk; a slice stacks the join of the chunks held. After each slice the
+session drops what no later slice or template can read: event chunks that
+end before the next slice's earliest event time (its frame in
+`since_frame` mode, `t_slice - event_window_us()` in `fixed` mode), and
+frame records before the next slice's frame, none of which an unborn
+query is born at. Held events and frames thus depend on the accumulation
+window, not on how long the stream has run. Forward passes record no graph unless
+`record_windows` keeps the windows for training.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, ops
+from .autodiff import Tensor, no_grad, ops
 from .correlation import CorrelationPyramid, WindowState, build_pyramid
 from .encoders import EncoderConfig, FpnEncoder, MotionGatedFusion, mean_flow
 from .errors import ConfigError, OrderingError, UsageError
@@ -124,6 +135,14 @@ class Track:
 
 
 @dataclass
+class _Frame:
+    """One frame the session still holds."""
+
+    image: np.ndarray
+    features: Tensor | None = None  # frame-encoder output, computed on first use
+
+
+@dataclass
 class _Slice:
     """One slice of the rolling window; a refinement fills in the rest."""
 
@@ -168,10 +187,8 @@ class TrackSession:
         self.window_runs: list[WindowRun] = []
 
         self._sensor: tuple[int, int] | None = None  # (W, H), fixed by the first input
-        self._frame_times: list[int] = []
-        self._frame_raw: dict[int, np.ndarray] = {}
-        self._frame_feats: dict[int, Tensor] = {}
-        self._events: EventStream | None = None
+        self._frames: dict[int, _Frame] = {}  # by time, oldest first
+        self._chunks: list[EventStream] = []  # event batches, oldest first
         self._watermark: int | None = None
         self._last_event_t: int | None = None
 
@@ -192,7 +209,7 @@ class TrackSession:
         if frame is not None:
             t, image = frame
             t = int(t)
-            last_frame = self._frame_times[-1] if self._frame_times else None
+            last_frame = next(reversed(self._frames), None)
             if last_frame is not None and t < last_frame:
                 raise OrderingError(f"frame at {t} after frame at {last_frame}")
             if t == last_frame:
@@ -203,8 +220,7 @@ class TrackSession:
             self._check_frame_shape(image.shape)
             if self.cfg.use_frames:
                 self._check_births_between(last_frame, t)
-            self._frame_times.append(t)
-            self._frame_raw[t] = image
+            self._frames[t] = _Frame(image)
             self._watermark = t if self._watermark is None else max(self._watermark, t)
         if events is not None:
             batch = events if isinstance(events, EventStream) else EventStream(*events)
@@ -215,20 +231,22 @@ class TrackSession:
                     raise OrderingError(f"event batch starts at {t0} before {self._last_event_t}")
                 if last_slice is not None and t0 <= last_slice:
                     raise OrderingError("events arrived for already-processed slices")
-                self._append_events(batch)
+                self._chunks.append(batch)
                 self._last_event_t = t1
                 self._watermark = t1 if self._watermark is None else max(self._watermark, t1)
-        return self._pump(flush=False)
+        with self._grad_mode():
+            return self._pump(flush=False)
 
     def finish(self):
         """Flush remaining slices, refine any trailing partial window, emit all."""
         if self._finished:
             return []
-        emitted = self._pump(flush=True)
-        if self._window and self._window[-1].position is None:
-            emitted += self._refine_and_emit(final=True)
-        else:
-            emitted += self._emit(len(self._window))
+        with self._grad_mode():
+            emitted = self._pump(flush=True)
+            if self._window and self._window[-1].position is None:
+                emitted += self._refine_and_emit(final=True)
+            else:
+                emitted += self._emit(len(self._window))
         self._finished = True
         return emitted
 
@@ -236,6 +254,10 @@ class TrackSession:
         return list(self._tracks)
 
     # -------------------------------------------------------------- internals
+
+    def _grad_mode(self):
+        """Record a graph only when the windows are kept for training."""
+        return contextlib.nullcontext() if self.record_windows else no_grad()
 
     def _reject_queries(self, bad: np.ndarray, what: str):
         if bad.any():
@@ -275,33 +297,47 @@ class TrackSession:
                 f"{what} is {w}x{h}, but the sensor is {self._sensor[0]}x{self._sensor[1]}"
             )
 
-    def _append_events(self, batch: EventStream):
-        if self._events is None:
-            self._events = batch
-            return
-        self._events = EventStream(
-            np.concatenate([self._events.xs, batch.xs]),
-            np.concatenate([self._events.ys, batch.ys]),
-            np.concatenate([self._events.ts, batch.ts]),
-            np.concatenate([self._events.ps, batch.ps]),
-            batch.geometry,
-        )
-
     def _frame_features(self, t_frame: int) -> Tensor:
-        if t_frame not in self._frame_feats:
-            self._frame_feats[t_frame] = self.model.frame_encoder(Tensor(self._frame_raw[t_frame]))
-        return self._frame_feats[t_frame]
+        frame = self._frames[t_frame]
+        if frame.features is None:
+            frame.features = self.model.frame_encoder(Tensor(frame.image))
+        return frame.features
+
+    def _frame_before(self, t: int) -> int | None:
+        """Time of the latest frame at or before t."""
+        times = list(self._frames)
+        i = bisect.bisect_right(times, t) - 1
+        return times[i] if i >= 0 else None
 
     def _next_slice_time(self) -> int | None:
         if self._next_slice_t is None:
-            if not self._frame_times:
+            if not self._frames:
                 return None
-            self._next_slice_t = self._frame_times[0]
+            self._next_slice_t = next(iter(self._frames))
         if not self.cfg.use_events:
             # frames-only ablation: the slice grid is the frame times
-            i = bisect.bisect_left(self._frame_times, self._next_slice_t)
-            return self._frame_times[i] if i < len(self._frame_times) else None
+            return next((t for t in self._frames if t >= self._next_slice_t), None)
         return self._next_slice_t
+
+    def _drop_unread(self):
+        """Drop the frames and event chunks that no later slice or template can read.
+
+        A frame before the next slice's frame is not the birth frame of an
+        unborn query: any frame after the slice just processed raised the
+        watermark past that slice, so at most one such frame has arrived.
+        """
+        t_next = self._next_slice_t
+        t_frame = self._frame_before(t_next)
+        for t in [t for t in self._frames if t < t_frame]:
+            del self._frames[t]
+        t_read = self._events_from(t_next, t_frame)
+        self._chunks = [c for c in self._chunks if c.ts[-1] >= t_read]
+
+    def _events_from(self, t_slice: int, t_frame: int) -> int:
+        """Earliest event time the slice at t_slice reads; t_frame is its frame."""
+        if self.cfg.accumulate_mode == "since_frame":
+            return t_frame
+        return t_slice - self.cfg.event_window_us()
 
     def _pump(self, flush: bool):
         emitted = []
@@ -316,6 +352,7 @@ class TrackSession:
                 break
             self._process_slice(t_slice)
             self._next_slice_t = t_slice + (self.cfg.dt_track_us if self.cfg.use_events else 1)
+            self._drop_unread()
             if len(self._window) == self.cfg.window:
                 emitted += self._refine_and_emit(final=False)
         return emitted
@@ -329,17 +366,18 @@ class TrackSession:
     def _process_slice(self, t_slice: int):
         cfg = self.cfg
         idx = self._n_slices
-        fi = bisect.bisect_right(self._frame_times, t_slice) - 1
-        if fi < 0:
+        t_frame = self._frame_before(t_slice)
+        if t_frame is None:
             raise UsageError(f"no frame at or before slice time {t_slice}")
-        t_frame = self._frame_times[fi]
 
-        t_ev0 = t_frame if cfg.accumulate_mode == "since_frame" else t_slice - cfg.event_window_us()
+        t_ev0 = self._events_from(t_slice, t_frame)
         duration = max(0, t_slice - t_ev0)
 
         if cfg.use_events:
-            if duration > 0 and self._events is not None:
-                raw = build_event_stack(self._events, t_ev0, t_slice, cfg.bins).channel_first()
+            if duration > 0 and self._chunks:
+                cols = (np.concatenate([getattr(c, k) for c in self._chunks])
+                        for k in ("xs", "ys", "ts", "ps"))
+                raw = build_event_stack(EventStream(*cols, self._sensor), t_ev0, t_slice, cfg.bins)
             else:
                 # a slice coinciding with its frame accumulates no events yet
                 x_ext, y_ext = self._sensor
@@ -367,7 +405,7 @@ class TrackSession:
         cfg = self.cfg
         if cfg.use_frames:
             t_birth = int(self.t_birth[n])
-            if t_birth not in self._frame_raw:
+            if t_birth not in self._frames:
                 raise UsageError(
                     f"query {self.query_ids[n]} born at {t_birth}, which is not a frame time"
                 )

@@ -66,10 +66,6 @@ class TokenLayout:
     def raw_len(self) -> int:
         return 2 + self.channels + self.corr_len + 4 * self.freqs + 6 * self.freqs
 
-    @property
-    def duration_slice(self) -> slice:
-        return slice(self.raw_len - 2 * self.freqs, self.raw_len)
-
 
 def _omegas(freqs: int, wavelength: float) -> np.ndarray:
     # k-th angular frequency 2*pi*2^k / wavelength; k=0 has period = wavelength

@@ -52,8 +52,9 @@ def correlate_oracle(feature: np.ndarray, pyramid: CorrelationPyramid, position,
     out = []
     for level, fmap in enumerate(pyramid.levels):
         vol = np.einsum("c,chw->hw", feature, fmap.data.astype(np.float64))
-        px = float(position[0]) / pyramid.level_scale(level)
-        py = float(position[1]) / pyramid.level_scale(level)
+        scale = float(pyramid.base_scale * 2**level)
+        px = float(position[0]) / scale
+        py = float(position[1]) / scale
         for dx, dy in offsets_grid(radius):
             out.append(_sample_scalar(vol, px + float(dx), py + float(dy)))
     return np.array(out, dtype=np.float64)

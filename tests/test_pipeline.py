@@ -1,9 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtrack.autodiff import no_grad
+from evtrack.autodiff.tensor import grad_enabled
 from evtrack.errors import ConfigError, OrderingError, UsageError
 from evtrack.events import EventStream
 from evtrack.pipeline import (
@@ -194,7 +198,7 @@ class TestStreaming:
             session.advance(frame=(t, img))
             with pytest.raises(OrderingError, match=f"second frame at {t}"):
                 session.advance(frame=(t, np.full_like(img, 7.0)))
-        assert np.array_equal(session._frame_raw[t], img.astype(np.float32))  # the first kept
+        assert np.array_equal(session._frames[t].image, img.astype(np.float32))  # the first kept
 
     def test_empty_queries_rejected(self, seq):
         model = tiny_model(seed=0)
@@ -252,11 +256,102 @@ class TestStreaming:
             with pytest.raises(ConfigError, match="frame is 32x32, but the sensor is 40x32"):
                 session.advance(frame=frames[0])
 
+    def test_session_owns_grad_mode(self, seq):
+        frames, events, queries, _, _, _ = seq
 
-@pytest.fixture(scope="module")
-def tied_seq(seq):
+        def held_tensors(record_windows):
+            session = TrackSession(tiny_model(seed=0), queries, record_windows=record_windows)
+            cursor = 0
+            for t, image in frames[:4]:  # 6 slices: 2 left in the window, one frame encoded
+                hi = int(np.searchsorted(events.ts, t))
+                session.advance(events=EventStream(events.xs[cursor:hi], events.ys[cursor:hi],
+                                                   events.ts[cursor:hi], events.ps[cursor:hi],
+                                                   events.geometry))
+                session.advance(frame=(t, image))
+                cursor = hi
+            assert grad_enabled()  # the caller's mode is left as it was
+            held = [lvl for s in session._window for lvl in s.pyramid.levels]
+            held += [f.features for f in session._frames.values() if f.features is not None]
+            assert session._window and held
+            return held
+
+        assert all(t._parents == () and not t.requires_grad for t in held_tensors(False))
+        # training keeps the windows, and with them the graph
+        assert any(t._parents for t in held_tensors(True))
+
+    def test_frames_dropped_once_no_slice_or_birth_reads_them(self):
+        # slices every 25 ms; two frames fall between the slices at 25 and 50 ms
+        model = tiny_model(seed=0, randomize_heads=True)
+        image = np.random.default_rng(0).random((1, 32, 32)).astype(np.float32)
+        queries = [(0, 0, 8.0, 8.0), (1, 30_000, 20.0, 12.0), (2, 60_000, 9.0, 9.0)]
+        session = TrackSession(model, queries)
+        session.advance(frame=(0, image))
+        session.advance(events=(np.array([3]), np.array([4]), np.array([26_000]), np.array([1]),
+                                (32, 32)))
+        assert list(session._frames) == [0]
+        session.advance(frame=(30_000, image * 0.5))
+        session.advance(frame=(40_000, image * 0.25))
+        assert list(session._frames) == [0, 30_000, 40_000]
+        session.advance(events=(np.array([5]), np.array([6]), np.array([51_000]), np.array([1]),
+                                (32, 32)))
+        # the 50 ms slice read frame 40 ms, and query 1 took its template from frame 30 ms
+        assert list(session._frames) == [40_000]
+        assert session._templates[1] is not None
+        # query 2 is born after the last frame, so it is not a frame time after all
+        with pytest.raises(UsageError, match="query 2 born at 60000, which is not a frame time"):
+            session.advance(events=(np.array([5]), np.array([6]), np.array([76_000]),
+                                    np.array([1]), (32, 32)))
+
+
+class TestBoundedState:
+    """What a session holds depends on the accumulation window, not on how
+    long the stream has run."""
+
+    @pytest.mark.parametrize("mode", ["since_frame", "fixed"])
+    def test_held_state_bounded(self, mode):
+        # a 2 s stream in 5 ms batches of about 300 events; 25 ms slices, 50 ms frames
+        batch_us, frame_period, n_batches = 5_000, 50_000, 400
+        model = tiny_model(seed=0, randomize_heads=True, accumulate_mode=mode)
+        dt = model.cfg.dt_track_us
+        rng = np.random.default_rng(5)
+        n = n_batches * 300
+        ts = np.sort(rng.integers(0, n_batches * batch_us, size=n))
+        xs, ys = rng.integers(0, 64, size=n), rng.integers(0, 64, size=n)
+        ps = rng.choice([-1, 1], size=n)
+        image = rng.random((1, 64, 64)).astype(np.float32)
+        edges = np.searchsorted(ts, np.arange(n_batches + 1) * batch_us)
+        batch_max = int(np.diff(edges).max())
+        session = TrackSession(model, [(0, 0, 10.0, 12.0), (1, 0, 40.0, 50.0)])
+        held_bytes = []
+        tracemalloc.start()
+        try:
+            for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+                t = k * batch_us
+                frame = (t, image) if t % frame_period == 0 else None
+                session.advance(frame=frame, events=(xs[lo:hi], ys[lo:hi], ts[lo:hi], ps[lo:hi],
+                                                     (64, 64)))
+                # the caller takes the samples from advance(); drop the copies
+                # the Tracks keep, so only the session's working state remains
+                for track in session.tracks():
+                    track.samples.clear()
+                t_last = (session._n_slices - 1) * dt
+                t_frame = t_last - t_last % frame_period
+                held = sum(len(c) for c in session._chunks)
+                assert held <= np.count_nonzero(ts[:hi] >= t_frame) + batch_max
+                assert len(session._frames) <= 2
+                if k + 1 in (n_batches // 2, n_batches):
+                    gc.collect()
+                    held_bytes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert session._n_slices == n_batches * batch_us // dt
+        assert held_bytes[1] <= 1.2 * held_bytes[0]
+
+
+def _tied(seq, **overrides):
     """`seq` plus one event at every frame and slice time, so the splits
-    below meet events that share a frame's timestamp."""
+    below meet events that share a frame's timestamp, with the model and
+    its offline tracks."""
     frames, events, queries, _, _, slice_times = seq
     extra = np.array(sorted({t for t, _ in frames} | set(slice_times)), dtype=np.int64)
     ts = np.concatenate([events.ts, extra])
@@ -265,10 +360,20 @@ def tied_seq(seq):
     events = EventStream(np.concatenate([events.xs, 5 * ones])[order],
                          np.concatenate([events.ys, 7 * ones])[order], ts[order],
                          np.concatenate([events.ps, ones])[order], events.geometry)
-    model = tiny_model(seed=0, randomize_heads=True)
+    model = tiny_model(seed=0, randomize_heads=True, **overrides)
     with no_grad():
         tracks, _ = run_offline(model, frames, events, queries)
     return frames, events, queries, model, tracks
+
+
+@pytest.fixture(scope="module")
+def tied_seq(seq):
+    return _tied(seq)
+
+
+@pytest.fixture(scope="module")
+def tied_seq_fixed(seq):
+    return _tied(seq, accumulate_mode="fixed")
 
 
 @st.composite
@@ -304,22 +409,30 @@ def _chunked_inputs(frames, events, split):
 class TestChunking:
     """Streaming output equals offline output for any split of the input."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_any_split_gives_offline_tracks(self, tied_seq, data):
-        frames, events, queries, model, offline_tracks = tied_seq
+    @staticmethod
+    def check_split(tied, data):
+        frames, events, queries, model, offline_tracks = tied
         split = data.draw(input_splits(len(events), len(frames)))
-        with no_grad():
-            session = TrackSession(model, queries)
-            for kind, payload in _chunked_inputs(frames, events, split):
-                if kind == "f":
-                    session.advance(frame=payload)
-                else:
-                    session.advance(events=payload)
-            session.finish()
+        session = TrackSession(model, queries)
+        for kind, payload in _chunked_inputs(frames, events, split):
+            if kind == "f":
+                session.advance(frame=payload)
+            else:
+                session.advance(events=payload)
+        session.finish()
         for a, b in zip(offline_tracks, session.tracks(), strict=True):
             assert a.id == b.id
             assert a.samples == b.samples
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_split_gives_offline_tracks(self, tied_seq, data):
+        self.check_split(tied_seq, data)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_split_gives_offline_tracks_fixed_window(self, tied_seq_fixed, data):
+        self.check_split(tied_seq_fixed, data)
 
 
 class TestHandoff:

@@ -32,7 +32,7 @@ def test_token_layout_hand_arithmetic():
     assert layout.corr_len == 196
     assert layout.raw_len == 2 + 128 + 196 + 64 + 96
     assert layout.raw_len == 486
-    assert layout.duration_slice == slice(486 - 32, 486)
+    assert layout.raw_len - 2 * layout.freqs == 486 - 32  # the duration encoding's start
 
 
 def _window_fixture(rng, w_len=4, n=3, c=16, levels=2, radius=1, freqs=4):
@@ -72,7 +72,7 @@ def test_time_embed_toggle_changes_only_duration_slice(rng):
                          state.durations_us, layout, cfg, time_embed=True)
     without = make_tokens(pos, state.features, corr, state.positions[0],
                           state.durations_us, layout, cfg, time_embed=False)
-    sl = layout.duration_slice
+    sl = slice(layout.raw_len - 2 * layout.freqs, layout.raw_len)  # the duration encoding
     assert not np.allclose(with_t.data[..., sl], 0.0)
     assert np.allclose(without.data[..., sl], 0.0)
     keep = np.ones(layout.raw_len, dtype=bool)
