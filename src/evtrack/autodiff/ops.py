@@ -226,25 +226,16 @@ def linear(x, weight, bias=None) -> Tensor:
 # convolution and spatial ops
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    n, c, h, w = x.shape
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, c, ho, wo, k, k), (s0, s1, s2 * stride, s3 * stride, s2, s3)
-    )
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, ho, wo, c * k * k)
-    return cols, ho, wo
-
-
 def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding.
 
     Accepts (Cin,H,W) or (N,Cin,H,W) input; weight is (Cout,Cin,k,k) with
-    odd k. Lowered to im2col plus one GEMM, so the reduction order over
-    Cin*k*k is fixed by the GEMM.
+    odd k. The padded input is lowered to channels-first columns
+    (N, Cin*k*k, Ho*Wo), rows in (c, u, v) order, one strided slice copy
+    per tap; one GEMM `w.reshape(Cout, -1) @ cols` then lands in NCHW, and
+    the reduction order over Cin*k*k is fixed by that GEMM. The backward
+    pass keeps no columns: it rebuilds them from the input it holds and
+    scatters the column gradient back through the same k*k slices.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     squeeze = x.ndim == 3
@@ -263,26 +254,33 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
         raise ConfigError(f"conv2d invalid stride={stride} pad={pad}")
     if (h + 2 * pad - k) < 0 or (w + 2 * pad - k) < 0:
         raise ConfigError(f"conv2d output would be empty for input {h}x{w}, k={k}, pad={pad}")
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
-    cols, ho, wo = _im2col(xd, k, stride, pad)
+    def tap(a, u, v):
+        """The (N, Cin, Ho, Wo) strided view of padded `a` that tap (u, v) reads."""
+        return a[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
+
+    def columns():
+        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = xd
+        cols = np.empty((n, cin, k, k, ho, wo), dtype=xd.dtype)
+        for u, v in np.ndindex(k, k):
+            cols[:, :, u, v] = tap(xp, u, v)
+        return cols.reshape(n, cin * k * k, ho * wo)
+
     w_flat = weight.data.reshape(cout, -1)
-    out = np.matmul(cols.reshape(-1, cin * k * k), w_flat.T) + bias.data
-    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
+    out = np.matmul(w_flat, columns()).reshape(n, cout, ho, wo)
+    out += bias.data[:, None, None]
 
     def vjp(g):
-        if squeeze:
-            g = g[None]
-        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        gw = np.matmul(gt.T, cols.reshape(-1, cin * k * k)).reshape(weight.shape)
-        gb = gt.sum(axis=0)
-        dcols = np.matmul(gt, w_flat).reshape(n, ho, wo, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
+        g = g.reshape(n, cout, ho * wo)
+        gw = np.matmul(g, columns().transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        dcols = np.matmul(w_flat.T, g).reshape(n, cin, k, k, ho, wo)
         dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        for u in range(k):
-            for v in range(k):
-                dxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride] += dcols[..., u, v]
+        for u, v in np.ndindex(k, k):
+            tap(dxp, u, v)[...] += dcols[:, :, u, v]
         dx = dxp[:, :, pad : pad + h, pad : pad + w]
-        return (dx[0] if squeeze else dx), gw, gb
+        return (dx[0] if squeeze else dx), gw, g.sum(axis=(0, 2))
 
     return make_node(out[0] if squeeze else out, (x, weight, bias), vjp)
 

@@ -2,8 +2,8 @@
 
 Storage is a numpy array; every primitive records its parents and a
 vector-Jacobian-product closure, so the graph is rebuilt on each forward
-pass. Reduction order is fixed (im2col + a single GEMM per conv, numpy's
-left-to-right reductions elsewhere), which makes forward passes
+pass. Reduction order is fixed (column lowering + a single GEMM per conv,
+numpy's left-to-right reductions elsewhere), which makes forward passes
 bit-deterministic for fixed inputs.
 """
 

@@ -21,9 +21,10 @@ session drops what no later slice or template can read: event chunks that
 end before the next slice's earliest event time (its frame in
 `since_frame` mode, `t_slice - event_window_us()` in `fixed` mode), and
 frame records before the next slice's frame, none of which an unborn
-query is born at. Held events and frames thus depend on the accumulation
-window, not on how long the stream has run. Forward passes record no graph unless
-`record_windows` keeps the windows for training.
+query is born at. Emitted samples go back to the caller and are not kept.
+Held state thus depends on the accumulation window, not on how long the
+stream has run. Forward passes record no graph unless `record_windows`
+keeps the windows for training.
 """
 
 from __future__ import annotations
@@ -196,7 +197,6 @@ class TrackSession:
         self._n_slices = 0
         self._window: list[_Slice] = []  # slices not emitted yet, oldest first
         self._flow_pair = None  # (last, prev, active) refined positions
-        self._tracks = [Track(qid) for qid in self.query_ids]
         self._finished = False
 
     # ------------------------------------------------------------------ input
@@ -249,9 +249,6 @@ class TrackSession:
                 emitted += self._emit(len(self._window))
         self._finished = True
         return emitted
-
-    def tracks(self) -> list[Track]:
-        return list(self._tracks)
 
     # -------------------------------------------------------------- internals
 
@@ -469,11 +466,9 @@ class TrackSession:
         """Emit the oldest `count` window slices and drop them from the window."""
         emitted = []
         for s in self._window[:count]:
-            for n, track in enumerate(self._tracks):
+            for n, qid in enumerate(self.query_ids):
                 if self._valid_from[n] <= s.index:
-                    sample = (s.t_slice, float(s.position[n, 0]), float(s.position[n, 1]))
-                    track.samples.append(sample)
-                    emitted.append((track.id, *sample))
+                    emitted.append((qid, s.t_slice, float(s.position[n, 0]), float(s.position[n, 1])))
         del self._window[:count]
         return emitted
 
@@ -482,21 +477,27 @@ def run_offline(model: TrackerModel, frames, events: EventStream, query_rows,
                 record_windows: bool = False):
     """Track a whole sequence: feed inputs in merged time order, then flush.
 
-    `frames` is a list of (t_us, image) pairs. Returns (tracks, session).
+    `frames` is a list of (t_us, image) pairs. Returns (tracks, session);
+    the tracks are built from the samples `advance` and `finish` return,
+    one per query in the session's order.
     """
     session = TrackSession(model, query_rows, record_windows=record_windows)
     frames = sorted(frames, key=lambda p: p[0])
+    emitted = []
     cursor = 0
     for t_frame, image in frames:
         hi = int(np.searchsorted(events.ts, t_frame, side="left"))
         if hi > cursor:
-            session.advance(events=_slice_stream(events, cursor, hi))
+            emitted += session.advance(events=_slice_stream(events, cursor, hi))
             cursor = hi
-        session.advance(frame=(t_frame, image))
+        emitted += session.advance(frame=(t_frame, image))
     if cursor < len(events):
-        session.advance(events=_slice_stream(events, cursor, len(events)))
-    session.finish()
-    return session.tracks(), session
+        emitted += session.advance(events=_slice_stream(events, cursor, len(events)))
+    emitted += session.finish()
+    tracks = {qid: Track(qid) for qid in session.query_ids}
+    for qid, *sample in emitted:
+        tracks[qid].samples.append(tuple(sample))
+    return list(tracks.values()), session
 
 
 def _slice_stream(events: EventStream, lo: int, hi: int) -> EventStream:

@@ -1,4 +1,4 @@
-"""Brute-force references for event stacks and correlation.
+"""Brute-force references for event stacks, correlation and convolution.
 
 Each one follows its contract literally, one event or one scalar read at
 a time, so the vectorized code in the package can be checked against it.
@@ -58,3 +58,26 @@ def correlate_oracle(feature: np.ndarray, pyramid: CorrelationPyramid, position,
         for dx, dy in offsets_grid(radius):
             out.append(_sample_scalar(vol, px + float(dx), py + float(dy)))
     return np.array(out, dtype=np.float64)
+
+
+def conv2d_oracle(x, weight, bias, stride: int, pad: int) -> np.ndarray:
+    """Zero-padded cross-correlation in float64, one output pixel and one
+    tap at a time; (Cin,H,W) or (N,Cin,H,W) input like ops.conv2d."""
+    x = np.asarray(x, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
+    batched = x.ndim == 4
+    if not batched:
+        x = x[None]
+    n, _, h, w = x.shape
+    cout, _, k, _ = weight.shape
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    out = np.zeros((n, cout, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            out[:, :, i, j] = bias
+            for u in range(k):
+                for v in range(k):
+                    y, xx = i * stride - pad + u, j * stride - pad + v
+                    if 0 <= y < h and 0 <= xx < w:
+                        out[:, :, i, j] += x[:, :, y, xx] @ weight[:, :, u, v].T
+    return out if batched else out[0]

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from evtrack.autodiff import (
 )
 from evtrack.errors import ConfigError, TrainingError, UsageError
 from fd_oracle import assert_grads_close, numerical_grad
+from oracles import conv2d_oracle
 
 
 def test_conv2d_identity_kernel():
@@ -55,6 +58,49 @@ def test_conv2d_shape_errors():
     w_even = Tensor(np.zeros((3, 2, 2, 2), dtype=np.float32))
     with pytest.raises(ConfigError):
         ops.conv2d(x, w_even, Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_oracle(k, stride):
+    rng = np.random.default_rng(10 * k + stride)
+    for pad in range(k // 2 + 1):
+        for batched in (False, True):
+            cin, cout = rng.integers(1, 6, size=2)
+            # padded extent minus k is odd on one axis, so a stride-2 output
+            # drops that axis's last row or column, and even on the other
+            span = k - 2 * pad
+            odd, even = span + 2 * rng.integers(0, 4) + 1, span + 2 * rng.integers(0, 4)
+            h, w = (odd, even) if batched else (even, odd)
+            shape = (int(rng.integers(1, 4)), cin, h, w) if batched else (cin, h, w)
+            x = rng.standard_normal(shape).astype(np.float32)
+            wt = rng.standard_normal((cout, cin, k, k)).astype(np.float32)
+            b = rng.standard_normal(cout).astype(np.float32)
+            out = ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, pad=pad)
+            ref = conv2d_oracle(x, wt, b, stride, pad)
+            assert out.shape == ref.shape
+            np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max(),
+                                       err_msg=f"pad={pad} shape={shape}")
+
+
+def test_conv2d_node_holds_no_columns():
+    """A grad-enabled conv node holds its output, not the Cin*k*k-row columns:
+    the backward pass rebuilds those from the input."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((64, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ops.conv2d(x, w, b, pad=1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out._vjp is not None
+    assert held < 4 * x.data.nbytes
 
 
 def test_linear_examples():
@@ -443,6 +489,39 @@ def _build_conv3(rng, tensors=None, make_arrays=False):
             rng.standard_normal(3),
         ]
     return ops.conv2d(tensors[0], tensors[1], tensors[2])
+
+
+@case("conv2d_stem", 3)
+def _build_conv_stem(rng, tensors=None, make_arrays=False):
+    if make_arrays:
+        return [
+            rng.standard_normal((2, 9, 8)),
+            rng.standard_normal((3, 2, 7, 7)),
+            rng.standard_normal(3),
+        ]
+    return ops.conv2d(tensors[0], tensors[1], tensors[2], stride=2, pad=3)
+
+
+@case("conv2d_3x3_same", 3)
+def _build_conv_same(rng, tensors=None, make_arrays=False):
+    if make_arrays:
+        return [
+            rng.standard_normal((2, 2, 5, 4)),
+            rng.standard_normal((3, 2, 3, 3)),
+            rng.standard_normal(3),
+        ]
+    return ops.conv2d(tensors[0], tensors[1], tensors[2], stride=1, pad=1)
+
+
+@case("conv2d_1x1_stride2", 3)
+def _build_conv_1x1_s2(rng, tensors=None, make_arrays=False):
+    if make_arrays:
+        return [
+            rng.standard_normal((2, 3, 7, 6)),
+            rng.standard_normal((4, 3, 1, 1)),
+            rng.standard_normal(4),
+        ]
+    return ops.conv2d(tensors[0], tensors[1], tensors[2], stride=2, pad=0)
 
 
 @case("avg_pool2", 1)

@@ -117,6 +117,7 @@ class TestStreaming:
             offline_tracks, _ = run_offline(model, frames, events, queries)
 
             session = TrackSession(model, queries)
+            emitted = []
             inputs = [("f", t, img) for t, img in frames]
             # per-event micro-batches, interleaved with frames in time order
             for i in range(len(events)):
@@ -124,19 +125,15 @@ class TestStreaming:
             inputs.sort(key=lambda rec: (rec[1], rec[0] == "e"))
             for kind, t, payload in inputs:
                 if kind == "f":
-                    session.advance(frame=(t, payload))
+                    emitted += session.advance(frame=(t, payload))
                 else:
                     i = payload
-                    session.advance(events=EventStream(
+                    emitted += session.advance(events=EventStream(
                         events.xs[i : i + 1], events.ys[i : i + 1], events.ts[i : i + 1],
                         events.ps[i : i + 1], events.geometry,
                     ))
-            session.finish()
-        streaming_tracks = session.tracks()
-        assert len(streaming_tracks) == len(offline_tracks)
-        for a, b in zip(offline_tracks, streaming_tracks):
-            assert a.id == b.id
-            assert a.samples == b.samples
+            emitted += session.finish()
+        assert sorted(emitted) == sorted((t.id, *s) for t in offline_tracks for s in t.samples)
 
     def test_no_new_slices_no_emission(self, seq):
         frames, events, queries, _, _, _ = seq
@@ -330,10 +327,6 @@ class TestBoundedState:
                 frame = (t, image) if t % frame_period == 0 else None
                 session.advance(frame=frame, events=(xs[lo:hi], ys[lo:hi], ts[lo:hi], ps[lo:hi],
                                                      (64, 64)))
-                # the caller takes the samples from advance(); drop the copies
-                # the Tracks keep, so only the session's working state remains
-                for track in session.tracks():
-                    track.samples.clear()
                 t_last = (session._n_slices - 1) * dt
                 t_frame = t_last - t_last % frame_period
                 held = sum(len(c) for c in session._chunks)
@@ -414,15 +407,14 @@ class TestChunking:
         frames, events, queries, model, offline_tracks = tied
         split = data.draw(input_splits(len(events), len(frames)))
         session = TrackSession(model, queries)
+        emitted = []
         for kind, payload in _chunked_inputs(frames, events, split):
             if kind == "f":
-                session.advance(frame=payload)
+                emitted += session.advance(frame=payload)
             else:
-                session.advance(events=payload)
-        session.finish()
-        for a, b in zip(offline_tracks, session.tracks(), strict=True):
-            assert a.id == b.id
-            assert a.samples == b.samples
+                emitted += session.advance(events=payload)
+        emitted += session.finish()
+        assert sorted(emitted) == sorted((t.id, *s) for t in offline_tracks for s in t.samples)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
