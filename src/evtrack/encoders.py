@@ -4,7 +4,9 @@ Two pyramid encoders with identical architecture but independent weights
 map frames and event stacks to (C, H/S, W/S) feature grids. Fusion blends
 the two feature maps with a scalar gate driven by the mean flow magnitude
 of the previous slice, plus a 1x1-projected image skip path so frame
-texture survives any gate value.
+texture survives any gate value. The image branch depends on the frame
+only, so fusion returns it with the fused map and takes it back on the
+next slice that reads the same frame.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ class MotionGatedFusion:
 
     gate = sigmoid(linear(mean_flow_prev)) weights the image branch; the
     event branch gets (1 - gate). The gate layer is zero-initialized so
-    untrained models fuse at exactly 0.5.
+    untrained models fuse at exactly 0.5. The image branch depends on the
+    frame only, so a caller computes it once per frame (see __call__).
     """
 
     def __init__(self, store: ParamStore, prefix: str, channels: int, rng):
@@ -135,24 +138,27 @@ class MotionGatedFusion:
         """Image-branch weight in (0, 1) for a given previous mean flow."""
         return ops.sigmoid(self.gate(Tensor(np.array([dp_prev], dtype=np.float32))))
 
-    def __call__(self, f_image, f_event, dp_prev: float,
-                 use_frames: bool = True, use_events: bool = True) -> Tensor:
+    def __call__(self, f_image, f_event, dp_prev: float, branch=None,
+                 use_frames: bool = True) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
         """Fuse feature tensors of identical shape (C,h,w) or (N,C,h,w).
 
-        With use_events=False the image features pass through unchanged;
-        with use_frames=False the fused map depends on events only.
+        Returns (fused, branch). `branch` is the image branch (f_i, skip)
+        of f_image: None computes it, a branch an earlier call returned for
+        the same f_image is reused. With use_frames=False the fused map
+        depends on events only and the branch is None.
         """
-        if not use_events:
-            return f_image
         f_e = ops.relu(self.conv_event(f_event))
         if not use_frames:
-            return ops.relu(self.conv_mix(f_e))
+            return ops.relu(self.conv_mix(f_e)), None
         if f_image.shape != f_event.shape:
             raise ConfigError(f"fusion shape mismatch: image {f_image.shape}, event {f_event.shape}")
-        f_i = ops.relu(self.conv_image(f_image))
+        if branch is None:
+            f_i = ops.relu(self.conv_image(f_image))
+            branch = (f_i, self.image_skip(f_i))
+        f_i, skip = branch
         beta = self.gate_value(dp_prev).reshape((1,) * (f_i.ndim - 3) + (1, 1, 1))
         mixed = beta * f_i + (1.0 - beta) * f_e
-        return ops.relu(self.conv_mix(mixed) + self.image_skip(f_i))
+        return ops.relu(self.conv_mix(mixed) + skip), branch
 
 
 def mean_flow(prev1: np.ndarray | None, prev2: np.ndarray | None,

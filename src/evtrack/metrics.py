@@ -2,9 +2,9 @@
 
 Feature age: the fraction of a point's ground-truth lifespan tracked
 within a pixel-error threshold before the first failure; each ground-truth
-slice counts as one unit of lifespan, and a slice with no prediction
-counts as lost. Once the error exceeds the threshold the track is failed
-for good (no re-acquisition credit).
+slice counts as one unit of lifespan, and a slice with no prediction, or
+a non-finite one, counts as lost. Once the error exceeds the threshold
+the track is failed for good (no re-acquisition credit).
 
 Expected feature age averages ages over ALL initialized queries, with
 never-tracked queries contributing zero; the plain sequence average (FA)
@@ -43,13 +43,15 @@ def feature_age(pred_samples, gt: GtTrack, delta_px: float) -> float:
     """
     if not gt.samples:
         raise MetricError(f"gt track {gt.id} has zero lifespan")
+    if not (np.isfinite(delta_px) and delta_px > 0):
+        raise MetricError(f"delta_px must be finite and positive, got {delta_px}")
     pred_at = {t: (x, y) for t, x, y in pred_samples}
     good = 0
     for t, gx, gy in gt.samples:
         if t not in pred_at:
             break
         px, py = pred_at[t]
-        if np.hypot(px - gx, py - gy) > delta_px:
+        if not np.hypot(px - gx, py - gy) <= delta_px:  # NaN fails too
             break
         good += 1
     return good / len(gt.samples)

@@ -21,10 +21,11 @@ session drops what no later slice or template can read: event chunks that
 end before the next slice's earliest event time (its frame in
 `since_frame` mode, `t_slice - event_window_us()` in `fixed` mode), and
 frame records before the next slice's frame, none of which an unborn
-query is born at. Emitted samples go back to the caller and are not kept.
-Held state thus depends on the accumulation window, not on how long the
-stream has run. Forward passes record no graph unless `record_windows`
-keeps the windows for training.
+query is born at. A frame record holds the image, its features and
+fusion's image branch, each computed once per frame. Emitted samples go
+back to the caller and are not kept. Held state thus depends on the
+accumulation window, not on how long the stream has run. Forward passes
+record no graph unless `record_windows` keeps the windows for training.
 """
 
 from __future__ import annotations
@@ -141,6 +142,7 @@ class _Frame:
 
     image: np.ndarray
     features: Tensor | None = None  # frame-encoder output, computed on first use
+    branch: tuple[Tensor, Tensor] | None = None  # fusion's image branch, likewise
 
 
 @dataclass
@@ -218,6 +220,8 @@ class TrackSession:
                 raise OrderingError(f"frame at {t} arrived after slices past it were processed")
             image = np.asarray(image, dtype=np.float32)
             self._check_frame_shape(image.shape)
+            if not np.isfinite(image).all():
+                raise UsageError(f"frame at {t} has non-finite pixels")
             if self.cfg.use_frames:
                 self._check_births_between(last_frame, t)
             self._frames[t] = _Frame(image)
@@ -381,10 +385,9 @@ class TrackSession:
                 raw = np.zeros((2 * cfg.bins, y_ext, x_ext), dtype=np.float32)
             f_event = self.model.event_encoder(Tensor(raw))
             f_image = self._frame_features(t_frame) if cfg.use_frames else None
-            fused = self.model.fusion(
-                f_image, f_event, self._gate_input(),
-                use_frames=cfg.use_frames, use_events=True,
-            )
+            frame = self._frames[t_frame]
+            fused, frame.branch = self.model.fusion(
+                f_image, f_event, self._gate_input(), frame.branch, use_frames=cfg.use_frames)
         else:
             fused = self._frame_features(t_frame)
             duration = 0

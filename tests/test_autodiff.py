@@ -17,6 +17,7 @@ from evtrack.autodiff import (
     precision,
     save_weights,
 )
+from evtrack.encoders import MotionGatedFusion
 from evtrack.errors import ConfigError, TrainingError, UsageError
 from fd_oracle import assert_grads_close, numerical_grad
 from oracles import conv2d_oracle
@@ -522,6 +523,24 @@ def _build_conv_1x1_s2(rng, tensors=None, make_arrays=False):
             rng.standard_normal(4),
         ]
     return ops.conv2d(tensors[0], tensors[1], tensors[2], stride=2, pad=0)
+
+
+@case("fusion_shared_image_branch", 4)
+def _build_fusion_shared(rng, tensors=None, make_arrays=False):
+    """Two event maps fused with one frame: the second call reuses the
+    first call's image branch, so conv_image runs once for both."""
+    if make_arrays:
+        return [_away_from_kinks(rng, (2, 4, 5)), _away_from_kinks(rng, (2, 4, 5)),
+                _away_from_kinks(rng, (2, 4, 5)), rng.standard_normal((2, 2, 3, 3))]
+    store = ParamStore()
+    fusion = MotionGatedFusion(store, "fus", 2, np.random.default_rng(7))
+    for _, p in store.items():
+        p.data = p.data.astype(np.float64)
+    fusion.conv_image.weight = tensors[3]
+    first, branch = fusion(tensors[0], tensors[1], 0.0)
+    second, _ = fusion(tensors[0], tensors[2], 3.0, branch)
+    w = np.arange(80, dtype=np.float64).reshape(2, 2, 4, 5) / 80.0
+    return ops.mul(ops.stack([first, second], axis=0), w)
 
 
 @case("avg_pool2", 1)

@@ -171,6 +171,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fa_avg=1.000000 efa_avg=1.000000" in out
 
+    @pytest.mark.parametrize("delta", ["nan", "0"])
+    def test_eval_rejects_bad_delta(self, pipeline_dirs, capsys, delta):
+        _, data, _ = pipeline_dirs
+        seq = os.path.join(data, "seq_000")
+        gt_csv = os.path.join(seq, "gt_tracks.csv")
+        assert main(["eval", "--pred", gt_csv, "--gt", seq, "--delta", delta]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: delta_px must be finite and positive")
+        assert captured.err.strip().count("\n") == 0 and captured.out == ""
+
     def test_track_deterministic(self, pipeline_dirs, tiny_cli_args, tmp_path):
         root, data, weights = pipeline_dirs
         seq = os.path.join(data, "seq_000")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evtrack.autodiff import ParamStore, Tensor
+from evtrack.autodiff import ParamStore, Tensor, backward
 from evtrack.encoders import EncoderConfig, FpnEncoder, MotionGatedFusion, mean_flow
 from evtrack.errors import ConfigError
 
@@ -103,21 +103,48 @@ class TestFusion:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_output_shape_and_mismatch(self):
-        out = self.fusion(self.f_i, self.f_e, 0.0)
-        assert out.shape == (16, 8, 8)
+        out, (f_i, skip) = self.fusion(self.f_i, self.f_e, 0.0)
+        assert out.shape == f_i.shape == skip.shape == (16, 8, 8)
         with pytest.raises(ConfigError):
             self.fusion(self.f_i, Tensor(np.zeros((16, 4, 4), dtype=np.float32)), 0.0)
 
     def test_events_only_ignores_frames(self):
-        base = self.fusion(self.f_i, self.f_e, 0.0, use_frames=False).data
-        other = self.fusion(self.f_i + 5.0, self.f_e, 0.0, use_frames=False).data
-        assert np.array_equal(base, other)
+        base, branch = self.fusion(self.f_i, self.f_e, 0.0, use_frames=False)
+        other, _ = self.fusion(self.f_i + 5.0, self.f_e, 0.0, use_frames=False)
+        assert np.array_equal(base.data, other.data)
+        assert branch is None
 
-    def test_frames_only_ignores_events(self):
-        base = self.fusion(self.f_i, self.f_e, 0.0, use_events=False).data
-        other = self.fusion(self.f_i, self.f_e + 5.0, 0.0, use_events=False).data
-        assert np.array_equal(base, other)
-        assert np.array_equal(base, self.f_i.data)
+    def test_reused_branch_is_bit_identical(self):
+        other_e = Tensor(np.random.default_rng(2).random((16, 8, 8)).astype(np.float32))
+        _, branch = self.fusion(self.f_i, other_e, 1.5)
+        reused, same = self.fusion(self.f_i, self.f_e, 0.0, branch)
+        fresh, _ = self.fusion(self.f_i, self.f_e, 0.0)
+        assert same is branch
+        assert np.array_equal(reused.data, fresh.data)
+
+    def test_shared_branch_gradients_match_recomputed(self):
+        """Two slices of one frame: sharing the image branch back-propagates
+        through it once with summed gradients, as recomputing it would."""
+        rng = np.random.default_rng(3)
+        f_es = [Tensor(rng.random((16, 8, 8)).astype(np.float32)) for _ in range(2)]
+        weights = [rng.standard_normal((16, 8, 8)).astype(np.float32) for _ in range(2)]
+        conv_w = self.fusion.conv_image.weight
+
+        def grads(share):
+            f_i = Tensor(self.f_i.data, requires_grad=True)
+            self.store.zero_grad()
+            branch, loss = None, None
+            for f_e, w, dp in zip(f_es, weights, (0.0, 2.0)):
+                out, got = self.fusion(f_i, f_e, dp, branch)
+                branch = got if share else None
+                term = (out * Tensor(w)).sum()
+                loss = term if loss is None else loss + term
+            backward(loss)
+            return f_i.grad, conv_w.grad.copy()
+
+        for shared, recomputed in zip(grads(True), grads(False)):
+            rel = np.linalg.norm(shared - recomputed) / np.linalg.norm(recomputed)
+            assert rel < 1e-6
 
 
 def test_mean_flow_cases():

@@ -239,6 +239,19 @@ class TestStreaming:
         with pytest.raises(ConfigError, match=r"shape \(2, 32, 32\), expected \(1, 32, 32\)"):
             session.advance(frame=(frames[1][0], np.concatenate([img, img])))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, seq, bad):
+        frames, _, queries, _, _, _ = seq
+        session = TrackSession(tiny_model(seed=0), queries)
+        session.advance(frame=frames[0])
+        t, image = frames[1]
+        image = image.copy()
+        image[0, 5, 7] = bad
+        with pytest.raises(UsageError, match=f"frame at {t} has non-finite pixels"):
+            session.advance(frame=(t, image))
+        assert list(session._frames) == [frames[0][0]]  # not stored
+        session.advance(frame=frames[1])
+
     def test_event_geometry_change_rejected(self, seq):
         frames, events, queries, _, _, _ = seq
         wide = EventStream(events.xs, events.ys, events.ts, events.ps, (40, 32))
@@ -525,6 +538,54 @@ class TestAblations:
             tracks, session = run_offline(model, frames, events, queries)
         assert session._n_slices == len(frames)
         assert [t for t, _, _ in tracks[0].samples] == [t for t, _ in frames]
+
+    def test_frames_only_ignores_events(self, seq):
+        frames, events, queries, _, _, _ = seq
+        model = tiny_model(seed=0, randomize_heads=True, use_events=False)
+        calls = []
+        model.event_encoder = lambda *a, **k: calls.append("event_encoder")
+        model.fusion = lambda *a, **k: calls.append("fusion")
+        empty = EventStream([], [], [], [], events.geometry)
+        with no_grad():
+            real, _ = run_offline(model, frames, events, queries)
+            none, _ = run_offline(model, frames, empty, queries)
+        assert [t.samples for t in real] == [t.samples for t in none]
+        assert calls == []
+
+
+class TestImageBranchCache:
+    """Fusion's image branch runs once per frame that a fused slice reads."""
+
+    @staticmethod
+    def conv_image_calls(seq, **overrides):
+        frames, events, queries, _, _, slice_times = seq
+        model = tiny_model(seed=0, randomize_heads=True, **overrides)
+        conv_image = model.fusion.conv_image
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return conv_image(x)
+
+        model.fusion.conv_image = spy
+        with no_grad():
+            tracks, _ = run_offline(model, frames, events, queries)
+        frame_times = [t for t, _ in frames]
+        read = {max(t for t in frame_times if t <= ts) for ts in slice_times}
+        return len(calls), len(read), tracks
+
+    @pytest.mark.parametrize("mode, frame_period_us, frames_read", [
+        ("since_frame", 50_000, 6), ("fixed", 50_000, 6),
+        ("since_frame", 125_000, 3),  # five slices read each of the first two frames
+    ])
+    def test_one_image_branch_per_frame_read(self, mode, frame_period_us, frames_read):
+        seq = tiny_sequence(seed=3, frame_period_us=frame_period_us)
+        calls, read, _ = self.conv_image_calls(seq, accumulate_mode=mode)
+        assert read == frames_read and calls == read
+
+    def test_events_only_runs_no_image_branch(self, seq):
+        calls, _, tracks = self.conv_image_calls(seq, use_frames=False)
+        assert calls == 0 and all(t.samples for t in tracks)
 
 
 def test_track_csv_roundtrip(tmp_path):

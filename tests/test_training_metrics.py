@@ -138,6 +138,21 @@ class TestFeatureAge:
         with pytest.raises(MetricError):
             feature_age([], GtTrack(0, []), 5.0)
 
+    @pytest.mark.parametrize("bad", [
+        (float("nan"), float("nan")), (float("nan"), 1.0), (float("inf"), 1.0),
+        (1.0, float("-inf")),
+    ])
+    def test_non_finite_prediction_ends_track(self, bad):
+        gt = GtTrack(0, [(0, 1.0, 1.0), (1000, 1.0, 1.0), (2000, 1.0, 1.0)])
+        pred = [(0, 1.0, 1.0), (1000, *bad), (2000, 1.0, 1.0)]
+        assert feature_age(pred, gt, delta_px=5.0) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_delta_rejected(self, delta):
+        gt = self.make_gt(3)
+        with pytest.raises(MetricError, match="delta_px must be finite and positive"):
+            feature_age(gt.samples, gt, delta_px=delta)
+
 
 class TestExpectedFeatureAge:
     def test_hand_case(self):
@@ -163,6 +178,12 @@ class TestEvaluateTracks:
         assert report.fa_avg == pytest.approx(0.8)
         assert report.efa_avg == pytest.approx(0.4)
         assert report.per_track[1]["tracked"] is False
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -2.5])
+    def test_bad_delta_rejected(self, delta):
+        gts = [GtTrack(0, [(i, float(i), 0.0) for i in range(3)])]
+        with pytest.raises(MetricError, match="delta_px must be finite and positive"):
+            evaluate_tracks({0: gts[0].samples}, gts, delta_px=delta)
 
     def test_efa_never_exceeds_fa(self):
         rng = np.random.default_rng(0)
