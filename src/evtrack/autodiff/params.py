@@ -71,7 +71,6 @@ class ParamStore:
 
 def adamw_step(
     store: ParamStore,
-    grads: dict | None = None,
     *,
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
@@ -80,12 +79,12 @@ def adamw_step(
 ) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
-    Gradients come from `grads[name]` when given, else from each
-    parameter's `.grad` (missing grads are treated as zero).
+    Gradients come from each parameter's `.grad` (missing grads are
+    treated as zero).
     """
     b1, b2 = betas
     for name, p in store.items():
-        g = grads.get(name) if grads is not None else p.grad
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         g = np.asarray(g, dtype=np.float32)
@@ -131,10 +130,9 @@ def save_arrays(arrays: dict[str, np.ndarray], path: str, extra: dict | None = N
         f.write("\n")
 
 
-def save_weights(store: ParamStore, path: str, extra: dict | None = None, names=None) -> None:
-    """Write selected store tensors as blob + manifest."""
-    picked = names if names is not None else store.names()
-    save_arrays({name: store[name].data for name in picked}, path, extra=extra)
+def save_weights(store: ParamStore, path: str, extra: dict | None = None) -> None:
+    """Write every store tensor as blob + manifest."""
+    save_arrays({name: p.data for name, p in store.items()}, path, extra=extra)
 
 
 def read_weight_file(path: str) -> tuple[dict[str, np.ndarray], dict]:
@@ -157,8 +155,14 @@ def read_weight_file(path: str) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def load_weights(store: ParamStore, path: str) -> dict:
-    """Copy weights from disk into an existing store; shapes must match."""
+    """Copy weights from disk into an existing store; returns the file's meta dict."""
     arrays, meta = read_weight_file(path)
+    assign_weights(store, arrays, path)
+    return meta
+
+
+def assign_weights(store: ParamStore, arrays: dict[str, np.ndarray], path: str) -> None:
+    """Copy every store parameter from `arrays` (read from `path`); names and shapes must match."""
     for name, p in store.items():
         if name not in arrays:
             raise ConfigError(f"weight file {path} missing parameter {name!r}")
@@ -167,4 +171,3 @@ def load_weights(store: ParamStore, path: str) -> dict:
                 f"shape mismatch for {name!r}: file {arrays[name].shape}, model {p.data.shape}"
             )
         p.data = arrays[name].copy()
-    return meta

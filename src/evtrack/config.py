@@ -7,8 +7,10 @@ defaults.
 
 Each key belongs to exactly one dataclass: the tracker fields to
 `TrackerConfig`, the training fields to `TrainConfig`, and the
-synthetic-data fields to `RunConfig` itself. Defaults and checks live
-there and nowhere else.
+synthetic-data fields to `RunConfig` itself. Each dataclass declares its
+fields' defaults and checks their values when it is built, so a bad value
+fails in `load_config`, before any model exists. `TrackerConfig` is the
+only tracker schema: the encoders, fusion and refiner read it directly.
 """
 
 from __future__ import annotations

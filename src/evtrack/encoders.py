@@ -11,30 +11,15 @@ next slice that reads the same frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, ops
 from .errors import ConfigError
 
-
-@dataclass
-class EncoderConfig:
-    channels: int = 128  # C
-    downsample: int = 4  # S, 4 or 8
-    in_channels: int = 1
-    widths: tuple[int, int, int] = ()  # stem/stage1/stage2; derived from C when empty
-    input_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.downsample not in (4, 8):
-            raise ConfigError(f"downsample factor must be 4 or 8, got {self.downsample}")
-        if self.channels <= 0:
-            raise ConfigError(f"channels must be positive, got {self.channels}")
-        if not self.widths:
-            c = self.channels
-            self.widths = (max(8, c // 4), max(16, c // 2), c)
+if TYPE_CHECKING:
+    from .pipeline import TrackerConfig
 
 
 class Conv2dLayer:
@@ -81,13 +66,17 @@ class FpnEncoder:
 
     The stem halves resolution, the stages reach 1/4 and 1/8; the output
     is taken at 1/downsample with `channels` channels after a 3x3 smooth.
+    Inputs have `in_channels` channels and are multiplied by `input_scale`.
     """
 
-    def __init__(self, store: ParamStore, prefix: str, cfg: EncoderConfig, rng):
-        self.cfg = cfg
-        w0, w1, w2 = cfg.widths
+    def __init__(self, store: ParamStore, prefix: str, cfg: TrackerConfig, in_channels: int,
+                 rng, input_scale: float = 1.0):
+        self.downsample = cfg.downsample
+        self.in_channels = in_channels
+        self.input_scale = input_scale
         c = cfg.channels
-        self.stem = Conv2dLayer(store, f"{prefix}.stem", cfg.in_channels, w0, 7, rng, stride=2)
+        w0, w1, w2 = max(8, c // 4), max(16, c // 2), c  # stem, stage1, stage2
+        self.stem = Conv2dLayer(store, f"{prefix}.stem", in_channels, w0, 7, rng, stride=2)
         self.stage1 = _ResStage(store, f"{prefix}.stage1", w0, w1, rng)
         self.stage2 = _ResStage(store, f"{prefix}.stage2", w1, w2, rng)
         self.lateral1 = Conv2dLayer(store, f"{prefix}.lat1", w1, c, 1, rng)
@@ -97,21 +86,19 @@ class FpnEncoder:
     def __call__(self, x: Tensor) -> Tensor:
         """Encode (Cin,H,W) or (N,Cin,H,W) to features at 1/downsample."""
         cin = x.shape[-3]
-        if cin != self.cfg.in_channels:
+        if cin != self.in_channels:
+            raise ConfigError(f"encoder expects {self.in_channels} input channels, got {cin}")
+        if min(x.shape[-1], x.shape[-2]) < self.downsample:
             raise ConfigError(
-                f"encoder expects {self.cfg.in_channels} input channels, got {cin}"
+                f"input extents {x.shape[-2]}x{x.shape[-1]} too small for 1/{self.downsample} features"
             )
-        if min(x.shape[-1], x.shape[-2]) < self.cfg.downsample:
-            raise ConfigError(
-                f"input extents {x.shape[-2]}x{x.shape[-1]} too small for 1/{self.cfg.downsample} features"
-            )
-        if self.cfg.input_scale != 1.0:
-            x = x * self.cfg.input_scale
+        if self.input_scale != 1.0:
+            x = x * self.input_scale
         t = ops.relu(self.stem(x))
         s1 = self.stage1(t)
         s2 = self.stage2(s1)
         p8 = self.lateral2(s2)
-        if self.cfg.downsample == 8:
+        if self.downsample == 8:
             return self.smooth(p8)
         p4 = self.lateral1(s1) + ops.upsample2_nearest(p8, (s1.shape[-2], s1.shape[-1]))
         return self.smooth(p4)

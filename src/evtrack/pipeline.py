@@ -38,21 +38,23 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad, ops
 from .correlation import CorrelationPyramid, WindowState, build_pyramid
-from .encoders import EncoderConfig, FpnEncoder, MotionGatedFusion, mean_flow
+from .encoders import FpnEncoder, MotionGatedFusion, mean_flow
 from .errors import ConfigError, OrderingError, UsageError
 from .events import EventStream, build_event_stack
-from .refiner import RefinerConfig, TokenLayout, WindowRefiner
+from .refiner import WindowRefiner
 
 _UNBORN = np.iinfo(np.int64).max
 
 
 @dataclass
 class TrackerConfig:
+    """Every tracker value: the encoders, fusion and refiner read it directly."""
+
     bins: int = 5  # event-stack bins per polarity
     window: int = 16  # W slices per refinement window
     t_step: int | None = None  # window advance in slices; unset → window // 2
     iterations: int = 4  # refinement passes per window
-    downsample: int = 4  # feature stride S
+    downsample: int = 4  # feature stride S, 4 or 8
     channels: int = 128  # feature channels C
     radius: int = 3  # correlation offsets in [-r, r]
     levels: int = 4  # correlation pyramid levels
@@ -60,12 +62,12 @@ class TrackerConfig:
     frame_channels: int = 1
     # refiner
     dim: int = 256
-    pairs: int = 2
+    pairs: int = 2  # temporal/spatial attention block pairs
     heads: int = 4
     mlp_ratio: int = 4
-    freqs: int = 16
-    pos_wavelength: float = 512.0
-    time_wavelength: float = 1_000_000.0
+    freqs: int = 16  # K sin/cos frequencies per encoded scalar
+    pos_wavelength: float = 512.0  # px, coarsest encoding period
+    time_wavelength: float = 1_000_000.0  # µs
     # ablation toggles
     accumulate_mode: str = "since_frame"  # or "fixed"
     fixed_window_us: int = 0  # 0 -> dt_track_us
@@ -74,6 +76,19 @@ class TrackerConfig:
     use_events: bool = True
 
     def __post_init__(self):
+        if self.downsample not in (4, 8):
+            raise ConfigError(f"downsample must be 4 or 8, got {self.downsample}")
+        for name, low in (("bins", 1), ("iterations", 1), ("channels", 1), ("levels", 1),
+                          ("frame_channels", 1), ("dim", 1), ("heads", 1), ("mlp_ratio", 1),
+                          ("freqs", 1), ("dt_track_us", 1), ("radius", 0), ("pairs", 0),
+                          ("fixed_window_us", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("pos_wavelength", "time_wavelength"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.dim % self.heads != 0:
+            raise ConfigError(f"dim {self.dim} is not divisible by {self.heads} heads")
         derived = self.t_step is None
         if derived:
             self.t_step = self.window // 2  # half-window overlap
@@ -84,8 +99,6 @@ class TrackerConfig:
             )
         if self.accumulate_mode not in ("since_frame", "fixed"):
             raise ConfigError(f"unknown accumulate_mode {self.accumulate_mode!r}")
-        if self.dt_track_us <= 0:
-            raise ConfigError(f"dt_track_us must be positive, got {self.dt_track_us}")
         if not (self.use_frames or self.use_events):
             raise ConfigError("at least one of use_frames/use_events must be set")
 
@@ -102,30 +115,11 @@ class TrackerModel:
         from .autodiff import ParamStore
 
         self.store = ParamStore()
-        frame_cfg = EncoderConfig(
-            channels=cfg.channels, downsample=cfg.downsample, in_channels=cfg.frame_channels
-        )
-        event_cfg = EncoderConfig(
-            channels=cfg.channels,
-            downsample=cfg.downsample,
-            in_channels=2 * cfg.bins,
-            input_scale=1.0 / max(1, cfg.bins - 1),
-        )
-        self.frame_encoder = FpnEncoder(self.store, "frame_enc", frame_cfg, rng)
-        self.event_encoder = FpnEncoder(self.store, "event_enc", event_cfg, rng)
+        self.frame_encoder = FpnEncoder(self.store, "frame_enc", cfg, cfg.frame_channels, rng)
+        self.event_encoder = FpnEncoder(self.store, "event_enc", cfg, 2 * cfg.bins, rng,
+                                        input_scale=1.0 / max(1, cfg.bins - 1))
         self.fusion = MotionGatedFusion(self.store, "fusion", cfg.channels, rng)
-        self.layout = TokenLayout(cfg.channels, cfg.levels, cfg.radius, cfg.freqs)
-        rcfg = RefinerConfig(
-            iterations=cfg.iterations,
-            pairs=cfg.pairs,
-            heads=cfg.heads,
-            dim=cfg.dim,
-            mlp_ratio=cfg.mlp_ratio,
-            freqs=cfg.freqs,
-            pos_wavelength=cfg.pos_wavelength,
-            time_wavelength=cfg.time_wavelength,
-        )
-        self.refiner = WindowRefiner(self.store, "refiner", self.layout, rcfg, rng)
+        self.refiner = WindowRefiner(self.store, "refiner", cfg, rng)
 
 
 @dataclass
@@ -450,7 +444,7 @@ class TrackSession:
     def _refine_and_emit(self, final: bool):
         state = self._assemble_state()
         snapshots, pos_final, feats_final = self.model.refiner.refine(
-            state, [s.pyramid for s in self._window], self.p_init, time_embed=self.cfg.time_embed
+            state, [s.pyramid for s in self._window], self.p_init
         )
         pos_data = pos_final.data
         for s, position, feature in zip(self._window, pos_data, feats_final.data):
@@ -509,8 +503,12 @@ def _slice_stream(events: EventStream, lo: int, hi: int) -> EventStream:
     )
 
 
-def save_tracks_csv(tracks: list[Track], path: str) -> None:
-    """Write "track_id,t_us,x,y" rows with 3-decimal fixed-point pixels."""
+def save_tracks_csv(tracks, path: str) -> None:
+    """Write "track_id,t_us,x,y" rows with 3-decimal fixed-point pixels.
+
+    `tracks` are predicted `Track`s or ground-truth `GtTrack`s: anything
+    with an `id` and (t_us, x, y) `samples`.
+    """
     with open(path, "w") as f:
         f.write("track_id,t_us,x,y\n")
         for track in tracks:

@@ -1,13 +1,14 @@
 """Sliding-window trajectory refinement.
 
-Tokens per (slice, query) concatenate: displacement from the window
-start, working content feature, correlation vector, a sinusoidal
-encoding of the displacement, and a sinusoidal encoding of the query's
-initial position plus the slice's accumulated event duration. A
-transformer alternating temporal attention (over the window axis, per
-track) and spatial attention (over the query axis, per slice) emits
-position and feature deltas; the update repeats `iterations` times with
-shared weights, re-sampling correlations at each new position estimate.
+Tokens per (slice, query) concatenate the displacement from the window
+start, the working content feature, the correlation vector and
+sinusoidal encodings of the displacement, of the query's initial
+position and of the slice's accumulated event duration (see
+`token_len`). A transformer alternating temporal attention (over the
+window axis, per track) and spatial attention (over the query axis, per
+slice) emits position and feature deltas; the update repeats
+`iterations` times with shared weights, re-sampling correlations at each
+new position estimate.
 
 Persistent query templates are never written here: feature deltas touch
 only the per-window working copies.
@@ -15,7 +16,7 @@ only the per-window working copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,47 +25,20 @@ from .correlation import WindowState, correlate_batch
 from .encoders import LinearLayer
 from .errors import ConfigError, RefinementError
 
-
-@dataclass
-class RefinerConfig:
-    iterations: int = 4  # M refinement passes per window
-    pairs: int = 2  # temporal/spatial attention block pairs
-    heads: int = 4
-    dim: int = 256
-    mlp_ratio: int = 4
-    freqs: int = 16  # K sin/cos frequencies per encoded scalar
-    pos_wavelength: float = 512.0  # px, coarsest encoding period
-    time_wavelength: float = 1_000_000.0  # µs
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigError(f"refiner needs >= 1 iteration, got {self.iterations}")
-        if self.dim % self.heads != 0:
-            raise ConfigError(f"model dim {self.dim} not divisible by {self.heads} heads")
+if TYPE_CHECKING:
+    from .pipeline import TrackerConfig
 
 
-@dataclass
-class TokenLayout:
-    """Fixed slicing of the raw token vector.
+def token_len(cfg: TrackerConfig) -> int:
+    """Length of one raw token.
 
     Order: displacement (2), content feature (C), correlation
     (levels*(2r+1)^2), displacement encoding (2*2K), initial-position
     encoding (2*2K), duration encoding (2K). The duration encoding is the
     trailing 2K slice, which the time-embed ablation zeroes.
     """
-
-    channels: int
-    levels: int
-    radius: int
-    freqs: int
-
-    @property
-    def corr_len(self) -> int:
-        return self.levels * (2 * self.radius + 1) ** 2
-
-    @property
-    def raw_len(self) -> int:
-        return 2 + self.channels + self.corr_len + 4 * self.freqs + 6 * self.freqs
+    corr = cfg.levels * (2 * cfg.radius + 1) ** 2
+    return 2 + cfg.channels + corr + 4 * cfg.freqs + 4 * cfg.freqs + 2 * cfg.freqs
 
 
 def _omegas(freqs: int, wavelength: float) -> np.ndarray:
@@ -87,8 +61,8 @@ def sincos_encode(values, freqs: int, wavelength: float) -> Tensor:
 
 
 def make_tokens(positions, features, corr, p_init: np.ndarray, durations_us: np.ndarray,
-                layout: TokenLayout, cfg: RefinerConfig, time_embed: bool = True) -> Tensor:
-    """Assemble raw (W, N, raw_len) tokens for one window."""
+                cfg: TrackerConfig) -> Tensor:
+    """Assemble raw (W, N, token_len(cfg)) tokens for one window."""
     w_len, n, _ = positions.shape
     disp = positions - ops.getitem(positions, slice(0, 1))
     disp_enc = sincos_encode(disp, cfg.freqs, cfg.pos_wavelength)
@@ -96,7 +70,7 @@ def make_tokens(positions, features, corr, p_init: np.ndarray, durations_us: np.
     init_enc = sincos_encode(Tensor(p_init.astype(np.float32)), cfg.freqs, cfg.pos_wavelength)
     init_enc = ops.stack([init_enc] * w_len, axis=0)
 
-    if time_embed:
+    if cfg.time_embed:
         dur = Tensor(durations_us.astype(np.float32).reshape(w_len, 1))
         dur_enc = sincos_encode(dur, cfg.freqs, cfg.time_wavelength)
     else:
@@ -104,10 +78,8 @@ def make_tokens(positions, features, corr, p_init: np.ndarray, durations_us: np.
     dur_enc = ops.stack([dur_enc] * n, axis=1)
 
     raw = ops.concat([disp, features, corr, disp_enc, init_enc, dur_enc], axis=-1)
-    if raw.shape[-1] != layout.raw_len:
-        raise ConfigError(
-            f"token length {raw.shape[-1]} does not match layout raw_len {layout.raw_len}"
-        )
+    if raw.shape[-1] != token_len(cfg):
+        raise ConfigError(f"token length {raw.shape[-1]} does not match token_len {token_len(cfg)}")
     return raw
 
 
@@ -146,11 +118,9 @@ class _AttnBlock:
 class WindowRefiner:
     """Iterative token transformer with position/feature update heads."""
 
-    def __init__(self, store: ParamStore, prefix: str, layout: TokenLayout,
-                 cfg: RefinerConfig, rng):
-        self.layout = layout
+    def __init__(self, store: ParamStore, prefix: str, cfg: TrackerConfig, rng):
         self.cfg = cfg
-        self.project = LinearLayer(store, f"{prefix}.project", layout.raw_len, cfg.dim, rng)
+        self.project = LinearLayer(store, f"{prefix}.project", token_len(cfg), cfg.dim, rng)
         self.blocks = []
         for i in range(cfg.pairs):
             temporal = _AttnBlock(store, f"{prefix}.pair{i}.time", cfg.dim, cfg.heads, cfg.mlp_ratio, rng)
@@ -158,7 +128,7 @@ class WindowRefiner:
             self.blocks.append((temporal, spatial))
         # zero-initialized heads: an untrained refiner is the identity
         self.head_pos = LinearLayer(store, f"{prefix}.head_pos", cfg.dim, 2, rng, zero_init=True)
-        self.head_feat = LinearLayer(store, f"{prefix}.head_feat", cfg.dim, layout.channels,
+        self.head_feat = LinearLayer(store, f"{prefix}.head_feat", cfg.dim, cfg.channels,
                                      rng, zero_init=True)
 
     def _transform(self, raw: Tensor) -> Tensor:
@@ -168,8 +138,7 @@ class WindowRefiner:
             x = spatial(xt.transpose((1, 0, 2)))  # (W, N, D): attend over queries
         return x
 
-    def refine(self, state: WindowState, pyramids, p_init: np.ndarray,
-               time_embed: bool = True):
+    def refine(self, state: WindowState, pyramids, p_init: np.ndarray):
         """Run `iterations` refinement passes over one window.
 
         `p_init` is the (N, 2) array of query birth positions (encoded into
@@ -192,9 +161,8 @@ class WindowRefiner:
         feats = state.features
         snapshots = []
         for m in range(self.cfg.iterations):
-            corr = correlate_batch(feats, level_stacks, pos, self.layout.radius, base_scale)
-            raw = make_tokens(pos, feats, corr, p_init, state.durations_us,
-                              self.layout, self.cfg, time_embed=time_embed)
+            corr = correlate_batch(feats, level_stacks, pos, self.cfg.radius, base_scale)
+            raw = make_tokens(pos, feats, corr, p_init, state.durations_us, self.cfg)
             x = self._transform(raw)
             d_pos = self.head_pos(x)
             d_feat = self.head_feat(x)

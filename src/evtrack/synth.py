@@ -20,6 +20,7 @@ from .errors import ConfigError
 from .events import EventStream, save_binary_events
 from .images import save_image
 from .metrics import GtTrack
+from .pipeline import load_tracks_csv, save_tracks_csv
 
 
 @dataclass
@@ -229,11 +230,7 @@ def write_sequence(out_dir: str, scene: SynthScene, frame_period_us: int,
 
     slice_times = list(range(0, scene.duration_us + 1, dt_track_us))
     tracks = gt_tracks(scene, scene.anchors, slice_times)
-    with open(os.path.join(out_dir, "gt_tracks.csv"), "w") as f:
-        f.write("track_id,t_us,x,y\n")
-        for track in tracks:
-            for t, x, y in track.samples:
-                f.write(f"{track.id},{t},{x:.3f},{y:.3f}\n")
+    save_tracks_csv(tracks, os.path.join(out_dir, "gt_tracks.csv"))
     with open(os.path.join(out_dir, "queries.csv"), "w") as f:
         f.write("id,t_us,x,y\n")
         for track in tracks:
@@ -282,7 +279,6 @@ def load_sequence(seq_dir: str):
     from .correlation import load_queries_csv
     from .events import load_binary_events
     from .images import load_image
-    from .pipeline import load_tracks_csv
 
     with open(os.path.join(seq_dir, "manifest.json")) as f:
         manifest = json.load(f)

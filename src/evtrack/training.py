@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, adamw_step, backward, ops
-from .autodiff.params import read_weight_file, save_arrays, save_weights
+from .autodiff.params import assign_weights, read_weight_file, save_arrays, save_weights
 from .errors import TrainingError, UsageError
 from .pipeline import TrackerModel, run_offline
 
@@ -118,11 +118,9 @@ def save_checkpoint(model: TrackerModel, path: str, step: int) -> None:
 def load_checkpoint(model: TrackerModel, path: str) -> int:
     """Restore weights and optimizer state; returns the step to resume from."""
     arrays, meta = read_weight_file(path)
+    assign_weights(model.store, arrays, path)
     opt_step = int(meta.get("opt_step", 0))
-    for name, p in model.store.items():
-        if name not in arrays:
-            raise TrainingError(f"checkpoint {path} missing parameter {name!r}")
-        p.data = arrays[name].copy()
+    for name in model.store.names():
         m = arrays.get(f"opt.{name}.m")
         v = arrays.get(f"opt.{name}.v")
         if m is not None and v is not None:

@@ -96,6 +96,17 @@ class TestConfig:
             with pytest.raises(ConfigError, match="unknown config key"):
                 parse_config_text(f"{key} = 1")
 
+    @pytest.mark.parametrize("key, value", [
+        ("downsample", "2"), ("bins", "0"), ("iterations", "0"), ("channels", "0"),
+        ("levels", "0"), ("frame_channels", "0"), ("dim", "0"), ("heads", "0"),
+        ("heads", "3"), ("mlp_ratio", "0"), ("freqs", "0"), ("radius", "-1"),
+        ("fixed_window_us", "-5"), ("pairs", "-1"), ("pos_wavelength", "0"),
+        ("pos_wavelength", "nan"), ("time_wavelength", "-1"),
+    ])
+    def test_bad_tracker_value_rejected_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
+
     def test_t_step_parses_as_int(self):
         assert parse_config_text("t_step = 4") == {"t_step": 4}
         with pytest.raises(ConfigError):
@@ -223,6 +234,17 @@ class TestCli:
                      "--set", "time_wavelength=2.0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "time_wavelength" in err
+
+    def test_track_rejects_bad_tracker_value(self, pipeline_dirs, tiny_cli_args, tmp_path,
+                                             capsys):
+        _, data, weights = pipeline_dirs
+        seq = os.path.join(data, "seq_000")
+        assert main(["track", "--data", seq, "--weights", weights,
+                     "--queries", os.path.join(seq, "queries.csv"),
+                     "--out", str(tmp_path / "t.csv"), *tiny_cli_args, "--set", "bins=0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bins must be >= 1")
+        assert captured.err.strip().count("\n") == 0 and captured.out == ""
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         assert main(["gen-synth", "--out", str(tmp_path / "x"), "--scenes", "1",

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from evtrack.autodiff import ParamStore, Tensor, backward
-from evtrack.encoders import EncoderConfig, FpnEncoder, MotionGatedFusion, mean_flow
+from evtrack.encoders import FpnEncoder, MotionGatedFusion, mean_flow
 from evtrack.errors import ConfigError
+from util_fixtures import tiny_tracker_config
 
 
 def make_encoder(channels=32, downsample=4, in_channels=1, seed=0, scale=1.0):
     store = ParamStore()
-    cfg = EncoderConfig(channels=channels, downsample=downsample,
-                        in_channels=in_channels, input_scale=scale)
-    enc = FpnEncoder(store, "enc", cfg, np.random.default_rng(seed))
+    cfg = tiny_tracker_config(channels=channels, downsample=downsample)
+    enc = FpnEncoder(store, "enc", cfg, in_channels, np.random.default_rng(seed), input_scale=scale)
     return enc, store
 
 
@@ -50,11 +50,10 @@ def test_determinism_and_zero_input():
 
 def test_weight_independence_between_encoders():
     store = ParamStore()
-    cfg_f = EncoderConfig(channels=32, in_channels=1)
-    cfg_e = EncoderConfig(channels=32, in_channels=10)
+    cfg = tiny_tracker_config(channels=32)
     rng = np.random.default_rng(0)
-    frame_enc = FpnEncoder(store, "frame", cfg_f, rng)
-    event_enc = FpnEncoder(store, "event", cfg_e, rng)
+    frame_enc = FpnEncoder(store, "frame", cfg, 1, rng)
+    event_enc = FpnEncoder(store, "event", cfg, 10, rng)
     stack = Tensor(np.random.default_rng(1).random((10, 32, 32)).astype(np.float32))
     before = event_enc(stack).data.copy()
     frame_enc.stem.weight.data += 10.0

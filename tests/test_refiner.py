@@ -4,7 +4,8 @@ import pytest
 from evtrack.autodiff import ParamStore, Tensor
 from evtrack.correlation import WindowState, build_pyramid
 from evtrack.errors import ConfigError, RefinementError
-from evtrack.refiner import RefinerConfig, TokenLayout, WindowRefiner, make_tokens, sincos_encode
+from evtrack.refiner import WindowRefiner, make_tokens, sincos_encode, token_len
+from util_fixtures import tiny_tracker_config
 
 
 def test_sincos_zero_alternates():
@@ -28,16 +29,17 @@ def test_sincos_length_scaling():
 
 
 def test_token_layout_hand_arithmetic():
-    layout = TokenLayout(channels=128, levels=4, radius=3, freqs=16)
-    assert layout.corr_len == 196
-    assert layout.raw_len == 2 + 128 + 196 + 64 + 96
-    assert layout.raw_len == 486
-    assert layout.raw_len - 2 * layout.freqs == 486 - 32  # the duration encoding's start
+    cfg = tiny_tracker_config(channels=128, levels=4, radius=3, freqs=16)
+    assert cfg.levels * (2 * cfg.radius + 1) ** 2 == 196  # the correlation length
+    assert token_len(cfg) == 2 + 128 + 196 + 64 + 96
+    assert token_len(cfg) == 486
+    assert token_len(cfg) - 2 * cfg.freqs == 486 - 32  # the duration encoding's start
 
 
-def _window_fixture(rng, w_len=4, n=3, c=16, levels=2, radius=1, freqs=4):
-    layout = TokenLayout(channels=c, levels=levels, radius=radius, freqs=freqs)
-    cfg = RefinerConfig(iterations=3, pairs=1, heads=2, dim=32, mlp_ratio=2, freqs=freqs)
+def _window_fixture(rng, w_len=4, n=3):
+    # 16 channels, 2 levels, radius 1, 4 frequencies, one 32-wide pair with 2 heads
+    cfg = tiny_tracker_config(iterations=3)
+    c, levels = cfg.channels, cfg.levels
     pyramids = [
         build_pyramid(Tensor(rng.standard_normal((c, 8, 8)).astype(np.float32)), levels, 4)
         for _ in range(w_len)
@@ -51,46 +53,52 @@ def _window_fixture(rng, w_len=4, n=3, c=16, levels=2, radius=1, freqs=4):
         valid_from=np.zeros(n, dtype=np.int64),
         start_index=0,
     )
-    return layout, cfg, pyramids, state
+    return cfg, pyramids, state
+
+
+def _corr_len(cfg):
+    return cfg.levels * (2 * cfg.radius + 1) ** 2
 
 
 def test_make_tokens_window_start_displacement(rng):
-    layout, cfg, _, state = _window_fixture(rng)
-    corr = Tensor(np.zeros((4, 3, layout.corr_len), dtype=np.float32))
+    cfg, _, state = _window_fixture(rng)
+    corr = Tensor(np.zeros((4, 3, _corr_len(cfg)), dtype=np.float32))
     raw = make_tokens(Tensor(state.positions), state.features, corr,
-                      state.positions[0], state.durations_us, layout, cfg)
-    assert raw.shape == (4, 3, layout.raw_len)
+                      state.positions[0], state.durations_us, cfg)
+    assert raw.shape == (4, 3, token_len(cfg))
     # replicated positions: displacement zero everywhere, exactly zero at t=0
     assert np.allclose(raw.data[0, :, :2], 0.0)
 
 
 def test_time_embed_toggle_changes_only_duration_slice(rng):
-    layout, cfg, _, state = _window_fixture(rng)
-    corr = Tensor(rng.standard_normal((4, 3, layout.corr_len)).astype(np.float32))
+    cfg, _, state = _window_fixture(rng)
+    assert cfg.time_embed
+    corr = Tensor(rng.standard_normal((4, 3, _corr_len(cfg))).astype(np.float32))
     pos = Tensor(state.positions)
     with_t = make_tokens(pos, state.features, corr, state.positions[0],
-                         state.durations_us, layout, cfg, time_embed=True)
+                         state.durations_us, cfg)
     without = make_tokens(pos, state.features, corr, state.positions[0],
-                          state.durations_us, layout, cfg, time_embed=False)
-    sl = slice(layout.raw_len - 2 * layout.freqs, layout.raw_len)  # the duration encoding
+                          state.durations_us, tiny_tracker_config(iterations=3, time_embed=False))
+    n_tok = token_len(cfg)
+    sl = slice(n_tok - 2 * cfg.freqs, n_tok)  # the duration encoding
     assert not np.allclose(with_t.data[..., sl], 0.0)
     assert np.allclose(without.data[..., sl], 0.0)
-    keep = np.ones(layout.raw_len, dtype=bool)
+    keep = np.ones(n_tok, dtype=bool)
     keep[sl] = False
     assert np.array_equal(with_t.data[..., keep], without.data[..., keep])
 
 
 def test_token_layout_mismatch_rejected(rng):
-    layout, cfg, _, state = _window_fixture(rng)
-    bad_corr = Tensor(np.zeros((4, 3, layout.corr_len + 1), dtype=np.float32))
+    cfg, _, state = _window_fixture(rng)
+    bad_corr = Tensor(np.zeros((4, 3, _corr_len(cfg) + 1), dtype=np.float32))
     with pytest.raises(ConfigError):
         make_tokens(Tensor(state.positions), state.features, bad_corr,
-                    state.positions[0], state.durations_us, layout, cfg)
+                    state.positions[0], state.durations_us, cfg)
 
 
-def _build_refiner(layout, cfg, seed=0, zero=False):
+def _build_refiner(cfg, seed=0, zero=False):
     store = ParamStore()
-    refiner = WindowRefiner(store, "ref", layout, cfg, np.random.default_rng(seed))
+    refiner = WindowRefiner(store, "ref", cfg, np.random.default_rng(seed))
     if zero:
         for _, p in store.items():
             p.data[...] = 0.0
@@ -98,8 +106,8 @@ def _build_refiner(layout, cfg, seed=0, zero=False):
 
 
 def test_zero_network_is_identity(rng):
-    layout, cfg, pyramids, state = _window_fixture(rng)
-    refiner, _ = _build_refiner(layout, cfg, zero=True)
+    cfg, pyramids, state = _window_fixture(rng)
+    refiner, _ = _build_refiner(cfg, zero=True)
     snapshots, pos, feats = refiner.refine(state, pyramids, state.positions[0])
     assert len(snapshots) == cfg.iterations
     for snap in snapshots:
@@ -108,8 +116,8 @@ def test_zero_network_is_identity(rng):
 
 
 def test_snapshot_count_and_chain(rng):
-    layout, cfg, pyramids, state = _window_fixture(rng)
-    refiner, store = _build_refiner(layout, cfg)
+    cfg, pyramids, state = _window_fixture(rng)
+    refiner, store = _build_refiner(cfg)
     # nonzero heads so updates are visible
     refiner.head_pos.weight.data = (
         np.random.default_rng(5).standard_normal(refiner.head_pos.weight.shape) * 0.05
@@ -127,8 +135,8 @@ def test_snapshot_count_and_chain(rng):
 
 
 def test_determinism(rng):
-    layout, cfg, pyramids, state = _window_fixture(rng)
-    refiner, _ = _build_refiner(layout, cfg)
+    cfg, pyramids, state = _window_fixture(rng)
+    refiner, _ = _build_refiner(cfg)
     refiner.head_pos.weight.data[...] = 0.01
     a = refiner.refine(state, pyramids, state.positions[0])[1].data
     b = refiner.refine(state, pyramids, state.positions[0])[1].data
@@ -136,8 +144,8 @@ def test_determinism(rng):
 
 
 def test_query_permutation_equivariance(rng):
-    layout, cfg, pyramids, state = _window_fixture(rng, n=4)
-    refiner, _ = _build_refiner(layout, cfg)
+    cfg, pyramids, state = _window_fixture(rng, n=4)
+    refiner, _ = _build_refiner(cfg)
     refiner.head_pos.weight.data = (
         np.random.default_rng(9).standard_normal(refiner.head_pos.weight.shape) * 0.05
     ).astype(np.float32)
@@ -157,9 +165,9 @@ def test_query_permutation_equivariance(rng):
 
 
 def test_birth_pinning(rng):
-    layout, cfg, pyramids, state = _window_fixture(rng)
+    cfg, pyramids, state = _window_fixture(rng)
     state.valid_from = np.array([0, 1, 2], dtype=np.int64)
-    refiner, _ = _build_refiner(layout, cfg)
+    refiner, _ = _build_refiner(cfg)
     refiner.head_pos.weight.data[...] = 0.02
     _, pos, _ = refiner.refine(state, pyramids, state.positions[0])
     # at/before each query's birth slice the position stays the initial value
@@ -169,8 +177,8 @@ def test_birth_pinning(rng):
 
 
 def test_non_finite_update_raises(rng):
-    layout, cfg, pyramids, state = _window_fixture(rng)
-    refiner, _ = _build_refiner(layout, cfg)
+    cfg, pyramids, state = _window_fixture(rng)
+    refiner, _ = _build_refiner(cfg)
     refiner.head_pos.weight.data[...] = np.inf
     # the infinite head weights give NaN inside the matmul, on purpose
     with pytest.raises(RefinementError, match="iteration 0"), np.errstate(invalid="ignore"):
@@ -178,7 +186,7 @@ def test_non_finite_update_raises(rng):
 
 
 def test_pyramid_count_checked(rng):
-    layout, cfg, pyramids, state = _window_fixture(rng)
-    refiner, _ = _build_refiner(layout, cfg)
+    cfg, pyramids, state = _window_fixture(rng)
+    refiner, _ = _build_refiner(cfg)
     with pytest.raises(ConfigError):
         refiner.refine(state, pyramids[:-1], state.positions[0])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from evtrack.autodiff import Tensor, backward, precision
-from evtrack.errors import MetricError, TrainingError, UsageError
+from evtrack.errors import ConfigError, MetricError, TrainingError, UsageError
 from evtrack.metrics import GtTrack, evaluate_tracks, expected_feature_age, feature_age
 from evtrack.training import (
     TrainConfig,
     iteration_weights,
     load_checkpoint,
     lr_schedule,
+    save_checkpoint,
     sequence_loss,
     train,
     window_loss,
@@ -252,3 +253,10 @@ class TestTrainingLoop:
         assert fresh.store.step_count(name) == 2
         m, v = fresh.store.moments(name)
         assert np.array_equal(m, model.store.moments(name)[0])
+
+    def test_checkpoint_of_another_model_rejected(self, tmp_path):
+        """A 16-channel checkpoint must not load into a 24-channel model."""
+        path = str(tmp_path / "checkpoint.bin")
+        save_checkpoint(tiny_model(seed=0), path, step=3)
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            load_checkpoint(tiny_model(seed=0, channels=24), path)
