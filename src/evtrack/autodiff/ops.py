@@ -1,9 +1,10 @@
 """Differentiable primitives.
 
 Exactly the operations the tracking pipeline needs: elementwise
-arithmetic, reductions, matmul/linear, conv2d, pooling/upsampling,
-bilinear sampling, activations, softmax, and layer normalization.
-Every primitive here is covered by the finite-difference gradient suite.
+arithmetic, sums, matmul/linear, conv2d, pooling/upsampling, bilinear
+sampling of vectors and of scalar patches, activations, softmax, layer
+normalization and basic indexing. Every public function here has a
+case in the finite-difference gradient suite, and a test checks that.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def _tracked(t: Tensor) -> bool:
+    """Whether a backward pass wants a gradient for input `t`."""
+    return t.requires_grad or t._vjp is not None
 
 
 # ---------------------------------------------------------------------------
@@ -64,22 +70,6 @@ def mul(a, b) -> Tensor:
     return make_node(a.data * b.data, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return make_node(a.data / b.data, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return make_node(-a.data, (a,), lambda g: (-g,))
-
-
 def abs_(a) -> Tensor:
     a = as_tensor(a)
     sign = np.sign(a.data)
@@ -111,26 +101,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             gx = np.expand_dims(gx, axis)
         return (np.broadcast_to(gx, a.shape).astype(a.dtype, copy=True),)
-
-    return make_node(np.asarray(out, dtype=a.dtype), (a,), vjp)
-
-
-def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-
-    def vjp(g):
-        if axis is None:
-            gx = np.broadcast_to(g / count, a.shape)
-        else:
-            gs = g if keepdims else np.expand_dims(g, axis)
-            gx = np.broadcast_to(gs / count, a.shape)
-        return (gx.astype(a.dtype, copy=True),)
 
     return make_node(np.asarray(out, dtype=a.dtype), (a,), vjp)
 
@@ -235,7 +205,8 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     per tap; one GEMM `w.reshape(Cout, -1) @ cols` then lands in NCHW, and
     the reduction order over Cin*k*k is fixed by that GEMM. The backward
     pass keeps no columns: it rebuilds them from the input it holds and
-    scatters the column gradient back through the same k*k slices.
+    scatters the column gradient back through the same k*k slices, and
+    only when the input needs a gradient (an encoder stem's input does not).
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     squeeze = x.ndim == 3
@@ -275,12 +246,15 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     def vjp(g):
         g = g.reshape(n, cout, ho * wo)
         gw = np.matmul(g, columns().transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        gb = g.sum(axis=(0, 2))
+        if not _tracked(x):
+            return None, gw, gb
         dcols = np.matmul(w_flat.T, g).reshape(n, cin, k, k, ho, wo)
         dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
         for u, v in np.ndindex(k, k):
             tap(dxp, u, v)[...] += dcols[:, :, u, v]
         dx = dxp[:, :, pad : pad + h, pad : pad + w]
-        return (dx[0] if squeeze else dx), gw, g.sum(axis=(0, 2))
+        return (dx[0] if squeeze else dx), gw, gb
 
     return make_node(out[0] if squeeze else out, (x, weight, bias), vjp)
 
@@ -385,8 +359,8 @@ def bilinear_sample(fmap, points) -> Tensor:
     def vjp(g):
         if g.ndim == 2:
             g = g[None]
-        need_map = fmap.requires_grad or fmap._vjp is not None
-        need_pts = points.requires_grad or points._vjp is not None
+        need_map = _tracked(fmap)
+        need_pts = _tracked(points)
         gmap = np.zeros_like(fmc) if need_map else None
         gx = np.zeros((b, p), dtype=fm.dtype) if need_pts else None
         gy = np.zeros((b, p), dtype=fm.dtype) if need_pts else None
@@ -410,6 +384,65 @@ def bilinear_sample(fmap, points) -> Tensor:
         return dmap, dpts
 
     return make_node(out[0] if squeeze and points.ndim == 2 else out, (fmap, points), vjp)
+
+
+def bilinear_patch(vol, points, radius: int) -> Tensor:
+    """Bilinear reads of one scalar map per row on a grid of integer offsets.
+
+    `vol` is (B,h,w), one map per row; `points` is (B,2) in that map's
+    cells, (x, y) as in `bilinear_sample`. Row b of the (B, (2r+1)^2)
+    result holds vol[b] at points[b] + (dx, dy) for dx, dy in [-r, r],
+    dy-major then dx, with cells past the border reading zero.
+
+    Every tap shares the fractional part of its point, so a row gathers
+    one (2r+2)^2 patch of cells and applies one 2x2 stencil to it, along
+    x and then along y. A row's patch cells that lie on the map are
+    distinct and rows own their maps, so the map gradient is a single
+    scatter by assignment; the point gradient is the stencil's
+    derivative summed over the taps.
+    """
+    vol, points = as_tensor(vol), as_tensor(points)
+    if vol.ndim != 3 or points.shape != (vol.shape[0], 2):
+        raise ConfigError(f"bilinear_patch shapes: maps {vol.shape}, points {points.shape}")
+    if radius < 0:
+        raise ConfigError(f"bilinear_patch radius must be >= 0, got {radius}")
+    b, h, w = vol.shape
+    x0 = np.floor(points.data[:, 0])
+    y0 = np.floor(points.data[:, 1])
+    fx = (points.data[:, 0] - x0).astype(vol.dtype)[:, None, None]
+    fy = (points.data[:, 1] - y0).astype(vol.dtype)[:, None, None]
+    cells = np.arange(-radius, radius + 2)
+    xs = x0.astype(np.int64)[:, None] + cells  # (B, 2r+2)
+    ys = y0.astype(np.int64)[:, None] + cells
+    on_map = ((ys >= 0) & (ys < h))[:, :, None] & ((xs >= 0) & (xs < w))[:, None, :]
+    flat = ((np.arange(b)[:, None, None] * h + np.clip(ys, 0, h - 1)[:, :, None]) * w
+            + np.clip(xs, 0, w - 1)[:, None, :])  # (B, 2r+2, 2r+2) indices into vol
+    patch = np.take(vol.data, flat) * on_map
+    rows = patch[:, :, :-1] * (1 - fx) + patch[:, :, 1:] * fx  # (B, 2r+2, 2r+1)
+    out = rows[:, :-1] * (1 - fy) + rows[:, 1:] * fy
+
+    def vjp(g):
+        g = g.reshape(out.shape)
+        dvol = dpts = None
+        if _tracked(vol):
+            grows = np.zeros(rows.shape, dtype=g.dtype)
+            grows[:, :-1] = g * (1 - fy)
+            grows[:, 1:] += g * fy
+            gpatch = np.zeros(patch.shape, dtype=g.dtype)
+            gpatch[:, :, :-1] = grows * (1 - fx)
+            gpatch[:, :, 1:] += grows * fx
+            # off-map cells all land on one extra cell past the end, then dropped
+            dflat = np.zeros(vol.size + 1, dtype=g.dtype)
+            dflat[np.where(on_map, flat, vol.size)] = gpatch
+            dvol = dflat[:-1].reshape(vol.shape)
+        if _tracked(points):
+            dcols = patch[:, :, 1:] - patch[:, :, :-1]
+            d_fx = dcols[:, :-1] * (1 - fy) + dcols[:, 1:] * fy
+            d_fy = rows[:, 1:] - rows[:, :-1]
+            dpts = np.stack([(g * d_fx).sum(axis=(1, 2)), (g * d_fy).sum(axis=(1, 2))], axis=-1)
+        return dvol, dpts
+
+    return make_node(out.reshape(b, -1), (vol, points), vjp)
 
 
 def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -480,12 +513,22 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 def getitem(a, index) -> Tensor:
+    """numpy basic indexing: ints, slices, None and Ellipsis.
+
+    A basic index never reads a cell twice, so the gradient is one
+    assignment into zeros. Array, list and boolean indexes are rejected.
+    """
     a = as_tensor(a)
+    for part in index if isinstance(index, tuple) else (index,):
+        basic = part is None or part is Ellipsis or isinstance(part, slice) or (
+            isinstance(part, (int, np.integer)) and not isinstance(part, (bool, np.bool_)))
+        if not basic:
+            raise ConfigError(f"getitem takes basic indexes only, got {type(part).__name__}")
     out = a.data[index]
 
     def vjp(g):
         dx = np.zeros_like(a.data)
-        np.add.at(dx, index, g)
+        dx[index] = g
         return (dx,)
 
     return make_node(np.ascontiguousarray(out), (a,), vjp)

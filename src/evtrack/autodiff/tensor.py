@@ -127,16 +127,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        from . import ops
-
-        return ops.div(self, other)
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.neg(self)
-
     def __matmul__(self, other):
         from . import ops
 
@@ -151,11 +141,6 @@ class Tensor:
         from . import ops
 
         return ops.sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        from . import ops
-
-        return ops.mean_(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         from . import ops

@@ -6,6 +6,12 @@ integer offsets in [-r, r]^2 and over pyramid levels (level-major, then
 dy, then dx); samples past the border are zero.
 Positions live at full image resolution; division by scale*2^level
 happens only at sampling time.
+
+All (2r+1)^2 offsets of one position share the fractional part of
+position/scale, so the taps come from one bilinear stencil: the
+(2r+2)^2 cells around the position are gathered once, and each tap
+weighs its 2x2 block of them by the same four weights. This is RAFT's
+local lookup (Teed & Deng, 2020), applied to the inner-product volume.
 """
 
 from __future__ import annotations
@@ -53,15 +59,6 @@ class WindowState:
         return (idx >= self.valid_from[None, :]).astype(np.float32)
 
 
-def offsets_grid(radius: int) -> np.ndarray:
-    """(2r+1)^2 integer (dx, dy) offsets, dy-major then dx."""
-    if radius < 0:
-        raise ConfigError(f"correlation radius must be >= 0, got {radius}")
-    span = np.arange(-radius, radius + 1)
-    dy, dx = np.meshgrid(span, span, indexing="ij")
-    return np.stack([dx.reshape(-1), dy.reshape(-1)], axis=-1).astype(np.float32)
-
-
 def build_pyramid(fused: Tensor, levels: int, base_scale: int) -> CorrelationPyramid:
     """Repeatedly average-pool a fused map into `levels` levels."""
     if levels < 1:
@@ -84,24 +81,22 @@ def correlate_batch(features: Tensor, level_stacks: list[Tensor], positions: Ten
     (W, N, 2). Returns (W, N, levels*(2r+1)^2) cost vectors, laid out as
     the module docstring describes.
 
-    Because the cost is linear in the map, this computes each query's
-    scalar inner-product volume first (one matmul) and then bilinearly
-    samples scalars, which is equivalent to sampling feature vectors and
-    dotting but moves far less data.
+    Because the cost is linear in the map, each level first computes every
+    query's scalar inner-product volume (one matmul) and then reads the
+    (2r+1)^2 taps from it, which equals sampling feature vectors and
+    dotting but moves far less data. The taps are one `ops.bilinear_patch`
+    call over the W*N volumes: one (2r+2)^2 cell gather and one 2x2
+    stencil per (slice, query).
     """
     w_len, n, c = features.shape
-    offs = offsets_grid(radius)
-    k2 = offs.shape[0]
     pieces = []
     for level, stack in enumerate(level_stacks):
         h, w = stack.shape[-2], stack.shape[-1]
         scale = float(base_scale * (2**level))
         vol = ops.matmul(features, stack.reshape((w_len, c, h * w)))  # (W, N, h*w)
-        vol = vol.reshape((w_len * n, 1, h, w))
-        pts = positions * (1.0 / scale)
-        pts = pts.reshape((w_len, n, 1, 2)) + offs.reshape((1, 1, k2, 2))
-        sampled = ops.bilinear_sample(vol, pts.reshape((w_len * n, k2, 2)))
-        pieces.append(sampled.reshape((w_len, n, k2)))
+        pts = (positions * (1.0 / scale)).reshape((w_len * n, 2))
+        sampled = ops.bilinear_patch(vol.reshape((w_len * n, h, w)), pts, radius)
+        pieces.append(sampled.reshape((w_len, n, -1)))
     return ops.concat(pieces, axis=-1)
 
 

@@ -390,25 +390,29 @@ class TrackSession:
         self._window.append(_Slice(idx, t_slice, duration, pyramid))
         self._n_slices += 1
 
-        newly = (self._valid_from == _UNBORN) & (self.t_birth <= t_slice)
-        for n in np.nonzero(newly)[0]:
-            self._valid_from[n] = idx
-            self._sample_template(int(n), fused)
+        newly = np.nonzero((self._valid_from == _UNBORN) & (self.t_birth <= t_slice))[0]
+        self._valid_from[newly] = idx
+        self._sample_templates(newly, fused)
 
-    def _sample_template(self, n: int, fused: Tensor):
+    def _sample_templates(self, newly: np.ndarray, fused: Tensor):
+        """Templates of the queries born at this slice: one bilinear read of
+        each birth frame's features for all the queries born at that frame."""
         cfg = self.cfg
-        if cfg.use_frames:
-            t_birth = int(self.t_birth[n])
-            if t_birth not in self._frames:
-                raise UsageError(
-                    f"query {self.query_ids[n]} born at {t_birth}, which is not a frame time"
-                )
-            source = self._frame_features(t_birth)
-        else:
-            # events-only ablation: template from the first fused map instead
-            source = fused
-        pts = (self.p_init[n : n + 1] / cfg.downsample).astype(np.float32)
-        self._templates[n] = ops.getitem(ops.bilinear_sample(source, pts), 0)
+        # events-only ablation: every template comes from the first fused map
+        births = self.t_birth[newly] if cfg.use_frames else np.zeros_like(newly)
+        for t_birth in np.unique(births):
+            members = newly[births == t_birth]
+            if not cfg.use_frames:
+                source = fused
+            elif int(t_birth) in self._frames:
+                source = self._frame_features(int(t_birth))
+            else:
+                raise UsageError(f"query {self.query_ids[members[0]]} born at {t_birth}, "
+                                 "which is not a frame time")
+            pts = (self.p_init[members] / cfg.downsample).astype(np.float32)
+            sampled = ops.bilinear_sample(source, pts)
+            for i, n in enumerate(members):
+                self._templates[n] = ops.getitem(sampled, i)
 
     def _template_matrix(self) -> Tensor:
         zero = None

@@ -6,8 +6,15 @@ a time, so the vectorized code in the package can be checked against it.
 
 import numpy as np
 
-from evtrack.correlation import CorrelationPyramid, offsets_grid
+from evtrack.correlation import CorrelationPyramid
 from evtrack.events import EventStream
+
+
+def offsets_grid(radius: int) -> np.ndarray:
+    """The correlation taps' (2r+1)^2 integer (dx, dy) offsets, dy-major then dx."""
+    span = np.arange(-radius, radius + 1)
+    dy, dx = np.meshgrid(span, span, indexing="ij")
+    return np.stack([dx.reshape(-1), dy.reshape(-1)], axis=-1)
 
 
 def event_stack_oracle(stream: EventStream, t_start: int, t_end: int, bins: int) -> np.ndarray:

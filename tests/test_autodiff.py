@@ -17,10 +17,11 @@ from evtrack.autodiff import (
     precision,
     save_weights,
 )
+from evtrack.correlation import correlate_batch
 from evtrack.encoders import MotionGatedFusion
 from evtrack.errors import ConfigError, TrainingError, UsageError
 from fd_oracle import assert_grads_close, numerical_grad
-from oracles import conv2d_oracle
+from oracles import conv2d_oracle, offsets_grid
 
 
 def test_conv2d_identity_kernel():
@@ -171,6 +172,52 @@ def test_bilinear_sample_is_continuous():
     a = ops.bilinear_sample(fmap, pts).data
     b = ops.bilinear_sample(fmap, pts + eps).data
     assert np.max(np.abs(a - b)) <= 4 * eps * span
+
+
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_bilinear_patch_reads_cells_at_integer_points(radius):
+    """At an integer point every tap lands on a cell: tap (dx, dy) reads
+    vol[b, y + dy, x + dx], dy-major, and zero past the border."""
+    vol = np.arange(2 * 4 * 5, dtype=np.float32).reshape(2, 4, 5) + 1.0
+    points = np.array([[1.0, 2.0], [4.0, 0.0]], dtype=np.float32)
+    out = ops.bilinear_patch(Tensor(vol), Tensor(points), radius).data
+    assert out.shape == (2, (2 * radius + 1) ** 2)
+    for b, (x, y) in enumerate(points.astype(int)):
+        for k, (dx, dy) in enumerate(offsets_grid(radius)):
+            inside = 0 <= y + dy < 4 and 0 <= x + dx < 5
+            assert out[b, k] == (vol[b, y + dy, x + dx] if inside else 0.0)
+
+
+def test_bilinear_patch_shape_errors():
+    with pytest.raises(ConfigError):
+        ops.bilinear_patch(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2))), 1)
+    with pytest.raises(ConfigError):
+        ops.bilinear_patch(Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 2))), 1)
+    with pytest.raises(ConfigError):
+        ops.bilinear_patch(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 2))), -1)
+
+
+@pytest.mark.parametrize("index", [[0, 1], np.array([0, 0]), (slice(None), np.array([1])),
+                                   np.array([True, False, True]), True])
+def test_getitem_rejects_advanced_index(index):
+    """A repeated cell would need a summing scatter; basic indexes never repeat one."""
+    with pytest.raises(ConfigError, match="basic indexes only"):
+        ops.getitem(Tensor(np.zeros((3, 4))), index)
+
+
+def test_conv2d_skips_input_gradient_it_does_not_need():
+    """An input that needs no gradient gets none from the vjp; the weight
+    and bias gradients are bit-identical either way."""
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 3, 9, 8)).astype(np.float32)
+    w = Tensor(rng.standard_normal((4, 3, 7, 7)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal((2, 4, 5, 4)).astype(np.float32)
+    grads = []
+    for x_needs in (True, False):
+        grads.append(ops.conv2d(Tensor(x, requires_grad=x_needs), w, b, stride=2, pad=3)._vjp(g))
+    assert grads[0][0].shape == x.shape and grads[1][0] is None
+    assert np.array_equal(grads[0][1], grads[1][1]) and np.array_equal(grads[0][2], grads[1][2])
 
 
 def test_avg_pool2_values():
@@ -354,20 +401,6 @@ def _build_mul(rng, tensors=None, make_arrays=False):
     return ops.mul(*tensors)
 
 
-@case("div", 2)
-def _build_div(rng, tensors=None, make_arrays=False):
-    if make_arrays:
-        return [rng.standard_normal((3, 3)), rng.uniform(0.5, 2.0, (3, 3))]
-    return ops.div(*tensors)
-
-
-@case("neg", 1)
-def _build_neg(rng, tensors=None, make_arrays=False):
-    if make_arrays:
-        return [rng.standard_normal((2, 6))]
-    return ops.neg(tensors[0])
-
-
 @case("abs", 1)
 def _build_abs(rng, tensors=None, make_arrays=False):
     if make_arrays:
@@ -403,13 +436,6 @@ def _build_sum_keep(rng, tensors=None, make_arrays=False):
         return [rng.standard_normal((3, 4, 2))]
     w = np.arange(4, dtype=np.float64).reshape(1, 4, 1)
     return ops.mul(ops.sum_(tensors[0], axis=(0, 2), keepdims=True), w)
-
-
-@case("mean", 1)
-def _build_mean(rng, tensors=None, make_arrays=False):
-    if make_arrays:
-        return [rng.standard_normal((4, 6))]
-    return ops.mul(ops.mean_(tensors[0], axis=-1), 3.0)
 
 
 @case("relu", 1)
@@ -574,6 +600,37 @@ def _build_bilin_pts(rng, tensors=None, make_arrays=False):
     return ops.bilinear_sample(tensors[0], tensors[1])
 
 
+# one point per row: inside, off the map, straddling the left/top and the
+# right/bottom borders, and within 1e-3 of a cell edge on both axes
+_PATCH_POINTS = np.array([[2.3, 1.6], [-4.2, 2.5], [-0.6, -1.3], [5.4, 4.5], [3.001, 1.999]])
+
+
+@case("bilinear_patch_map", 1)
+def _build_patch_map(rng, tensors=None, make_arrays=False):
+    if make_arrays:
+        return [rng.standard_normal((5, 5, 6))]
+    return ops.bilinear_patch(tensors[0], _PATCH_POINTS, 2)
+
+
+@case("bilinear_patch_points", 2)
+def _build_patch_pts(rng, tensors=None, make_arrays=False):
+    if make_arrays:
+        return [rng.standard_normal((5, 5, 6)), _PATCH_POINTS]
+    w = np.arange(45, dtype=np.float64).reshape(5, 9) / 45.0
+    return ops.mul(ops.bilinear_patch(tensors[0], tensors[1], 1), w)
+
+
+@case("correlate_batch", 3)
+def _build_correlate(rng, tensors=None, make_arrays=False):
+    """Two levels, so the positions' gradient passes through two scales."""
+    if make_arrays:
+        cells = rng.integers(-1, 4, size=(2, 3, 2)) + rng.uniform(0.1, 0.4, size=(2, 3, 2))
+        return [rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 5, 6)), 8.0 * cells]
+    stacks = [tensors[1], ops.avg_pool2(tensors[1])]
+    corr = correlate_batch(tensors[0], stacks, tensors[2], 1, 4)
+    return ops.mul(corr, np.arange(108, dtype=np.float64).reshape(2, 3, 18) / 108.0)
+
+
 @case("layernorm", 3)
 def _build_ln(rng, tensors=None, make_arrays=False):
     if make_arrays:
@@ -618,3 +675,22 @@ def _build_getitem(rng, tensors=None, make_arrays=False):
 def test_gradients_match_finite_differences(name, seed):
     build, n_args = CASES[name]
     _check_op(build, n_args, seed)
+
+
+def test_every_op_has_a_finite_difference_case(monkeypatch):
+    """Building each case once calls every public function of ops.py."""
+    public = [name for name, fn in vars(ops).items()
+              if callable(fn) and not name.startswith("_") and fn.__module__ == ops.__name__]
+    called = set()
+    for name in public:
+        def spy(*args, _name=name, _fn=getattr(ops, name), **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ops, name, spy)
+    with precision("f64"):
+        for build, _ in CASES.values():
+            rng = np.random.default_rng(0)
+            build(rng, tensors=[Tensor(a, requires_grad=True) for a in build(rng, make_arrays=True)])
+    assert len(public) > 20
+    assert sorted(set(public) - called) == []

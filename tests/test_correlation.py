@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from evtrack.autodiff import Tensor, no_grad, ops
-from evtrack.correlation import build_pyramid, correlate_batch, load_queries_csv, offsets_grid
+from evtrack.autodiff import Tensor, no_grad, ops, precision
+from evtrack.correlation import build_pyramid, correlate_batch, load_queries_csv
 from evtrack.errors import ConfigError, UsageError
 from evtrack.pipeline import TrackSession
-from oracles import correlate_oracle
+from oracles import correlate_oracle, offsets_grid
 from util_fixtures import tiny_model
 
 
@@ -96,6 +96,26 @@ def test_correlate_matches_oracle_randomized(rng):
         assert np.max(np.abs(fast - slow)) < 1e-5
 
 
+@pytest.mark.parametrize("kind, rel_tol", [("f32", 1e-5), ("f64", 1e-12)])
+def test_correlate_batch_matches_oracle_relative(kind, rel_tol):
+    """Whole windows against the per-scalar oracle, relative to the largest
+    cost; positions inside, straddling the border and far off the map."""
+    rng = np.random.default_rng(21)
+    w_len, n, levels, radius = 3, 5, 3, 3
+    with precision(kind):
+        pyramids = [random_pyramid(rng, levels=levels) for _ in range(w_len)]
+        stacks = [ops.stack([p.levels[lv] for p in pyramids], axis=0) for lv in range(levels)]
+        feats = rng.standard_normal((w_len, n, 8)).astype(stacks[0].dtype)
+        positions = rng.uniform(-20, 80, size=(w_len, n, 2)).astype(stacks[0].dtype)
+        positions[0, 0] = (1e5, -1e5)
+        batch = correlate_batch(Tensor(feats), stacks, Tensor(positions), radius, 4).data
+    for t in range(w_len):
+        for q in range(n):
+            ref = correlate_oracle(feats[t, q], pyramids[t], positions[t, q], radius)
+            err = np.max(np.abs(batch[t, q] - ref))
+            assert err <= rel_tol * max(np.max(np.abs(ref)), 1.0), (t, q, err)
+
+
 def test_correlate_batch_matches_single(rng):
     levels = 3
     w_len, n = 4, 3
@@ -155,6 +175,35 @@ def test_init_queries_replicates(monkeypatch):
     assert np.array_equal(state.features.data[:, 0], state.features.data[:, 1])
     # all W entries replicate the template
     assert np.all(state.features.data[:, 2] == state.features.data[0, 2])
+
+
+def test_templates_one_read_per_birth_frame(monkeypatch):
+    """Queries born at one frame share one bilinear_sample call, and each
+    template equals a read of that query alone, bit for bit."""
+    model = tiny_model()  # 25 ms slices, 1/4 features
+    reads = []
+    sample = ops.bilinear_sample
+
+    def spy(fmap, points):
+        reads.append(len(points))
+        return sample(fmap, points)
+
+    monkeypatch.setattr(ops, "bilinear_sample", spy)
+    rows = [(0, 0, 8.0, 4.0), (1, 0, 13.3, 9.7), (2, 50_000, 20.6, 16.1), (3, 0, 30.2, 2.5),
+            (4, 50_000, 3.9, 33.4)]
+    images = [np.random.default_rng(i).random((1, 40, 48)).astype(np.float32) for i in range(3)]
+    with no_grad():
+        session = TrackSession(model, rows)
+        for i, image in enumerate(images):
+            session.advance(frame=(50_000 * i, image))
+        session.finish()
+        cells = [model.frame_encoder(Tensor(image)) for image in images[:2]]
+        assert reads == [3, 2]
+        for n, qid in enumerate(session.query_ids):  # the session orders queries by birth
+            _, t_birth, x, y = rows[qid]
+            pts = np.array([[x, y]], dtype=np.float32) / 4
+            alone = sample(cells[t_birth // 50_000], pts).data[0]
+            assert np.array_equal(session._templates[n].data, alone)
 
 
 def test_init_queries_errors():
