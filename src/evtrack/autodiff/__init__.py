@@ -2,7 +2,7 @@
 
 from . import ops
 from .params import ParamStore, adamw_step, load_weights, read_weight_file, save_weights
-from .tensor import Tensor, backward, no_grad, precision, set_debug
+from .tensor import Tensor, backward, no_grad, precision
 
 __all__ = [
     "ParamStore",
@@ -15,5 +15,4 @@ __all__ = [
     "precision",
     "read_weight_file",
     "save_weights",
-    "set_debug",
 ]

@@ -4,7 +4,8 @@ Exactly the operations the tracking pipeline needs: elementwise
 arithmetic, sums, matmul/linear, conv2d, pooling/upsampling, bilinear
 sampling of vectors and of scalar patches, activations, softmax, layer
 normalization and basic indexing. Every public function here has a
-case in the finite-difference gradient suite, and a test checks that.
+case in the finite-difference gradient suite and is called by one
+tracker forward and backward pass; a test checks each.
 """
 
 from __future__ import annotations
@@ -90,19 +91,11 @@ def cos(a) -> Tensor:
 # reductions
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
-        gx = g
-        if not keepdims:
-            gx = np.expand_dims(gx, axis)
-        return (np.broadcast_to(gx, a.shape).astype(a.dtype, copy=True),)
-
-    return make_node(np.asarray(out, dtype=a.dtype), (a,), vjp)
+    return make_node(np.asarray(a.data.sum(), dtype=a.dtype), (a,),
+                     lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),))
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +192,20 @@ def linear(x, weight, bias=None) -> Tensor:
 def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding.
 
-    Accepts (Cin,H,W) or (N,Cin,H,W) input; weight is (Cout,Cin,k,k) with
-    odd k. The padded input is lowered to channels-first columns
-    (N, Cin*k*k, Ho*Wo), rows in (c, u, v) order, one strided slice copy
-    per tap; one GEMM `w.reshape(Cout, -1) @ cols` then lands in NCHW, and
+    Input is (Cin,H,W) and weight (Cout,Cin,k,k) with odd k; the result is
+    (Cout,Ho,Wo). The padded input is lowered to channels-first columns
+    (Cin*k*k, Ho*Wo), rows in (c, u, v) order, one strided slice copy per
+    tap; one GEMM `w.reshape(Cout, -1) @ cols` then lands in CHW, and
     the reduction order over Cin*k*k is fixed by that GEMM. The backward
     pass keeps no columns: it rebuilds them from the input it holds and
     scatters the column gradient back through the same k*k slices, and
     only when the input needs a gradient (an encoder stem's input does not).
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or weight.ndim != 4:
-        raise ConfigError(f"conv2d expects 3/4-D input and 4-D weight, got {x.shape}, {weight.shape}")
-    n, cin, h, w = xd.shape
+    xd = x.data
+    if xd.ndim != 3 or weight.ndim != 4:
+        raise ConfigError(f"conv2d expects 3-D input and 4-D weight, got {x.shape}, {weight.shape}")
+    cin, h, w = xd.shape
     cout, cin_w, k, k2 = weight.shape
     if k != k2 or k % 2 == 0:
         raise ConfigError(f"conv2d kernel must be square with odd size, got {k}x{k2}")
@@ -228,35 +220,34 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
     def tap(a, u, v):
-        """The (N, Cin, Ho, Wo) strided view of padded `a` that tap (u, v) reads."""
-        return a[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
+        """The (Cin, Ho, Wo) strided view of padded `a` that tap (u, v) reads."""
+        return a[:, u : u + stride * ho : stride, v : v + stride * wo : stride]
 
     def columns():
-        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
-        xp[:, :, pad : pad + h, pad : pad + w] = xd
-        cols = np.empty((n, cin, k, k, ho, wo), dtype=xd.dtype)
+        xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
+        xp[:, pad : pad + h, pad : pad + w] = xd
+        cols = np.empty((cin, k, k, ho, wo), dtype=xd.dtype)
         for u, v in np.ndindex(k, k):
-            cols[:, :, u, v] = tap(xp, u, v)
-        return cols.reshape(n, cin * k * k, ho * wo)
+            cols[:, u, v] = tap(xp, u, v)
+        return cols.reshape(cin * k * k, ho * wo)
 
     w_flat = weight.data.reshape(cout, -1)
-    out = np.matmul(w_flat, columns()).reshape(n, cout, ho, wo)
+    out = np.matmul(w_flat, columns()).reshape(cout, ho, wo)
     out += bias.data[:, None, None]
 
     def vjp(g):
-        g = g.reshape(n, cout, ho * wo)
-        gw = np.matmul(g, columns().transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        gb = g.sum(axis=(0, 2))
+        g = g.reshape(cout, ho * wo)
+        gw = np.matmul(g, columns().T).reshape(weight.shape)
+        gb = g.sum(axis=1)
         if not _tracked(x):
             return None, gw, gb
-        dcols = np.matmul(w_flat.T, g).reshape(n, cin, k, k, ho, wo)
-        dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+        dcols = np.matmul(w_flat.T, g).reshape(cin, k, k, ho, wo)
+        dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
         for u, v in np.ndindex(k, k):
-            tap(dxp, u, v)[...] += dcols[:, :, u, v]
-        dx = dxp[:, :, pad : pad + h, pad : pad + w]
-        return (dx[0] if squeeze else dx), gw, gb
+            tap(dxp, u, v)[...] += dcols[:, u, v]
+        return dxp[:, pad : pad + h, pad : pad + w], gw, gb
 
-    return make_node(out[0] if squeeze else out, (x, weight, bias), vjp)
+    return make_node(out, (x, weight, bias), vjp)
 
 
 def avg_pool2(x) -> Tensor:
@@ -313,77 +304,47 @@ def upsample2_nearest(x, out_hw) -> Tensor:
 def bilinear_sample(fmap, points) -> Tensor:
     """Bilinearly sample feature vectors at continuous (x, y) positions.
 
-    `fmap` is (C,H,W) or (B,C,H,W); `points` is (P,2) or (B,P,2) with x
-    rightward, y downward, and pixel centers at integer coordinates.
-    Neighbors outside the grid contribute zero, so positions fully outside
-    return the zero vector. Differentiable in both the map and the points.
+    `fmap` is (C,H,W) and `points` a (P,2) array of (x, y) positions, x
+    rightward, y downward, pixel centers at integer coordinates; the
+    result is (P,C). Neighbors outside the grid contribute zero, so a
+    position fully outside reads the zero vector. The points are data,
+    so only the map gets a gradient; every point reads the one map, so
+    that gradient sums their scatters with `np.add.at`.
     """
-    fmap, points = as_tensor(fmap), as_tensor(points)
-    squeeze = fmap.ndim == 3
-    fm = fmap.data[None] if squeeze else fmap.data
-    pts = points.data[None] if points.ndim == 2 else points.data
-    if fm.ndim != 4 or pts.ndim != 3 or pts.shape[-1] != 2:
-        raise ConfigError(f"bilinear_sample shapes: map {fmap.shape}, points {points.shape}")
-    if not squeeze and fm.shape[0] != pts.shape[0]:
-        raise ConfigError(f"bilinear_sample batch mismatch: {fm.shape[0]} maps, {pts.shape[0]} point sets")
-    b, c, h, w = fm.shape
-    p = pts.shape[1]
+    fmap = as_tensor(fmap)
+    pts = np.asarray(points, dtype=fmap.dtype)
+    if fmap.ndim != 3 or pts.ndim != 2 or pts.shape[1] != 2:
+        raise ConfigError(f"bilinear_sample shapes: map {fmap.shape}, points {pts.shape}")
+    c, h, w = fmap.shape
 
-    fmc = np.ascontiguousarray(fm.transpose(0, 2, 3, 1))  # (B,H,W,C)
-    x, y = pts[..., 0], pts[..., 1]
+    fmc = np.ascontiguousarray(fmap.data.transpose(1, 2, 0))  # (H,W,C)
+    x, y = pts[:, 0], pts[:, 1]
     x0 = np.floor(x)
     y0 = np.floor(y)
-    fx = (x - x0).astype(fm.dtype)
-    fy = (y - y0).astype(fm.dtype)
+    fx = x - x0
+    fy = y - y0
     x0i = x0.astype(np.int64)
     y0i = y0.astype(np.int64)
-    bidx = np.arange(b)[:, None]
 
     corners = []
-    out = np.zeros((b, p, c), dtype=fm.dtype)
-    for dy, dx, wgt, dwx, dwy in (
-        (0, 0, (1 - fx) * (1 - fy), -(1 - fy), -(1 - fx)),
-        (0, 1, fx * (1 - fy), (1 - fy), -fx),
-        (1, 0, (1 - fx) * fy, -fy, (1 - fx)),
-        (1, 1, fx * fy, fy, fx),
-    ):
+    out = np.zeros((len(pts), c), dtype=fmap.dtype)
+    for dy, dx, wgt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, fx * (1 - fy)),
+                        (1, 0, (1 - fx) * fy), (1, 1, fx * fy)):
         xi = x0i + dx
         yi = y0i + dy
         valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
         xc = np.clip(xi, 0, w - 1)
         yc = np.clip(yi, 0, h - 1)
-        vals = fmc[bidx, yc, xc] * valid[..., None]
-        out += vals * wgt[..., None]
-        corners.append((yc, xc, valid, wgt, dwx, dwy, vals))
+        out += fmc[yc, xc] * valid[:, None] * wgt[:, None]
+        corners.append((yc, xc, wgt * valid))
 
     def vjp(g):
-        if g.ndim == 2:
-            g = g[None]
-        need_map = _tracked(fmap)
-        need_pts = _tracked(points)
-        gmap = np.zeros_like(fmc) if need_map else None
-        gx = np.zeros((b, p), dtype=fm.dtype) if need_pts else None
-        gy = np.zeros((b, p), dtype=fm.dtype) if need_pts else None
-        for yc, xc, valid, wgt, dwx, dwy, vals in corners:
-            if need_map:
-                np.add.at(gmap, (bidx, yc, xc), g * (wgt * valid)[..., None])
-            if need_pts:
-                gdotv = (g * vals).sum(axis=-1)
-                gx += gdotv * dwx
-                gy += gdotv * dwy
-        dmap = None
-        if need_map:
-            dmap = gmap.transpose(0, 3, 1, 2)
-            if squeeze:
-                dmap = dmap[0]
-        dpts = None
-        if need_pts:
-            dpts = np.stack([gx, gy], axis=-1)
-            if points.ndim == 2:
-                dpts = dpts[0]
-        return dmap, dpts
+        gmap = np.zeros_like(fmc)
+        for yc, xc, wgt in corners:
+            np.add.at(gmap, (yc, xc), g * wgt[:, None])
+        return (gmap.transpose(2, 0, 1),)
 
-    return make_node(out[0] if squeeze and points.ndim == 2 else out, (fmap, points), vjp)
+    return make_node(out, (fmap,), vjp)
 
 
 def bilinear_patch(vol, points, radius: int) -> Tensor:

@@ -17,12 +17,15 @@ from .tensor import Tensor
 
 
 class ParamStore:
-    """Uniquely named parameters plus per-parameter optimizer state."""
+    """Uniquely named parameters plus Adam moments and one shared step count.
+
+    Every `adamw_step` updates every parameter, so one `step` serves all.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._steps: dict[str, int] = {}
+        self.step = 0
 
     def create(self, name: str, data) -> Tensor:
         if name in self._params:
@@ -30,17 +33,7 @@ class ParamStore:
         t = Tensor(np.asarray(data, dtype=np.float32), requires_grad=True)
         self._params[name] = t
         self._moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
-        self._steps[name] = 0
         return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self):
         return list(self._params)
@@ -48,22 +41,15 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def tensors(self):
-        return list(self._params.values())
-
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
 
-    def step_count(self, name: str) -> int:
-        return self._steps[name]
-
-    def load_state(self, name: str, m: np.ndarray, v: np.ndarray, step: int) -> None:
+    def load_state(self, name: str, m: np.ndarray, v: np.ndarray) -> None:
         ref = self._params[name].data
         if m.shape != ref.shape or v.shape != ref.shape:
             raise ConfigError(f"optimizer state shape mismatch for {name!r}")
         self._moments[name] = (m.astype(np.float32), v.astype(np.float32))
-        self._steps[name] = int(step)
 
     def moments(self, name: str):
         return self._moments[name]
@@ -83,6 +69,7 @@ def adamw_step(
     treated as zero).
     """
     b1, b2 = betas
+    t = store.step + 1
     for name, p in store.items():
         g = p.grad
         if g is None:
@@ -93,14 +80,13 @@ def adamw_step(
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m, v = store._moments[name]
-        t = store._steps[name] + 1
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
         store._moments[name] = (m, v)
-        store._steps[name] = t
+    store.step = t
 
 
 def manifest_path(blob_path: str) -> str:

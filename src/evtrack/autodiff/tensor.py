@@ -18,8 +18,8 @@ from ..errors import UsageError
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 # Global modes: compute dtype (f32 for training/inference, f64 for gradient
-# checks), gradient recording, and debug finiteness checks.
-_state = {"dtype": np.float32, "grad": True, "debug": False}
+# checks) and gradient recording.
+_state = {"dtype": np.float32, "grad": True}
 
 
 def default_dtype():
@@ -28,15 +28,6 @@ def default_dtype():
 
 def grad_enabled() -> bool:
     return _state["grad"]
-
-
-def debug_checks() -> bool:
-    return _state["debug"]
-
-
-def set_debug(flag: bool) -> None:
-    """Toggle NaN/Inf detection on every created tensor."""
-    _state["debug"] = bool(flag)
 
 
 @contextlib.contextmanager
@@ -73,10 +64,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else default_dtype())
-        if debug_checks() and not np.all(np.isfinite(arr)):
-            raise UsageError("tensor initialized with non-finite values")
-        self.data = arr
+        self.data = np.asarray(data, dtype=dtype if dtype is not None else default_dtype())
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -108,8 +96,6 @@ class Tensor:
 
         return ops.add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         from . import ops
 
@@ -125,22 +111,10 @@ class Tensor:
 
         return ops.mul(self, other)
 
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, other)
-
     def __getitem__(self, index):
         from . import ops
 
         return ops.getitem(self, index)
-
-    def sum(self, axis=None, keepdims=False):
-        from . import ops
-
-        return ops.sum_(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         from . import ops
@@ -163,8 +137,6 @@ def make_node(data: np.ndarray, parents, vjp) -> Tensor:
     out._parents = ()
     out._vjp = None
     out.requires_grad = False
-    if debug_checks() and not np.all(np.isfinite(data)):
-        raise UsageError("operation produced non-finite values")
     if grad_enabled():
         tracked = any(p.requires_grad or p._vjp is not None for p in parents)
         if tracked:
@@ -194,11 +166,12 @@ def _topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params=None) -> None:
+def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates `.grad` on every reachable tensor that requires gradients;
-    listed `params` that the loss does not reach get a zero gradient.
+    Populates `.grad` on every reachable tensor that requires gradients.
+    A parameter the loss does not reach keeps `grad` None, which
+    `adamw_step` reads as a zero gradient.
     """
     if loss.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -214,7 +187,3 @@ def backward(loss: Tensor, params=None) -> None:
                 continue
             # accumulation always allocates, so aliasing g is safe
             parent.grad = g if parent.grad is None else parent.grad + g
-    if params is not None:
-        for p in params:
-            if p.requires_grad and p.grad is None:
-                p.grad = np.zeros_like(p.data)

@@ -8,7 +8,6 @@ Config resolution: --config file, then repeated --set key=value overrides.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import json
 import os
@@ -16,13 +15,12 @@ import sys
 
 from .autodiff import load_weights
 from .config import RunConfig, load_config
-from .correlation import load_queries_csv
 from .errors import ConfigError, EvtrackError
 from .metrics import GtTrack, evaluate_tracks
-from .pipeline import TrackerModel, load_tracks_csv, run_offline, save_tracks_csv
+from .pipeline import TrackerModel, load_queries_csv, load_tracks_csv, run_offline, save_tracks_csv
 from .plotting import plot_sequence
 from .synth import generate_dataset, load_sequence
-from .training import train
+from .training import check_trained_config, train
 
 
 def _parse_sets(pairs) -> dict:
@@ -114,14 +112,7 @@ def cmd_track(args) -> str:
     cfg = _config(args, {"dt_track_us": str(manifest["dt_track_us"])})
     queries = load_queries_csv(args.queries)
     model = TrackerModel(cfg.tracker, seed=cfg.train.seed)
-    trained = load_weights(model.store, args.weights).get("tracker", {})
-    differ = sorted(k for k, v in dataclasses.asdict(cfg.tracker).items()
-                    if k in trained and trained[k] != v)
-    if differ:
-        raise ConfigError(
-            f"{args.weights} was trained with another tracker config: "
-            + ", ".join(f"{k}={trained[k]!r} (now {getattr(cfg.tracker, k)!r})" for k in differ)
-        )
+    check_trained_config(cfg.tracker, load_weights(model.store, args.weights), args.weights)
     tracks, _ = run_offline(model, frames, events, queries)
     save_tracks_csv(tracks, args.out)
     samples = sum(len(t.samples) for t in tracks)

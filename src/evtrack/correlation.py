@@ -16,13 +16,12 @@ local lookup (Teed & Deng, 2020), applied to the inner-product volume.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, ops
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 
 
 @dataclass
@@ -98,20 +97,3 @@ def correlate_batch(features: Tensor, level_stacks: list[Tensor], positions: Ten
         sampled = ops.bilinear_patch(vol.reshape((w_len * n, h, w)), pts, radius)
         pieces.append(sampled.reshape((w_len, n, -1)))
     return ops.concat(pieces, axis=-1)
-
-
-def load_queries_csv(path: str) -> list[tuple[int, int, float, float]]:
-    """Read "id,t_us,x,y" rows (header optional) into tuples."""
-    rows = []
-    with open(path) as f:
-        for rec in csv.reader(f):
-            if not rec:
-                continue
-            if rec[0].strip().lower() in ("id", "track_id"):
-                continue
-            if len(rec) != 4:
-                raise ConfigError(f"query row needs 4 fields, got {rec!r}")
-            rows.append((int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3])))
-    if not rows:
-        raise UsageError(f"no queries in {path}")
-    return rows

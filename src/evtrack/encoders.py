@@ -84,8 +84,8 @@ class FpnEncoder:
         self.smooth = Conv2dLayer(store, f"{prefix}.smooth", c, c, 3, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Encode (Cin,H,W) or (N,Cin,H,W) to features at 1/downsample."""
-        cin = x.shape[-3]
+        """Encode a (Cin,H,W) input to (C, H/S, W/S) features, S = downsample."""
+        cin = x.shape[0]
         if cin != self.in_channels:
             raise ConfigError(f"encoder expects {self.in_channels} input channels, got {cin}")
         if min(x.shape[-1], x.shape[-2]) < self.downsample:
@@ -127,7 +127,7 @@ class MotionGatedFusion:
 
     def __call__(self, f_image, f_event, dp_prev: float, branch=None,
                  use_frames: bool = True) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
-        """Fuse feature tensors of identical shape (C,h,w) or (N,C,h,w).
+        """Fuse two (C,h,w) feature maps of identical shape into one.
 
         Returns (fused, branch). `branch` is the image branch (f_i, skip)
         of f_image: None computes it, a branch an earlier call returned for
@@ -143,24 +143,16 @@ class MotionGatedFusion:
             f_i = ops.relu(self.conv_image(f_image))
             branch = (f_i, self.image_skip(f_i))
         f_i, skip = branch
-        beta = self.gate_value(dp_prev).reshape((1,) * (f_i.ndim - 3) + (1, 1, 1))
+        beta = self.gate_value(dp_prev).reshape((1, 1, 1))
         mixed = beta * f_i + (1.0 - beta) * f_e
         return ops.relu(self.conv_mix(mixed) + skip), branch
 
 
-def mean_flow(prev1: np.ndarray | None, prev2: np.ndarray | None,
-              active: np.ndarray | None = None) -> float:
-    """Mean Euclidean displacement between the two latest predicted positions.
-
-    Returns 0 when fewer than two timesteps exist or no query is active.
-    """
-    if prev1 is None or prev2 is None:
+def mean_flow(last: np.ndarray, prev: np.ndarray, active: np.ndarray) -> float:
+    """Mean Euclidean displacement of the active queries between their two
+    latest refined positions; 0 when no query is active."""
+    last = np.asarray(last, dtype=np.float64)[active]
+    prev = np.asarray(prev, dtype=np.float64)[active]
+    if last.size == 0:
         return 0.0
-    prev1 = np.asarray(prev1, dtype=np.float64)
-    prev2 = np.asarray(prev2, dtype=np.float64)
-    if active is not None:
-        prev1 = prev1[active]
-        prev2 = prev2[active]
-    if prev1.size == 0:
-        return 0.0
-    return float(np.linalg.norm(prev1 - prev2, axis=-1).mean())
+    return float(np.linalg.norm(last - prev, axis=-1).mean())

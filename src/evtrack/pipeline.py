@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,8 +356,7 @@ class TrackSession:
     def _gate_input(self) -> float:
         if self._flow_pair is None:
             return 0.0
-        last, prev, active = self._flow_pair
-        return mean_flow(last, prev, active)
+        return mean_flow(*self._flow_pair)
 
     def _process_slice(self, t_slice: int):
         cfg = self.cfg
@@ -520,15 +520,39 @@ def save_tracks_csv(tracks, path: str) -> None:
                 f.write(f"{track.id},{t},{x:.3f},{y:.3f}\n")
 
 
-def load_tracks_csv(path: str) -> dict[int, list[tuple[int, float, float]]]:
-    out: dict[int, list[tuple[int, float, float]]] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("track_id"):
+def _load_rows_csv(path: str) -> list[tuple[int, int, float, float]]:
+    """Read the "id,t_us,x,y" rows that `save_tracks_csv` writes.
+
+    A first row whose first field is `id` or `track_id` is a header and
+    is skipped; blank rows are skipped; any other row that is not an int,
+    an int and two floats raises ConfigError.
+    """
+    rows = []
+    with open(path, newline="") as f:
+        for i, rec in enumerate(csv.reader(f)):
+            header = i == 0 and rec and rec[0].strip().lower() in ("id", "track_id")
+            if header or not "".join(rec).strip():
                 continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ConfigError(f"bad track row: {line!r}")
-            out.setdefault(int(parts[0]), []).append((int(parts[1]), float(parts[2]), float(parts[3])))
+            try:
+                if len(rec) != 4:
+                    raise ValueError
+                rows.append((int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3])))
+            except ValueError:
+                raise ConfigError(f"{path} line {i + 1}: expected id,t_us,x,y, got {rec!r}") from None
+    return rows
+
+
+def load_queries_csv(path: str) -> list[tuple[int, int, float, float]]:
+    """Query rows (id, t_us, x, y); a file with none is a usage error."""
+    rows = _load_rows_csv(path)
+    if not rows:
+        raise UsageError(f"no queries in {path}")
+    return rows
+
+
+def load_tracks_csv(path: str) -> dict[int, list[tuple[int, float, float]]]:
+    """Track rows grouped by id: {id: [(t_us, x, y), ...]} in file order."""
+    out: dict[int, list[tuple[int, float, float]]] = {}
+    for tid, t, x, y in _load_rows_csv(path):
+        out.setdefault(tid, []).append((t, x, y))
     return out

@@ -104,9 +104,9 @@ class _AttnBlock:
         dh = d // h
         normed = ops.layernorm(x, self.ln1_g, self.ln1_b)
         qkv = self.qkv(normed)
-        q = qkv[:, :, 0:d].reshape((b, t, h, dh)).transpose((0, 2, 1, 3))
-        k = qkv[:, :, d : 2 * d].reshape((b, t, h, dh)).transpose((0, 2, 1, 3))
-        v = qkv[:, :, 2 * d : 3 * d].reshape((b, t, h, dh)).transpose((0, 2, 1, 3))
+        # (3, B, H, T, dh) in one copy; q, k and v are views of it
+        heads = qkv.reshape((b, t, 3, h, dh)).transpose((2, 0, 3, 1, 4))
+        q, k, v = heads[0], heads[1], heads[2]
         scores = ops.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
         attn = ops.softmax_lastdim(scores)
         mixed = ops.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((b, t, d))

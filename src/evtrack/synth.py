@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .events import EventStream, save_binary_events
 from .images import save_image
 from .metrics import GtTrack
-from .pipeline import load_tracks_csv, save_tracks_csv
+from .pipeline import load_queries_csv, load_tracks_csv, save_tracks_csv
 
 
 @dataclass
@@ -276,7 +276,6 @@ def generate_dataset(out_dir: str, seed: int, n_scenes: int, size=(64, 64),
 
 def load_sequence(seq_dir: str):
     """Read one sequence directory back: (manifest, frames, events, gt, queries)."""
-    from .correlation import load_queries_csv
     from .events import load_binary_events
     from .images import load_image
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .autodiff import Tensor, adamw_step, backward, ops
 from .autodiff.params import assign_weights, read_weight_file, save_arrays, save_weights
-from .errors import TrainingError, UsageError
-from .pipeline import TrackerModel, run_offline
+from .errors import ConfigError, TrainingError, UsageError
+from .pipeline import TrackerConfig, TrackerModel, run_offline
 
 
 def iteration_weights(m: int, gamma: float) -> np.ndarray:
@@ -103,29 +103,49 @@ def sequence_loss(model: TrackerModel, frames, events, queries, gt_by_id,
     return total, len(session.window_runs)
 
 
+def _file_meta(model: TrackerModel, step: int) -> dict:
+    return {"step": step, "tracker": dataclasses.asdict(model.cfg)}
+
+
+def check_trained_config(cfg: TrackerConfig, meta: dict, path: str) -> None:
+    """Reject a weight file whose recorded tracker config differs from `cfg`."""
+    trained = meta.get("tracker", {})
+    differ = sorted(k for k, v in dataclasses.asdict(cfg).items()
+                    if k in trained and trained[k] != v)
+    if differ:
+        raise ConfigError(
+            f"{path} was trained with another tracker config: "
+            + ", ".join(f"{k}={trained[k]!r} (now {getattr(cfg, k)!r})" for k in differ)
+        )
+
+
 def save_checkpoint(model: TrackerModel, path: str, step: int) -> None:
-    """Weights plus Adam moments and step count, in the weight-file container."""
+    """Weights plus Adam moments, step count and tracker config, in the weight-file container."""
     arrays = {name: p.data for name, p in model.store.items()}
-    opt_step = 0
     for name in model.store.names():
         m, v = model.store.moments(name)
         arrays[f"opt.{name}.m"] = m
         arrays[f"opt.{name}.v"] = v
-        opt_step = model.store.step_count(name)
-    save_arrays(arrays, path, extra={"step": step, "opt_step": opt_step})
+    save_arrays(arrays, path, extra=_file_meta(model, step))
 
 
 def load_checkpoint(model: TrackerModel, path: str) -> int:
-    """Restore weights and optimizer state; returns the step to resume from."""
+    """Restore weights and optimizer state; returns the step to resume from.
+
+    One Adam step is taken per training step, so the optimizer resumes at
+    that step too. A file without optimizer state, or one trained with
+    another tracker config, is rejected.
+    """
     arrays, meta = read_weight_file(path)
     assign_weights(model.store, arrays, path)
-    opt_step = int(meta.get("opt_step", 0))
-    for name in model.store.names():
-        m = arrays.get(f"opt.{name}.m")
-        v = arrays.get(f"opt.{name}.v")
-        if m is not None and v is not None:
-            model.store.load_state(name, m.copy(), v.copy(), opt_step)
-    return int(meta.get("step", 0))
+    check_trained_config(model.cfg, meta, path)
+    names = model.store.names()
+    if not all(f"opt.{name}.m" in arrays and f"opt.{name}.v" in arrays for name in names):
+        raise UsageError(f"{path} holds no optimizer state; resume from a checkpoint.bin")
+    for name in names:
+        model.store.load_state(name, arrays[f"opt.{name}.m"], arrays[f"opt.{name}.v"])
+    model.store.step = int(meta.get("step", 0))
+    return model.store.step
 
 
 def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,
@@ -164,7 +184,7 @@ def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise TrainingError(f"non-finite loss at step {step}")
-            backward(loss, params=model.store.tensors())
+            backward(loss)
             adamw_step(model.store, lr=lr, weight_decay=cfg.weight_decay)
 
             history.append((step, loss_val, lr))
@@ -178,5 +198,5 @@ def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,
     done = history[-1][0] + 1 if history else start
     save_checkpoint(model, os.path.join(out_dir, "checkpoint.bin"), done)
     save_weights(model.store, weights_path or os.path.join(out_dir, "weights.bin"),
-                 extra={"step": done, "tracker": dataclasses.asdict(model.cfg)})
+                 extra=_file_meta(model, done))
     return history

@@ -235,6 +235,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "time_wavelength" in err
 
+    @pytest.mark.parametrize("resume, extra, error", [
+        ("checkpoint.bin", ["--set", "iterations=4"], "iterations=2 (now 4)"),
+        ("weights.bin", [], "holds no optimizer state"),
+    ], ids=["config-changed", "no-optimizer-state"])
+    def test_resume_must_resume_exactly(self, pipeline_dirs, tiny_cli_args, tmp_path, capsys,
+                                       resume, extra, error):
+        """A resumed run continues the saved one: same tracker config, saved Adam moments."""
+        root, data, _ = pipeline_dirs
+        assert main(["train", "--data", data, "--out", str(tmp_path / "w.bin"),
+                     "--resume", str(root / resume), *tiny_cli_args, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and error in err
+        assert not os.path.exists(tmp_path / "loss_log.csv")
+
     def test_track_rejects_bad_tracker_value(self, pipeline_dirs, tiny_cli_args, tmp_path,
                                              capsys):
         _, data, weights = pipeline_dirs

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from evtrack.autodiff import Tensor, no_grad, ops, precision
-from evtrack.correlation import build_pyramid, correlate_batch, load_queries_csv
+from evtrack.correlation import build_pyramid, correlate_batch
 from evtrack.errors import ConfigError, UsageError
-from evtrack.pipeline import TrackSession
+from evtrack.pipeline import TrackSession, load_queries_csv
 from oracles import correlate_oracle, offsets_grid
 from util_fixtures import tiny_model
 

@@ -14,6 +14,7 @@ from evtrack.pipeline import (
     Track,
     TrackerConfig,
     TrackSession,
+    load_queries_csv,
     load_tracks_csv,
     run_offline,
     save_tracks_csv,
@@ -356,9 +357,11 @@ class TestBoundedState:
 
 def _tied(seq, **overrides):
     """`seq` plus one event at every frame and slice time, so the splits
-    below meet events that share a frame's timestamp, with the model and
-    its offline tracks."""
+    below meet events that share a frame's timestamp, and one query born
+    at 150 ms, after the first refinement, so windows hold an unborn
+    query's zero template; with the model and its offline tracks."""
     frames, events, queries, _, _, slice_times = seq
+    queries = queries + [(max(q[0] for q in queries) + 1, 150_000, 12.5, 17.25)]
     extra = np.array(sorted({t for t, _ in frames} | set(slice_times)), dtype=np.int64)
     ts = np.concatenate([events.ts, extra])
     order = np.argsort(ts, kind="stable")
@@ -598,3 +601,18 @@ def test_track_csv_roundtrip(tmp_path):
     back = load_tracks_csv(path)
     assert back[2] == [(0, 1.0, 2.0), (25_000, 1.5, 2.25)]
     assert back[7] == [(0, 3.125, 4.0)]
+
+
+def test_queries_and_tracks_share_one_row_reader(tmp_path):
+    """Queries are the rows and tracks the rows grouped by id; the header is
+    optional and only ever the first row, and a row that does not parse
+    raises ConfigError for both."""
+    path = tmp_path / "rows.csv"
+    path.write_text("id,t_us,x,y\n4,0,1.5,2\n\n4,25000,2,3\n9,0,5,6\n")
+    assert load_queries_csv(str(path)) == [(4, 0, 1.5, 2.0), (4, 25_000, 2.0, 3.0), (9, 0, 5.0, 6.0)]
+    assert load_tracks_csv(str(path)) == {4: [(0, 1.5, 2.0), (25_000, 2.0, 3.0)], 9: [(0, 5.0, 6.0)]}
+    for bad in ("4,0,1.5\n", "4,0,x,2\n", "4,0.5,1,2\n", "4,0,1,2\ntrack_id,t_us,x,y\n"):
+        path.write_text(bad)
+        for load in (load_queries_csv, load_tracks_csv):
+            with pytest.raises(ConfigError, match="expected id,t_us,x,y"):
+                load(str(path))

@@ -250,7 +250,7 @@ class TestTrainingLoop:
         step = load_checkpoint(fresh, str(tmp_path / "x" / "checkpoint.bin"))
         assert step == 2
         name = fresh.store.names()[0]
-        assert fresh.store.step_count(name) == 2
+        assert fresh.store.step == 2
         m, v = fresh.store.moments(name)
         assert np.array_equal(m, model.store.moments(name)[0])
 
