@@ -2,10 +2,11 @@
 
 Exactly the operations the tracking pipeline needs: elementwise
 arithmetic, sums, matmul/linear, conv2d, pooling/upsampling, bilinear
-sampling of vectors and of scalar patches, activations, softmax, layer
-normalization and basic indexing. Every public function here has a
-case in the finite-difference gradient suite and is called by one
-tracker forward and backward pass; a test checks each.
+sampling of vectors and of scalar patches, activations, multi-head
+attention along a token axis, layer normalization and basic indexing.
+Every public function here has a case in the finite-difference gradient
+suite and is called by one tracker forward and backward pass; a test
+checks each.
 """
 
 from __future__ import annotations
@@ -104,10 +105,11 @@ def sum_(a) -> Tensor:
 
 def relu(a) -> Tensor:
     """max(a, 0) elementwise. NaN stays NaN, so a non-finite value is passed
-    on to the caller's finiteness checks instead of being zeroed."""
+    on to the caller's finiteness checks instead of being zeroed. The vjp
+    reads `out > 0`, which is `a > 0` for every input, NaN included."""
     a = as_tensor(a)
-    mask = a.data > 0
-    return make_node(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
+    out = np.maximum(a.data, 0)
+    return make_node(out, (a,), lambda g: (g * (out > 0),))
 
 
 def sigmoid(a) -> Tensor:
@@ -116,20 +118,6 @@ def sigmoid(a) -> Tensor:
     y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     y = y.astype(a.dtype)
     return make_node(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def softmax_lastdim(a) -> Tensor:
-    """Softmax over the trailing axis, stabilized by max subtraction."""
-    a = as_tensor(a)
-    y = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return make_node(y, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +171,57 @@ def linear(x, weight, bias=None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_node(out.reshape(x.shape[:-1] + (d_out,)), parents, vjp)
+
+
+def attention(qkv, heads: int, axis: int) -> Tensor:
+    """Multi-head self-attention along one token axis of packed q, k and v.
+
+    `qkv` is (A0, A1, 3D): the trailing axis holds q, k and v, each split
+    into `heads` heads of width dh = D / heads. Tokens attend along `axis`
+    (0 or 1); the other axis indexes independent sequences. The result is
+    (A0, A1, D), each head's softmax(q kᵀ / √dh) v in its dh columns.
+
+    q, k and v are (B, H, T, dh) views of the input, T the attended axis;
+    only q is copied, scaled by 1/√dh, and `q @ kᵀ` reads k through a
+    transposed view. Softmax runs in place on the (B, H, T, T) scores,
+    and the last product writes the result through a strided view.
+    Backward keeps the probabilities and the scaled q, and writes dq, dk
+    and dv into one buffer shaped like the input.
+    """
+    qkv = as_tensor(qkv)
+    if qkv.ndim != 3 or axis not in (0, 1) or heads < 1 or qkv.shape[2] % (3 * heads):
+        raise ConfigError(f"attention needs (A0, A1, 3*heads*dh) and axis 0 or 1, "
+                          f"got {qkv.shape}, heads={heads}, axis={axis}")
+    a0, a1, d3 = qkv.shape
+    dh = d3 // (3 * heads)
+    # (A0, A1, 3, H, dh) -> (3, B, H, T, dh) and (A0, A1, H, dh) -> (B, H, T, dh)
+    to_heads = (2, 1, 3, 0, 4) if axis == 0 else (2, 0, 3, 1, 4)
+    to_out = (1, 2, 0, 3) if axis == 0 else (0, 2, 1, 3)
+    split = (a0, a1, 3, heads, dh)
+    per_head = qkv.data.reshape(split).transpose(to_heads)
+    scale = qkv.dtype.type(1.0 / np.sqrt(dh))
+    q, k, v = per_head[0] * scale, per_head[1], per_head[2]
+    p = np.matmul(q, np.swapaxes(k, -1, -2))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.einsum("...i->...", p)[..., None]
+    out = np.empty((a0, a1, heads, dh), dtype=qkv.dtype)
+    np.matmul(p, v, out=out.transpose(to_out))
+
+    def vjp(g):
+        go = g.reshape(a0, a1, heads, dh).transpose(to_out)
+        dqkv = np.empty(split, dtype=g.dtype)
+        dq, dk, dv = dqkv.transpose(to_heads)
+        np.matmul(np.swapaxes(p, -1, -2), go, out=dv)
+        ds = np.matmul(go, np.swapaxes(v, -1, -2))  # d p, then d scores in place
+        ds -= np.einsum("...i,...i->...", ds, p)[..., None]
+        ds *= p
+        np.matmul(ds, k, out=dq)
+        dq *= scale
+        np.matmul(np.swapaxes(ds, -1, -2), q, out=dk)
+        return (dqkv.reshape(qkv.shape),)
+
+    return make_node(out.reshape(a0, a1, heads * dh), (qkv,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +446,33 @@ def bilinear_patch(vol, points, radius: int) -> Tensor:
 
 
 def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing axis to zero mean / unit variance, then affine."""
+    """Normalize the trailing axis to zero mean / unit variance, then affine.
+
+    The input is centred once; the row sums are `einsum`s, the variance
+    a row dot of the centred rows, and x̂ is scaled in place in that
+    buffer.
+    """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ConfigError(f"layernorm affine shapes {gamma.shape}/{beta.shape} != ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - np.einsum("...i->...", x.data)[..., None] / d
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def vjp(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        rows, xrows = g.reshape(-1, d), xhat.reshape(-1, d)
+        dgamma = np.einsum("ni,ni->i", rows, xrows)
+        dbeta = rows.sum(axis=0)
+        dx = g * gamma.data
+        mean = np.einsum("...i->...", dx)[..., None] / d
+        proj = np.einsum("...i,...i->...", dx, xhat)[..., None] / d
+        dx -= mean
+        dx -= xhat * proj
+        dx *= inv
         return dx, dgamma, dbeta
 
     return make_node(out, (x, gamma, beta), vjp)
@@ -442,13 +486,6 @@ def reshape(a, shape) -> Tensor:
     """numpy's reshape: a view of `a` unless its strides rule one out."""
     a = as_tensor(a)
     return make_node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    inv = tuple(np.argsort(axes))
-    out = np.ascontiguousarray(a.data.transpose(axes))
-    return make_node(out, (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:

@@ -66,19 +66,21 @@ def adamw_step(
     """One decoupled-weight-decay Adam update, in place.
 
     Gradients come from each parameter's `.grad` (missing grads are
-    treated as zero).
+    treated as zero). Every gradient is checked before any parameter
+    moves, so a step that raises leaves the store as it was.
     """
-    b1, b2 = betas
-    t = store.step + 1
+    grads = {}
     for name, p in store.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        g = np.asarray(g, dtype=np.float32)
+        g = np.zeros_like(p.data) if p.grad is None else np.asarray(p.grad, dtype=np.float32)
         if g.shape != p.data.shape:
             raise ConfigError(f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        grads[name] = g
+    b1, b2 = betas
+    t = store.step + 1
+    for name, p in store.items():
+        g = grads[name]
         m, v = store._moments[name]
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * (g * g)

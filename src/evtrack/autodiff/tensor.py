@@ -123,11 +123,6 @@ class Tensor:
             shape = tuple(shape[0])
         return ops.reshape(self, shape)
 
-    def transpose(self, axes):
-        from . import ops
-
-        return ops.transpose(self, axes)
-
 
 def make_node(data: np.ndarray, parents, vjp) -> Tensor:
     """Wrap an op result, recording parents/vjp when grads are on."""

@@ -4,11 +4,12 @@ Tokens per (slice, query) concatenate the displacement from the window
 start, the working content feature, the correlation vector and
 sinusoidal encodings of the displacement, of the query's initial
 position and of the slice's accumulated event duration (see
-`token_len`). A transformer alternating temporal attention (over the
-window axis, per track) and spatial attention (over the query axis, per
-slice) emits position and feature deltas; the update repeats
+`token_len`). A transformer alternating temporal attention and spatial
+attention emits position and feature deltas; the update repeats
 `iterations` times with shared weights, re-sampling correlations at each
-new position estimate.
+new position estimate. The tokens stay (W, N, D) throughout: temporal
+blocks attend along axis 0 (the window, per track) and spatial blocks
+along axis 1 (the queries, per slice), and no tokens are transposed.
 
 Persistent query templates are never written here: feature deltas touch
 only the per-window working copies.
@@ -87,7 +88,6 @@ class _AttnBlock:
     """Pre-norm multi-head self-attention + 2-layer MLP, both residual."""
 
     def __init__(self, store: ParamStore, name: str, dim: int, heads: int, mlp_ratio: int, rng):
-        self.dim = dim
         self.heads = heads
         self.ln1_g = store.create(f"{name}.ln1.g", np.ones(dim, dtype=np.float32))
         self.ln1_b = store.create(f"{name}.ln1.b", np.zeros(dim, dtype=np.float32))
@@ -98,19 +98,10 @@ class _AttnBlock:
         self.fc1 = LinearLayer(store, f"{name}.fc1", dim, mlp_ratio * dim, rng)
         self.fc2 = LinearLayer(store, f"{name}.fc2", mlp_ratio * dim, dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        b, t, d = x.shape
-        h = self.heads
-        dh = d // h
+    def __call__(self, x: Tensor, axis: int) -> Tensor:
+        """Attend along token axis `axis` of the (W, N, D) tokens."""
         normed = ops.layernorm(x, self.ln1_g, self.ln1_b)
-        qkv = self.qkv(normed)
-        # (3, B, H, T, dh) in one copy; q, k and v are views of it
-        heads = qkv.reshape((b, t, 3, h, dh)).transpose((2, 0, 3, 1, 4))
-        q, k, v = heads[0], heads[1], heads[2]
-        scores = ops.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-        attn = ops.softmax_lastdim(scores)
-        mixed = ops.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((b, t, d))
-        x = x + self.proj(mixed)
+        x = x + self.proj(ops.attention(self.qkv(normed), self.heads, axis))
         x = x + self.fc2(ops.relu(self.fc1(ops.layernorm(x, self.ln2_g, self.ln2_b))))
         return x
 
@@ -134,8 +125,7 @@ class WindowRefiner:
     def _transform(self, raw: Tensor) -> Tensor:
         x = self.project(raw)
         for temporal, spatial in self.blocks:
-            xt = temporal(x.transpose((1, 0, 2)))  # (N, W, D): attend over time
-            x = spatial(xt.transpose((1, 0, 2)))  # (W, N, D): attend over queries
+            x = spatial(temporal(x, axis=0), axis=1)
         return x
 
     def refine(self, state: WindowState, pyramids, p_init: np.ndarray):

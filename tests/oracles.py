@@ -1,4 +1,5 @@
-"""Brute-force references for event stacks, correlation and convolution.
+"""Brute-force references for event stacks, correlation, convolution and
+attention.
 
 Each one follows its contract literally, one event or one scalar read at
 a time, so the vectorized code in the package can be checked against it.
@@ -88,3 +89,23 @@ def conv2d_oracle(x, weight, bias, stride: int, pad: int) -> np.ndarray:
                     if 0 <= y < h and 0 <= xx < w:
                         out[:, :, i, j] += x[:, :, y, xx] @ weight[:, :, u, v].T
     return out if batched else out[0]
+
+
+def attention_oracle(qkv, heads: int, axis: int) -> np.ndarray:
+    """softmax(q kᵀ / √dh) v in float64, one (sequence, head) pair at a
+    time, for packed (A0, A1, 3D) q, k and v attending along `axis`, as
+    ops.attention."""
+    x = np.asarray(qkv, dtype=np.float64)
+    if axis == 0:
+        x = x.transpose(1, 0, 2)  # sequences first, tokens second
+    n, t, d3 = x.shape
+    d = d3 // 3
+    dh = d // heads
+    out = np.zeros((n, t, d))
+    for i in range(n):
+        for h in range(heads):
+            cols = np.arange(h * dh, (h + 1) * dh)
+            q, k, v = x[i][:, cols], x[i][:, d + cols], x[i][:, 2 * d + cols]
+            e = np.exp(q @ k.T / np.sqrt(dh))
+            out[i][:, cols] = e / e.sum(axis=1, keepdims=True) @ v
+    return out.transpose(1, 0, 2) if axis == 0 else out

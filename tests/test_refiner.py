@@ -4,7 +4,7 @@ import pytest
 from evtrack.autodiff import ParamStore, Tensor
 from evtrack.correlation import WindowState, build_pyramid
 from evtrack.errors import ConfigError, RefinementError
-from evtrack.refiner import WindowRefiner, make_tokens, sincos_encode, token_len
+from evtrack.refiner import WindowRefiner, _AttnBlock, make_tokens, sincos_encode, token_len
 from util_fixtures import tiny_tracker_config
 
 
@@ -58,6 +58,23 @@ def _window_fixture(rng, w_len=4, n=3):
 
 def _corr_len(cfg):
     return cfg.levels * (2 * cfg.radius + 1) ** 2
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_attention_block_mixes_only_along_its_axis(rng, axis):
+    """Perturbing the token at (w=0, n=0) of (W, N, D) tokens changes only
+    column n=0 when attending along the window (axis 0) and only row w=0
+    when attending along the queries (axis 1), and more than that token."""
+    block = _AttnBlock(ParamStore(), "block", 8, 2, 2, rng)
+    x = rng.standard_normal((4, 5, 8)).astype(np.float32)
+    bumped = x.copy()
+    bumped[0, 0, 0] += 1.0  # one channel: a shift of every channel is normalized away
+    moved = np.any(block(Tensor(bumped), axis).data != block(Tensor(x), axis).data, axis=-1)
+    expect = np.zeros((4, 5), dtype=bool)
+    expect[:, 0] = axis == 0
+    expect[0, :] = axis == 1
+    expect[0, 0] = True
+    assert np.array_equal(moved, expect)
 
 
 def test_make_tokens_window_start_displacement(rng):
