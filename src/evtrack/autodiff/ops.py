@@ -228,17 +228,34 @@ def attention(qkv, heads: int, axis: int) -> Tensor:
 # convolution and spatial ops
 
 
+# Bytes that one band of conv2d columns may take. Of 2, 4 and 8 MB, 4 MB
+# ran a 346x260 offline run fastest; every conv of a 64x64 tracker fits in
+# one band.
+_BAND_BYTES = 4 << 20
+
+
 def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+    """2-D cross-correlation with zero padding, lowered and multiplied one
+    band of output rows at a time.
 
     Input is (Cin,H,W) and weight (Cout,Cin,k,k) with odd k; the result is
-    (Cout,Ho,Wo). The padded input is lowered to channels-first columns
-    (Cin*k*k, Ho*Wo), rows in (c, u, v) order, one strided slice copy per
-    tap; one GEMM `w.reshape(Cout, -1) @ cols` then lands in CHW, and
-    the reduction order over Cin*k*k is fixed by that GEMM. The backward
-    pass keeps no columns: it rebuilds them from the input it holds and
-    scatters the column gradient back through the same k*k slices, and
-    only when the input needs a gradient (an encoder stem's input does not).
+    (Cout,Ho,Wo). A band holds as many output rows as fit `_BAND_BYTES`
+    of columns, at least one, and the bands split Ho evenly. A band's
+    padded input is lowered to channels-first columns (Cin*k*k, rows*Wo),
+    rows in (c, u, v) order, one strided slice copy per tap, into a
+    buffer that every band reuses. One GEMM `w.reshape(Cout, -1) @ cols`
+    then writes that band's rows of the CHW output, so the reduction over
+    Cin*k*k is that GEMM's and each output is the same dot product at any
+    band size. A map whose columns fit is one band. A large map holds one
+    band of columns, not the whole matrix: a 346x260 event stem's would
+    be 44 MB, which the allocator maps and faults in afresh on every call.
+
+    The backward pass keeps no columns either. Band by band it rebuilds
+    them from the input and adds the band's `g @ colsᵀ` to the weight
+    gradient. Only when the input needs a gradient (an encoder stem's
+    input does not), it writes the band's column gradient into the same
+    buffer and scatters it into the padded input gradient through the
+    k*k slices.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xd = x.data
@@ -257,33 +274,64 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     if (h + 2 * pad - k) < 0 or (w + 2 * pad - k) < 0:
         raise ConfigError(f"conv2d output would be empty for input {h}x{w}, k={k}, pad={pad}")
     ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    kk = cin * k * k
+    rows = max(1, min(ho, _BAND_BYTES // (kk * wo * xd.itemsize)))
+    n_bands = -(-ho // rows)
+    rows = -(-ho // n_bands)  # the same band count, with rows spread evenly
+    bands = [(r0, min(ho, r0 + rows)) for r0 in range(0, ho, rows)]
 
-    def tap(a, u, v):
-        """The (Cin, Ho, Wo) strided view of padded `a` that tap (u, v) reads."""
-        return a[:, u : u + stride * ho : stride, v : v + stride * wo : stride]
-
-    def columns():
+    def padded():
         xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
         xp[:, pad : pad + h, pad : pad + w] = xd
-        cols = np.empty((cin, k, k, ho, wo), dtype=xd.dtype)
-        for u, v in np.ndindex(k, k):
-            cols[:, u, v] = tap(xp, u, v)
-        return cols.reshape(cin * k * k, ho * wo)
+        return xp
 
-    w_flat = weight.data.reshape(cout, -1)
-    out = np.matmul(w_flat, columns()).reshape(cout, ho, wo)
+    # Tap (u, v) of output rows r0:r1 reads the (Cin, r1-r0, Wo) strided view
+    # a[:, u + stride*r0 : u + stride*r1 : stride, v : v + stride*wo : stride]
+    # of padded `a`. The loops below write that slice out rather than call a
+    # helper per tap: a 7x7 stem has 49 taps, and small maps feel the calls.
+    def columns(xp, buf, r0, r1):
+        """Band r0:r1's (Cin*k*k, (r1-r0)*Wo) columns, built in `buf`."""
+        cols = buf[: kk * (r1 - r0) * wo].reshape(cin, k, k, r1 - r0, wo)
+        for u in range(k):
+            for v in range(k):
+                cols[:, u, v] = xp[:, u + stride * r0 : u + stride * r1 : stride,
+                                   v : v + stride * wo : stride]
+        return cols.reshape(kk, (r1 - r0) * wo)
+
+    w_flat = weight.data.reshape(cout, kk)
+    # The output outlives the padded input and the buffer, so it is allocated
+    # first: allocated after them, it raised the peak RSS of 64x64 runs.
+    out = np.empty((cout, ho * wo), dtype=xd.dtype)
+    xp, buf = padded(), np.empty(kk * rows * wo, dtype=xd.dtype)
+    for r0, r1 in bands:
+        np.matmul(w_flat, columns(xp, buf, r0, r1), out=out[:, r0 * wo : r1 * wo])
+    out = out.reshape(cout, ho, wo)
     out += bias.data[:, None, None]
 
     def vjp(g):
         g = g.reshape(cout, ho * wo)
-        gw = np.matmul(g, columns().T).reshape(weight.shape)
         gb = g.sum(axis=1)
-        if not _tracked(x):
+        want_dx = _tracked(x)
+        gw = np.empty((cout, kk), dtype=g.dtype)
+        dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype) if want_dx else None
+        xp, buf = padded(), np.empty(kk * rows * wo, dtype=g.dtype)
+        for r0, r1 in bands:
+            g_band = g[:, r0 * wo : r1 * wo]
+            cols = columns(xp, buf, r0, r1)
+            if r0 == 0:
+                np.matmul(g_band, cols.T, out=gw)
+            else:
+                gw += np.matmul(g_band, cols.T)
+            if not want_dx:
+                continue
+            dcols = np.matmul(w_flat.T, g_band, out=cols).reshape(cin, k, k, r1 - r0, wo)
+            for u in range(k):
+                for v in range(k):
+                    dxp[:, u + stride * r0 : u + stride * r1 : stride,
+                        v : v + stride * wo : stride] += dcols[:, u, v]
+        gw = gw.reshape(weight.shape)
+        if not want_dx:
             return None, gw, gb
-        dcols = np.matmul(w_flat.T, g).reshape(cin, k, k, ho, wo)
-        dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        for u, v in np.ndindex(k, k):
-            tap(dxp, u, v)[...] += dcols[:, u, v]
         return dxp[:, pad : pad + h, pad : pad + w], gw, gb
 
     return make_node(out, (x, weight, bias), vjp)

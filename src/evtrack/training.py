@@ -72,6 +72,13 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise UsageError(f"gamma must be in (0, 1], got {self.gamma}")
+        for name in ("steps", "warmup_steps", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
 
 def _gt_lookup(gt_by_id: dict[int, list]) -> dict[int, dict[int, tuple[float, float]]]:

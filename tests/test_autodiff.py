@@ -110,6 +110,115 @@ def test_conv2d_node_holds_no_columns():
     assert held < 4 * x.data.nbytes
 
 
+def _conv_case(rng, cin, cout, h, w, k, stride, dtype=np.float32):
+    """Random input, weight, bias and output extents for a `k // 2`-padded conv."""
+    pad = k // 2
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    x = rng.standard_normal((cin, h, w)).astype(dtype)
+    wt = (rng.standard_normal((cout, cin, k, k)) / k).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    return x, wt, b, pad, ho, wo
+
+
+def _band_rows(monkeypatch, rows, cin, k, wo, itemsize):
+    """Bound the columns of one conv2d band to `rows` output rows."""
+    monkeypatch.setattr(ops, "_BAND_BYTES", rows * cin * k * k * wo * itemsize)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_conv2d_bands_match_oracle(monkeypatch, k, stride, rows):
+    """Split into bands of `rows` output rows, one GEMM each (13 or 7
+    output rows, so 3-row bands leave a ragged 1-row band last), the
+    forward still matches the oracle."""
+    rng = np.random.default_rng(100 * k + 10 * stride + rows)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 3, 4, 13, 9, k, stride)
+    _band_rows(monkeypatch, rows, 3, k, wo, 4)
+    gemms = []
+    matmul = np.matmul
+
+    def counting_matmul(*args, **kwargs):
+        gemms.append(args[1].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    out = ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, pad=pad).data
+    monkeypatch.undo()
+    assert [n // wo for _, n in gemms] == [rows] * (ho // rows) + [ho % rows] * (ho % rows > 0)
+    ref = conv2d_oracle(x, wt, b, stride, pad)
+    np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_conv2d_band_gradients_match_finite_differences(monkeypatch, k, stride, rows):
+    """In float64, with one-row bands and with 2-row bands that end on a
+    ragged one (9 or 5 output rows), dx and dw match central differences
+    of a loss that weighs every output differently."""
+    rng = np.random.default_rng(200 + 100 * k + 10 * stride + rows)
+    with precision("f64"):
+        x, wt, b, pad, ho, wo = _conv_case(rng, 2, 3, 9, 6, k, stride, np.float64)
+        _band_rows(monkeypatch, rows, 2, k, wo, 8)
+        r = rng.standard_normal((3, ho, wo))
+
+        def loss(*arrays):
+            with precision("f64"):
+                return float((ops.conv2d(*map(Tensor, arrays), stride=stride, pad=pad).data * r).sum())
+
+        ts = [Tensor(a, requires_grad=True) for a in (x, wt, b)]
+        backward(ops.sum_(ops.mul(ops.conv2d(*ts, stride=stride, pad=pad), r)))
+        for i, name in ((0, "dx"), (1, "dw")):
+            assert_grads_close(ts[i].grad, numerical_grad(loss, [x, wt, b], i), 1e-6, label=name)
+
+
+def test_conv2d_banded_gradients_within_1e6_of_one_band(monkeypatch):
+    """In float32, 24 bands change only the order in which the weight and
+    input gradients are summed: they agree with the one-band GEMM within
+    1e-6 relative L2, the forward and the bias gradient exactly."""
+    rng = np.random.default_rng(21)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 16, 32, 96, 80, 3, 1)
+    g = rng.standard_normal((32, ho, wo)).astype(np.float32)
+    results = []
+    for rows in (ho, 4):
+        _band_rows(monkeypatch, rows, 16, 3, wo, 4)
+        out = ops.conv2d(Tensor(x, requires_grad=True), Tensor(wt), Tensor(b), pad=pad)
+        results.append((out.data, *out._vjp(g)))
+    (out1, dx1, gw1, gb1), (outb, dxb, gwb, gbb) = results
+    assert np.array_equal(out1, outb) and np.array_equal(gb1, gbb)
+    for one, banded in ((dx1, dxb), (gw1, gwb)):
+        assert np.linalg.norm(banded - one) <= 1e-6 * np.linalg.norm(one)
+
+
+def test_conv2d_stem_peak_is_bounded_by_the_band():
+    """A 346x260 event stem (10 channels, 7x7, stride 2) lowers one band at
+    a time. Its forward peaks below output + padded input + two bands,
+    where whole columns alone would be 490 x 22490 float32 (44 MB); its
+    backward below the padded input and its gradient + two bands."""
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal((10, 260, 346)).astype(np.float32), requires_grad=True)
+    w = Tensor((rng.standard_normal((32, 10, 7, 7)) / 7).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+    padded = 10 * 266 * 352 * 4
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ops.conv2d(x, w, b, stride=2, pad=3)
+        forward_peak = tracemalloc.get_traced_memory()[1] - base
+        g = np.ones_like(out.data)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        grads = out._vjp(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (32, 130, 173) and grads[0].shape == x.shape
+    assert forward_peak < out.data.nbytes + padded + 2 * ops._BAND_BYTES
+    assert backward_peak < 2 * padded + 2 * ops._BAND_BYTES
+
+
 def test_linear_examples():
     ident = ops.linear(Tensor([[1.0, 2.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
     assert np.allclose(ident.data, [[1.0, 2.0]])

@@ -71,6 +71,20 @@ class TestConfig:
         with pytest.raises(UsageError, match="gamma"):
             load_config(None, {"gamma": "0"})
 
+    @pytest.mark.parametrize("key, value", [("lr", "-1"), ("lr", "nan"), ("lr", "inf"),
+                                            ("weight_decay", "-1"), ("warmup_steps", "-5"),
+                                            ("checkpoint_every", "-1"), ("steps", "-3")])
+    def test_bad_train_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: float(value) if key in ("lr", "weight_decay") else int(value)})
+
+    def test_train_edge_values_accepted(self):
+        train = load_config(None, {"steps": "0", "warmup_steps": "0", "checkpoint_every": "0",
+                                   "weight_decay": "0"}).train
+        assert (train.steps, train.warmup_steps, train.checkpoint_every, train.weight_decay) == (0, 0, 0, 0)
+
     def test_derived_t_step_validated(self):
         with pytest.raises(ConfigError, match=r"t_step=0 \(derived as window // 2\)"):
             load_config(None, {"window": "1"})

@@ -77,6 +77,32 @@ def test_attention_block_mixes_only_along_its_axis(rng, axis):
     assert np.array_equal(moved, expect)
 
 
+@pytest.mark.parametrize("live", ["temporal", "spatial"])
+def test_refiner_blocks_attend_along_their_axes(rng, live):
+    """With one pair and the other block made the identity (its proj and
+    fc2 weights and biases zeroed), perturbing raw token (w=0, n=0) changes
+    only column n=0 when the temporal block is live and only row w=0 when
+    the spatial block is: `_transform` calls each block along its own axis."""
+    cfg = tiny_tracker_config(pairs=1)
+    refiner = WindowRefiner(ParamStore(), "refiner", cfg, rng)
+    temporal, spatial = refiner.blocks[0]
+    dead = spatial if live == "temporal" else temporal
+    for layer in (dead.proj, dead.fc2):
+        layer.weight.data[...] = 0.0
+        layer.bias.data[...] = 0.0
+    raw = rng.standard_normal((4, 5, token_len(cfg))).astype(np.float32)
+    bumped = raw.copy()
+    bumped[0, 0, 0] += 1.0
+    out = refiner._transform(Tensor(bumped)).data
+    moved = np.any(out != refiner._transform(Tensor(raw)).data, axis=-1)
+    expect = np.zeros((4, 5), dtype=bool)
+    if live == "temporal":
+        expect[:, 0] = True
+    else:
+        expect[0, :] = True
+    assert np.array_equal(moved, expect)
+
+
 def test_make_tokens_window_start_displacement(rng):
     cfg, _, state = _window_fixture(rng)
     corr = Tensor(np.zeros((4, 3, _corr_len(cfg)), dtype=np.float32))
