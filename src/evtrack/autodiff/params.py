@@ -68,6 +68,11 @@ def adamw_step(
     Gradients come from each parameter's `.grad` (missing grads are
     treated as zero). Every gradient is checked before any parameter
     moves, so a step that raises leaves the store as it was.
+
+    The moments and the parameter are updated in place, through two
+    scratch buffers shared by every parameter; each value goes through
+    the same float32 operations, in the same order, as
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g², p -= lr*(m̂/(√v̂ + eps) + wd*p).
     """
     grads = {}
     for name, p in store.items():
@@ -79,15 +84,23 @@ def adamw_step(
         grads[name] = g
     b1, b2 = betas
     t = store.step + 1
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    largest = max((p.data.size for _, p in store.items()), default=0)
+    scratch = np.empty((2, largest), dtype=np.float32)
     for name, p in store.items():
         g = grads[name]
         m, v = store._moments[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
-        store._moments[name] = (m, v)
+        a, b = (buf[: p.data.size].reshape(p.data.shape) for buf in scratch)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=a)
+        v *= b2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - b2, out=a)
+        np.divide(m, c1, out=a)  # m_hat
+        np.sqrt(np.divide(v, c2, out=b), out=b)
+        b += eps
+        a /= b
+        a += np.multiply(p.data, weight_decay, out=b)
+        p.data -= lr * a  # a float64 lr (the cosine schedule's) is applied in float64
     store.step = t
 
 

@@ -5,6 +5,11 @@ vector-Jacobian-product closure, so the graph is rebuilt on each forward
 pass. Reduction order is fixed (column lowering + a single GEMM per conv,
 numpy's left-to-right reductions elsewhere), which makes forward passes
 bit-deterministic for fixed inputs.
+
+`backward` releases each node it passes, so after it only leaves and
+cuts hold a `.grad`. A cut (see `cut`) splits one graph into pieces that
+are back-propagated at different times: a caller that knows when no
+further graph will read a tensor can free everything behind it then.
 """
 
 from __future__ import annotations
@@ -57,11 +62,12 @@ def no_grad():
 class Tensor:
     """Dense row-major tensor, optionally tracked for differentiation.
 
-    `data` is always a numpy float array; `grad`, when populated by
-    `backward`, has the same shape.
+    `data` is always a numpy float array. `grad` has the same shape; on a
+    leaf or a cut it is the gradient that `backward` sweeps have added up,
+    on any other node it is None once a sweep has passed.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_cut")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype if dtype is not None else default_dtype())
@@ -69,6 +75,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._vjp = None
+        self._cut = False
 
     @property
     def shape(self):
@@ -131,6 +138,7 @@ def make_node(data: np.ndarray, parents, vjp) -> Tensor:
     out.grad = None
     out._parents = ()
     out._vjp = None
+    out._cut = False
     out.requires_grad = False
     if grad_enabled():
         tracked = any(p.requires_grad or p._vjp is not None for p in parents)
@@ -141,11 +149,31 @@ def make_node(data: np.ndarray, parents, vjp) -> Tensor:
     return out
 
 
-def _topological_order(root: Tensor) -> list[Tensor]:
-    """Every node reachable from `root`, each once, parents before children."""
+def _spent(g):
+    raise UsageError("backward through a graph that an earlier backward already released")
+
+
+def cut(t: Tensor) -> bool:
+    """Make graph node `t` a boundary of the backward passes that do not start at it.
+
+    Such a pass adds its gradient to `t.grad` and goes no further, and it
+    leaves `t` and the graph behind it in place; `backward([t, ...])`
+    later continues from the gradient gathered. Returns whether `t`
+    became a cut: a leaf, a tensor recorded under `no_grad`, a released
+    node or one that is already a cut is left as it is.
+    """
+    if t._vjp is None or t._vjp is _spent or t._cut:
+        return False
+    t._cut = True
+    return True
+
+
+def _topological_order(roots: list[Tensor]) -> list[Tensor]:
+    """Every node reachable from `roots` without passing a cut, each once,
+    parents before children."""
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root, False) for root in roots]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -156,29 +184,51 @@ def _topological_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if id(parent) not in seen and not parent._cut:
                 stack.append((parent, False))
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss.
+def backward(root) -> None:
+    """Reverse-mode sweep that releases the graph as it goes.
 
-    Populates `.grad` on every reachable tensor that requires gradients.
-    A parameter the loss does not reach keeps `grad` None, which
-    `adamw_step` reads as a zero gradient.
+    `root` is a scalar loss, which starts with gradient 1, or a list of
+    cut tensors (see `cut`), which are cuts no more and continue with the
+    gradient each has gathered. Gradients accumulate into the `.grad` of
+    the leaves reached (parameters and inputs that require gradients) and
+    of the cuts passed. A parameter the sweep does not reach keeps its
+    `grad`, None before the first sweep, which `adamw_step` reads as a
+    zero gradient.
+
+    Every other node gives up its `.grad`, its vjp and its parent links
+    once its vjp has run, so memory falls as the sweep goes. Its vjp
+    becomes a stub that raises `UsageError`: a second sweep through a
+    released graph fails instead of leaving the gradients as they were.
     """
-    if loss.size != 1:
-        raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(_topological_order(loss)):
-        if node._vjp is None or node.grad is None:
+    if isinstance(root, Tensor):
+        if root.size != 1:
+            raise UsageError(f"backward requires a scalar loss, got shape {root.shape}")
+        root.grad = np.ones_like(root.data)
+        roots = [root]
+    else:
+        roots = list(root)
+        if not all(t._cut for t in roots):
+            raise UsageError("backward continues only from cut tensors")
+        for t in roots:
+            t._cut = False
+    order = _topological_order(roots)
+    while order:
+        node = order.pop()
+        vjp, parents, g = node._vjp, node._parents, node.grad
+        if vjp is None:
             continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None:
+        node.grad, node._vjp, node._parents = None, _spent, ()
+        if g is None:
+            continue
+        for parent, pg in zip(parents, vjp(g)):
+            if pg is None:
                 continue
             if not (parent.requires_grad or parent._vjp is not None):
                 continue
-            # accumulation always allocates, so aliasing g is safe
-            parent.grad = g if parent.grad is None else parent.grad + g
+            # accumulation always allocates, so aliasing pg is safe
+            parent.grad = pg if parent.grad is None else parent.grad + pg

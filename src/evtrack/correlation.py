@@ -58,13 +58,17 @@ class WindowState:
         return (idx >= self.valid_from[None, :]).astype(np.float32)
 
 
-def build_pyramid(fused: Tensor, levels: int, base_scale: int) -> CorrelationPyramid:
-    """Repeatedly average-pool a fused map into `levels` levels."""
+def check_pyramid_depth(levels: int, h: int, w: int) -> None:
+    """Reject a pyramid of `levels` levels over an h x w map that cannot hold them."""
     if levels < 1:
         raise ConfigError(f"pyramid needs >= 1 level, got {levels}")
-    h, w = fused.shape[-2], fused.shape[-1]
     if 2 ** (levels - 1) > max(h, w):
         raise ConfigError(f"pyramid depth {levels} too deep for a {h}x{w} map")
+
+
+def build_pyramid(fused: Tensor, levels: int, base_scale: int) -> CorrelationPyramid:
+    """Repeatedly average-pool a fused map into `levels` levels."""
+    check_pyramid_depth(levels, fused.shape[-2], fused.shape[-1])
     maps = [fused]
     for _ in range(levels - 1):
         maps.append(ops.avg_pool2(maps[-1]))

@@ -33,6 +33,8 @@ class EventStream:
         self.ts = np.asarray(ts, dtype=np.int64)
         self.ps = np.asarray(ps, dtype=np.int8)
         self.geometry = (int(geometry[0]), int(geometry[1]))
+        if min(self.geometry) < 1:
+            raise ConfigError(f"sensor geometry {self.geometry} is not positive")
         n = len(self.ts)
         if not (len(self.xs) == len(self.ys) == len(self.ps) == n):
             raise ConfigError("event column lengths differ")

@@ -24,8 +24,20 @@ frame records before the next slice's frame, none of which an unborn
 query is born at. A frame record holds the image, its features and
 fusion's image branch, each computed once per frame. Emitted samples go
 back to the caller and are not kept. Held state thus depends on the
-accumulation window, not on how long the stream has run. Forward passes
-record no graph unless `record_windows` keeps the windows for training.
+accumulation window, not on how long the stream has run.
+
+Training: forward passes record a graph only when the caller passes an
+`on_window` hook, which gets each refinement's snapshots and must
+back-propagate that window's loss before it returns. Windows share only
+the tensors they read from held records: each slice's pyramid levels,
+each frame's features and image branch, and the templates. Those are
+cuts (`autodiff.cut`), so a window's backward stops at them and they
+gather its gradient. A record's own graph goes back once the record is
+released (a slice leaves the window, a frame is dropped, the templates
+at `finish`) and every record that read its cuts has gone back: the
+slices that read a frame, and the templates that read their birth frame
+(or, events-only, their birth slice). The session thus holds about one
+window's graph, whatever the length of the sequence.
 """
 
 from __future__ import annotations
@@ -37,8 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, ops
-from .correlation import CorrelationPyramid, WindowState, build_pyramid
+from .autodiff import Tensor, backward, cut, no_grad, ops
+from .correlation import CorrelationPyramid, WindowState, build_pyramid, check_pyramid_depth
 from .encoders import FpnEncoder, MotionGatedFusion, mean_flow
 from .errors import ConfigError, OrderingError, UsageError
 from .events import EventStream, build_event_stack
@@ -131,6 +143,45 @@ class Track:
     samples: list[tuple[int, float, float]] = field(default_factory=list)
 
 
+class _Cuts:
+    """The cuts of one held record, and which records' cuts its graph reads."""
+
+    __slots__ = ("tensors", "sources", "readers", "released")
+
+    def __init__(self):
+        self.tensors: list[Tensor] = []
+        self.sources: list[_Cuts] = []
+        self.readers = 0  # records that read these cuts and have not gone back yet
+        self.released = False
+
+    def add(self, *tensors: Tensor):
+        """Cut the graph tensors among `tensors` that are not cuts yet."""
+        self.tensors += [t for t in tensors if cut(t)]
+
+    def read(self, source: _Cuts):
+        """This record's graph reads the cuts of `source`."""
+        self.sources.append(source)
+        source.readers += 1
+
+
+def _release(cuts: _Cuts):
+    """No new graph will read these cuts. Back-propagate every released
+    record that no pending record reads: these cuts once their readers
+    have gone back, then the sources whose last reader they were."""
+    cuts.released = True
+    pending = [cuts]
+    while pending:
+        c = pending.pop()
+        if not c.released or c.readers:
+            continue
+        if c.tensors:
+            backward(c.tensors)
+        for source in c.sources:
+            source.readers -= 1
+            pending.append(source)
+        c.tensors, c.sources = [], []
+
+
 @dataclass
 class _Frame:
     """One frame the session still holds."""
@@ -138,6 +189,7 @@ class _Frame:
     image: np.ndarray
     features: Tensor | None = None  # frame-encoder output, computed on first use
     branch: tuple[Tensor, Tensor] | None = None  # fusion's image branch, likewise
+    cuts: _Cuts = field(default_factory=_Cuts)
 
 
 @dataclass
@@ -148,30 +200,38 @@ class _Slice:
     t_slice: int
     duration_us: int
     pyramid: CorrelationPyramid
+    cuts: _Cuts
     position: np.ndarray | None = None  # (N, 2) refined
     feature: np.ndarray | None = None  # (N, C) refined, detached
 
 
 @dataclass
 class WindowRun:
-    """One refinement's snapshots, kept for the training loss."""
+    """One refinement's snapshots, handed to the session's `on_window` hook."""
 
     snapshots: list[Tensor]
     start_index: int
     slice_times: np.ndarray
     active: np.ndarray  # (W, N) float mask
+    query_ids: list[int]  # the queries along the snapshots' second axis
 
 
 class TrackSession:
-    """Single-writer streaming tracker over one input sequence."""
+    """Single-writer streaming tracker over one input sequence.
 
-    def __init__(self, model: TrackerModel, query_rows, record_windows: bool = False):
+    `query_rows` are (id, t_birth_us, x, y). `on_window(run)`, if given,
+    is called with a `WindowRun` after each refinement; the session then
+    records a graph and back-propagates it piece by piece, as the module
+    docstring describes.
+    """
+
+    def __init__(self, model: TrackerModel, query_rows, on_window=None):
         self.model = model
         self.cfg = model.cfg
-        rows = sorted(query_rows, key=lambda r: (r[1], r[0]))
+        rows = sorted(map(_query_row, query_rows), key=lambda r: (r[1], r[0]))
         if not rows:
             raise UsageError("session needs at least one query")
-        self.query_ids = [int(r[0]) for r in rows]
+        self.query_ids = [r[0] for r in rows]
         if len(set(self.query_ids)) != len(self.query_ids):
             raise ConfigError("duplicate query ids")
         self.p_init = np.array([[r[2], r[3]] for r in rows], dtype=np.float32)
@@ -180,9 +240,9 @@ class TrackSession:
         n = len(rows)
         self._templates: list[Tensor | None] = [None] * n
         self._valid_from = np.full(n, _UNBORN, dtype=np.int64)
+        self._template_cuts = _Cuts()
 
-        self.record_windows = record_windows
-        self.window_runs: list[WindowRun] = []
+        self.on_window = on_window
 
         self._sensor: tuple[int, int] | None = None  # (W, H), fixed by the first input
         self._frames: dict[int, _Frame] = {}  # by time, oldest first
@@ -246,14 +306,16 @@ class TrackSession:
                 emitted += self._refine_and_emit(final=True)
             else:
                 emitted += self._emit(len(self._window))
+            for cuts in [self._template_cuts] + [f.cuts for f in self._frames.values()]:
+                _release(cuts)
         self._finished = True
         return emitted
 
     # -------------------------------------------------------------- internals
 
     def _grad_mode(self):
-        """Record a graph only when the windows are kept for training."""
-        return contextlib.nullcontext() if self.record_windows else no_grad()
+        """Record a graph only when a hook takes the windows for training."""
+        return contextlib.nullcontext() if self.on_window is not None else no_grad()
 
     def _reject_queries(self, bad: np.ndarray, what: str):
         if bad.any():
@@ -281,9 +343,18 @@ class TrackSession:
             )
 
     def _fix_sensor(self, size: tuple[int, int], what: str):
-        """The first frame or event batch fixes the sensor (W, H); later ones must match."""
+        """The first frame or event batch fixes the sensor (W, H); later ones must match.
+
+        The sensor must span the feature stride S both ways, and its
+        (ceil(H/S), ceil(W/S)) feature map must hold the pyramid.
+        """
         w, h = size
         if self._sensor is None:
+            s = self.cfg.downsample
+            if min(w, h) < s:
+                raise ConfigError(f"the {w}x{h} sensor of the first {what} is smaller "
+                                  f"than the feature stride {s}")
+            check_pyramid_depth(self.cfg.levels, -(-h // s), -(-w // s))
             x, y = self.p_init[:, 0], self.p_init[:, 1]
             self._reject_queries((x < 0) | (x >= w) | (y < 0) | (y >= h),
                                  f"lies outside the {w}x{h} sensor")
@@ -297,6 +368,7 @@ class TrackSession:
         frame = self._frames[t_frame]
         if frame.features is None:
             frame.features = self.model.frame_encoder(Tensor(frame.image))
+            frame.cuts.add(frame.features)
         return frame.features
 
     def _frame_before(self, t: int) -> int | None:
@@ -325,7 +397,7 @@ class TrackSession:
         t_next = self._next_slice_t
         t_frame = self._frame_before(t_next)
         for t in [t for t in self._frames if t < t_frame]:
-            del self._frames[t]
+            _release(self._frames.pop(t).cuts)
         t_read = self._events_from(t_next, t_frame)
         self._chunks = [c for c in self._chunks if c.ts[-1] >= t_read]
 
@@ -367,6 +439,10 @@ class TrackSession:
 
         t_ev0 = self._events_from(t_slice, t_frame)
         duration = max(0, t_slice - t_ev0)
+        frame = self._frames[t_frame]
+        cuts = _Cuts()
+        if cfg.use_frames:
+            cuts.read(frame.cuts)
 
         if cfg.use_events:
             if duration > 0 and self._chunks:
@@ -379,24 +455,28 @@ class TrackSession:
                 raw = np.zeros((2 * cfg.bins, y_ext, x_ext), dtype=np.float32)
             f_event = self.model.event_encoder(Tensor(raw))
             f_image = self._frame_features(t_frame) if cfg.use_frames else None
-            frame = self._frames[t_frame]
-            fused, frame.branch = self.model.fusion(
+            fused, branch = self.model.fusion(
                 f_image, f_event, self._gate_input(), frame.branch, use_frames=cfg.use_frames)
+            if cfg.use_frames and frame.branch is None:
+                frame.branch = branch
+                frame.cuts.add(*branch)
         else:
             fused = self._frame_features(t_frame)
             duration = 0
 
         pyramid = build_pyramid(fused, cfg.levels, cfg.downsample)
-        self._window.append(_Slice(idx, t_slice, duration, pyramid))
+        cuts.add(*pyramid.levels)  # frames-only, level 0 is already the frame's cut
+        self._window.append(_Slice(idx, t_slice, duration, pyramid, cuts))
         self._n_slices += 1
 
         newly = np.nonzero((self._valid_from == _UNBORN) & (self.t_birth <= t_slice))[0]
         self._valid_from[newly] = idx
-        self._sample_templates(newly, fused)
+        self._sample_templates(newly, fused, cuts)
 
-    def _sample_templates(self, newly: np.ndarray, fused: Tensor):
+    def _sample_templates(self, newly: np.ndarray, fused: Tensor, slice_cuts: _Cuts):
         """Templates of the queries born at this slice: one bilinear read of
-        each birth frame's features for all the queries born at that frame."""
+        each birth frame's features for all the queries born at that frame.
+        Every later window reads them, so they are cuts."""
         cfg = self.cfg
         # events-only ablation: every template comes from the first fused map
         births = self.t_birth[newly] if cfg.use_frames else np.zeros_like(newly)
@@ -404,8 +484,10 @@ class TrackSession:
             members = newly[births == t_birth]
             if not cfg.use_frames:
                 source = fused
+                self._template_cuts.read(slice_cuts)
             elif int(t_birth) in self._frames:
                 source = self._frame_features(int(t_birth))
+                self._template_cuts.read(self._frames[int(t_birth)].cuts)
             else:
                 raise UsageError(f"query {self.query_ids[members[0]]} born at {t_birth}, "
                                  "which is not a frame time")
@@ -413,6 +495,7 @@ class TrackSession:
             sampled = ops.bilinear_sample(source, pts)
             for i, n in enumerate(members):
                 self._templates[n] = ops.getitem(sampled, i)
+                self._template_cuts.add(self._templates[n])
 
     def _template_matrix(self) -> Tensor:
         zero = None
@@ -457,32 +540,50 @@ class TrackSession:
             active = (state.start_index + state.window - 1) >= self._valid_from
             self._flow_pair = (pos_data[-1], pos_data[-2], active)
 
-        if self.record_windows:
-            self.window_runs.append(
-                WindowRun(snapshots, state.start_index, state.slice_times, state.active_mask())
-            )
+        if self.on_window is not None:
+            self.on_window(WindowRun(snapshots, state.start_index, state.slice_times,
+                                     state.active_mask(), self.query_ids))
         return self._emit(len(self._window) if final else self.cfg.t_step)
 
     def _emit(self, count: int):
-        """Emit the oldest `count` window slices and drop them from the window."""
+        """Emit the oldest `count` window slices and release them."""
         emitted = []
         for s in self._window[:count]:
             for n, qid in enumerate(self.query_ids):
                 if self._valid_from[n] <= s.index:
                     emitted.append((qid, s.t_slice, float(s.position[n, 0]), float(s.position[n, 1])))
+            _release(s.cuts)
         del self._window[:count]
         return emitted
 
 
-def run_offline(model: TrackerModel, frames, events: EventStream, query_rows,
-                record_windows: bool = False):
+def _query_row(row) -> tuple[int, int, float, float]:
+    """A query row (id, t_birth_us, x, y): the id and birth time must be
+    whole numbers and the birth time finite; x and y are checked later."""
+    if len(row) != 4:
+        raise UsageError(f"query row {row!r} is not (id, t_birth_us, x, y)")
+    whole = []
+    for what, value in zip(("id", "birth time"), row[:2]):
+        number = isinstance(value, (int, float, np.integer, np.floating))
+        if not number or isinstance(value, bool) or not float(value).is_integer():
+            raise UsageError(f"query row {row!r}: {what} {value!r} is not a whole number")
+        whole.append(int(value))
+    try:
+        x, y = float(row[2]), float(row[3])
+    except (TypeError, ValueError):
+        raise UsageError(f"query row {row!r}: position is not a number") from None
+    return whole[0], whole[1], x, y
+
+
+def run_offline(model: TrackerModel, frames, events: EventStream, query_rows, on_window=None):
     """Track a whole sequence: feed inputs in merged time order, then flush.
 
-    `frames` is a list of (t_us, image) pairs. Returns (tracks, session);
-    the tracks are built from the samples `advance` and `finish` return,
-    one per query in the session's order.
+    `frames` is a list of (t_us, image) pairs and `on_window` goes to the
+    `TrackSession`. Returns (tracks, session); the tracks are built from
+    the samples `advance` and `finish` return, one per query in the
+    session's order.
     """
-    session = TrackSession(model, query_rows, record_windows=record_windows)
+    session = TrackSession(model, query_rows, on_window=on_window)
     frames = sorted(frames, key=lambda p: p[0])
     emitted = []
     cursor = 0

@@ -3,8 +3,10 @@
 The per-window loss is an L1 distance between each refinement iteration's
 trajectory snapshot and ground truth, weighted exponentially so later
 iterations count more (gamma^(M-m) for snapshot m of M); window losses
-accumulate over a sequence. Optimization is decoupled-weight-decay Adam
-with linear warm-up followed by cosine decay.
+accumulate over a sequence, and each is back-propagated as soon as its
+window is refined, so a step holds about one window's graph.
+Optimization is decoupled-weight-decay Adam with linear warm-up followed
+by cosine decay.
 """
 
 from __future__ import annotations
@@ -86,16 +88,20 @@ def _gt_lookup(gt_by_id: dict[int, list]) -> dict[int, dict[int, tuple[float, fl
 
 
 def sequence_loss(model: TrackerModel, frames, events, queries, gt_by_id,
-                  gamma: float) -> tuple[Tensor, int]:
-    """Accumulated window losses over one tracked sequence."""
+                  gamma: float) -> tuple[float, int]:
+    """Track one sequence and back-propagate each window's loss as soon as
+    the window is refined; the session back-propagates the rest of the
+    graph as it lets go of it. Returns the summed window losses and the
+    window count; the gradients accumulate in the parameters' `.grad`.
+    """
     lookup = _gt_lookup(gt_by_id)
-    _, session = run_offline(model, frames, events, queries, record_windows=True)
-    total = None
-    for run in session.window_runs:
+    losses = []
+
+    def on_window(run):
         w_len, n = run.active.shape
         gt = np.zeros((w_len, n, 2), dtype=np.float32)
         mask = run.active.copy()
-        for q, qid in enumerate(session.query_ids):
+        for q, qid in enumerate(run.query_ids):
             per_t = lookup.get(qid, {})
             for i, t in enumerate(run.slice_times):
                 hit = per_t.get(int(t))
@@ -103,11 +109,17 @@ def sequence_loss(model: TrackerModel, frames, events, queries, gt_by_id,
                     mask[i, q] = 0.0
                 else:
                     gt[i, q] = hit
-        wl = window_loss(run.snapshots, gt, mask, gamma)
-        total = wl if total is None else total + wl
-    if total is None:
+        loss = window_loss(run.snapshots, gt, mask, gamma)
+        losses.append(loss.data)
+        backward(loss)
+
+    run_offline(model, frames, events, queries, on_window=on_window)
+    if not losses:
         raise UsageError("sequence produced no refinement windows")
-    return total, len(session.window_runs)
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss  # float32, in window order
+    return float(total), len(losses)
 
 
 def _file_meta(model: TrackerModel, step: int) -> dict:
@@ -187,11 +199,9 @@ def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,
             lr = lr_schedule(step, cfg.lr, cfg.warmup_steps, cfg.steps)
 
             model.store.zero_grad()
-            loss, _ = sequence_loss(model, frames, events, queries, gt_by_id, cfg.gamma)
-            loss_val = float(loss.data)
+            loss_val, _ = sequence_loss(model, frames, events, queries, gt_by_id, cfg.gamma)
             if not np.isfinite(loss_val):
                 raise TrainingError(f"non-finite loss at step {step}")
-            backward(loss)
             adamw_step(model.store, lr=lr, weight_decay=cfg.weight_decay)
 
             history.append((step, loss_val, lr))

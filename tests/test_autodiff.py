@@ -11,6 +11,7 @@ from evtrack.autodiff import (
     Tensor,
     adamw_step,
     backward,
+    cut,
     load_weights,
     no_grad,
     ops,
@@ -388,6 +389,48 @@ def test_backward_non_scalar_rejected():
         backward(x * 2.0)
 
 
+def test_second_backward_through_a_released_graph_raises():
+    """backward releases every node it passes: only leaves keep a gradient,
+    and a second sweep through the same graph raises."""
+    x = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
+    hidden = ops.relu(x * 2.0)
+    loss = ops.sum_(hidden * hidden)
+    backward(loss)
+    assert np.array_equal(x.grad, [8.0, 0.0, 24.0])
+    assert hidden.grad is None and hidden._parents == () and loss.grad is None
+    with pytest.raises(UsageError, match="already released"):
+        backward(loss)
+    with pytest.raises(UsageError, match="already released"):
+        backward(ops.sum_(hidden))  # a new graph on top of a released one
+    assert np.array_equal(x.grad, [8.0, 0.0, 24.0])
+
+
+def test_backward_stops_at_a_cut_and_continues_from_it():
+    """Sweeps that stop at a cut, then one from the cut, give the gradients
+    of one sweep through the whole graph."""
+    rng = np.random.default_rng(4)
+    arrays = [rng.standard_normal(5) for _ in range(3)]
+
+    def grads(split):
+        x, a, b = (Tensor(v, requires_grad=True) for v in arrays)
+        shared = ops.sin(x) * x
+        if split:
+            assert cut(shared) and not cut(shared) and not cut(x)
+            backward(ops.sum_(shared * a))
+            assert x.grad is None and shared.grad is not None
+            backward(ops.sum_(ops.cos(shared) * b))
+            backward([shared])
+        else:
+            backward(ops.sum_(shared * a) + ops.sum_(ops.cos(shared) * b))
+        return x.grad, a.grad, b.grad
+
+    with precision("f64"):
+        for got, want in zip(grads(True), grads(False)):
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+    with pytest.raises(UsageError, match="cut tensors"):
+        backward([Tensor(np.ones(2)) * Tensor(np.ones(2), requires_grad=True)])
+
+
 def test_unreached_param_steps_as_zero_gradient():
     """backward leaves a parameter the loss does not reach without a
     gradient, and adamw_step moves it exactly as a zero gradient would."""
@@ -457,6 +500,35 @@ def test_adamw_rejects_non_finite():
     p.grad = np.array([np.nan, 0.0], dtype=np.float32)
     with pytest.raises(TrainingError, match="layer.w"):
         adamw_step(store, lr=0.1)
+
+
+def test_adamw_step_matches_the_formula_bit_for_bit():
+    """The in-place update gives the parameters and moments of the plain
+    formula, bit for bit, with a float lr and with the cosine schedule's
+    float64 lr."""
+    rng = np.random.default_rng(9)
+    shapes = [(3, 4), (7,), (2, 3, 5)]
+    store = ParamStore()
+    ref = []
+    for i, shape in enumerate(shapes):
+        data = rng.standard_normal(shape).astype(np.float32)
+        store.create(f"p{i}", data)
+        ref.append([data.copy(), np.zeros(shape, np.float32), np.zeros(shape, np.float32)])
+    b1, b2, eps, wd = 0.9, 0.999, 1e-8, 1e-2
+    for t, lr in enumerate([1e-2, np.float64(3e-3) * np.cos(0.5), 2e-3], start=1):
+        for (name, p), (data, m, v) in zip(store.items(), ref):
+            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+            g = p.grad.copy()
+            m[...] = b1 * m + (1.0 - b1) * g
+            v[...] = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * data)
+        adamw_step(store, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        for (name, p), (data, m, v) in zip(store.items(), ref):
+            assert np.array_equal(p.data, data)
+            assert all(np.array_equal(a, b) for a, b in zip(store.moments(name), (m, v)))
+    assert store.step == 3
 
 
 def test_adamw_step_is_all_or_nothing():
@@ -869,6 +941,5 @@ def test_every_op_is_reached_by_the_tracker(monkeypatch):
     calls every public function of ops.py, so no op lives for tests only."""
     public, called = _spy_public_ops(monkeypatch)
     frames, events, queries, gt_by_id, _, _ = tiny_sequence(seed=0, duration_us=150_000)
-    loss, _ = sequence_loss(tiny_model(seed=0), frames, events, queries, gt_by_id, 0.8)
-    backward(loss)
+    sequence_loss(tiny_model(seed=0), frames, events, queries, gt_by_id, 0.8)
     assert sorted(set(public) - called) == []

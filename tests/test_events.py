@@ -214,3 +214,6 @@ def test_stream_validation():
         EventStream([0, 1], [0, 0], [10, 5], [1, 1], (4, 4))
     with pytest.raises(ConfigError):
         EventStream([0], [0], [0], [2], (4, 4))
+    for geometry in ((0, 0), (-4, 8), (4, 0)):
+        with pytest.raises(ConfigError, match="not positive"):
+            EventStream([], [], [], [], geometry)

@@ -53,10 +53,10 @@ class TestOffline:
         )
         assert len(slice_times) == 40
         model = tiny_model(seed=0, window=16, t_step=8)
+        runs = []
         with no_grad():
-            tracks, session = run_offline(model, frames, events, queries,
-                                          record_windows=True)
-        starts = [run.start_index for run in session.window_runs]
+            tracks, _ = run_offline(model, frames, events, queries, on_window=runs.append)
+        starts = [run.start_index for run in runs]
         assert starts == [0, 8, 16, 24]
         for track in tracks:
             assert len(track.samples) == 40
@@ -99,12 +99,12 @@ class TestOffline:
         )
         assert len(slice_times) == 7
         model = tiny_model(seed=0)
+        runs = []
         with no_grad():
-            tracks, session = run_offline(model, frames, events, queries,
-                                          record_windows=True)
-        starts = [run.start_index for run in session.window_runs]
+            tracks, _ = run_offline(model, frames, events, queries, on_window=runs.append)
+        starts = [run.start_index for run in runs]
         assert starts == [0, 2, 4]
-        lengths = [run.active.shape[0] for run in session.window_runs]
+        lengths = [run.active.shape[0] for run in runs]
         assert lengths == [4, 4, 3]
         for track in tracks:
             assert len(track.samples) == 7
@@ -147,11 +147,11 @@ class TestStreaming:
     def test_t_step_1_emits_each_slice_after_warmup(self, seq):
         frames, events, queries, _, _, slice_times = seq
         model = tiny_model(seed=0, window=4, t_step=1)
+        runs = []
         with no_grad():
-            tracks, session = run_offline(model, frames, events, queries,
-                                          record_windows=True)
+            tracks, _ = run_offline(model, frames, events, queries, on_window=runs.append)
         # first window covers 4 slices, then one new refinement per slice
-        starts = [r.start_index for r in session.window_runs]
+        starts = [r.start_index for r in runs]
         assert starts == list(range(0, len(slice_times) - 3))
         for track in tracks:
             assert len(track.samples) == len(slice_times)
@@ -215,6 +215,47 @@ class TestStreaming:
         session = TrackSession(model, [(0, 0, 0.0, 31.9)])
         session.advance(frame=frames[0])
 
+    @pytest.mark.parametrize("row, what", [
+        ((0, float("nan"), 4.0, 4.0), "birth time nan"),
+        ((0, 2.5, 4.0, 4.0), "birth time 2.5"),
+        (("a", 0, 4.0, 4.0), "id 'a'"),
+        ((1.5, 0, 4.0, 4.0), "id 1.5"),
+    ])
+    def test_bad_query_rows_rejected(self, row, what):
+        with pytest.raises(UsageError, match=f"{what} is not a whole number"):
+            TrackSession(tiny_model(seed=0), [(7, 0, 1.0, 1.0), row])
+
+    @pytest.mark.parametrize("downsample", [4, 8])
+    def test_small_sensors_rejected_at_the_first_input_or_tracked(self, downsample):
+        """Every sensor from 1x1 to 9x9 is either rejected by the first
+        frame, before anything is queued, or tracked through `finish`."""
+        model = tiny_model(seed=0, randomize_heads=True, downsample=downsample)
+        rng = np.random.default_rng(0)
+        tracked = []
+        for w in range(1, 10):
+            for h in range(1, 10):
+                session = TrackSession(model, [(0, 0, 0.0, 0.0), (1, 0, w - 0.5, h - 0.5)])
+                images = rng.random((2, 1, h, w)).astype(np.float32)
+                events = (np.arange(4) % w, np.arange(4) % h, np.arange(4) * 10_000 + 1,
+                          np.ones(4), (w, h))
+                with no_grad():
+                    try:
+                        session.advance(frame=(0, images[0]))
+                    except ConfigError:
+                        assert session._sensor is None and not session._frames
+                        continue
+                    session.advance(events=events)
+                    session.advance(frame=(50_000, images[1]))
+                    emitted = session.advance(events=(events[0], events[1], events[2] + 50_000,
+                                                      events[3], (w, h))) + session.finish()
+                assert len(emitted) == 2 * 4  # 2 queries, slices at 0, 25, 50, 75 ms
+                assert np.isfinite([sample[2:] for sample in emitted]).all()
+                tracked.append((w, h))
+        # the sensor spans the stride both ways, and the 2-level pyramid
+        # needs a feature map 2 cells long one way
+        assert tracked == [(w, h) for w in range(1, 10) for h in range(1, 10)
+                           if min(w, h) >= downsample and max(w, h) > downsample]
+
     def test_query_outside_sensor_rejected_when_events_come_first(self, seq):
         _, events, _, _, _, _ = seq  # 32x32 sensor
         session = TrackSession(tiny_model(seed=0), [(0, 0, 4.0, 40.0)])
@@ -270,8 +311,9 @@ class TestStreaming:
     def test_session_owns_grad_mode(self, seq):
         frames, events, queries, _, _, _ = seq
 
-        def held_tensors(record_windows):
-            session = TrackSession(tiny_model(seed=0), queries, record_windows=record_windows)
+        def held_tensors(training):
+            hook = (lambda run: None) if training else None
+            session = TrackSession(tiny_model(seed=0), queries, on_window=hook)
             cursor = 0
             for t, image in frames[:4]:  # 6 slices: 2 left in the window, one frame encoded
                 hi = int(np.searchsorted(events.ts, t))
@@ -287,7 +329,7 @@ class TestStreaming:
             return held
 
         assert all(t._parents == () and not t.requires_grad for t in held_tensors(False))
-        # training keeps the windows, and with them the graph
+        # training keeps the graph of the slices in the window
         assert any(t._parents for t in held_tensors(True))
 
     def test_frames_dropped_once_no_slice_or_birth_reads_them(self):
@@ -488,8 +530,9 @@ class TestHandoff:
     def test_templates_survive_handoffs(self, seq):
         frames, events, queries, _, _, _ = seq
         model = tiny_model(seed=0, randomize_heads=True)
+        runs = []
         with no_grad():
-            session = TrackSession(model, queries, record_windows=True)
+            session = TrackSession(model, queries, on_window=runs.append)
             snap = {}
             cursor = 0
             for t, img in frames:
@@ -509,7 +552,7 @@ class TestHandoff:
                 events.ps[cursor:], events.geometry))
             session.finish()
         assert snap, "no templates were sampled early"
-        assert len(session.window_runs) >= 3  # several hand-offs happened
+        assert len(runs) >= 3  # several hand-offs happened
         for n, before in snap.items():
             assert np.array_equal(session._templates[n].data, before)
 

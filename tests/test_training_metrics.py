@@ -1,8 +1,11 @@
+import gc
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evtrack import pipeline, training
 from evtrack.autodiff import Tensor, backward, precision
 from evtrack.errors import ConfigError, MetricError, TrainingError, UsageError
 from evtrack.metrics import GtTrack, evaluate_tracks, expected_feature_age, feature_age
@@ -75,6 +78,100 @@ class TestWindowLoss:
             for i, t in enumerate(tensors):
                 num = numerical_grad(scalar_fn, arrays, i)
                 assert_grads_close(t.grad, num, 1e-4, label=f"snapshot{i}")
+
+
+def _step_grads(model, seq, monkeypatch=None):
+    """Parameter gradients of one `sequence_loss`. With `monkeypatch`, the
+    whole-sequence oracle instead: the session makes no cuts, and the
+    window losses are summed and back-propagated once at the end."""
+    frames, events, queries, gt_by_id = seq
+    model.store.zero_grad()
+    if monkeypatch is None:
+        sequence_loss(model, frames, events, queries, gt_by_id, 0.8)
+    else:
+        losses = []
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "cut", lambda t: False)
+            patch.setattr(training, "backward", losses.append)
+            sequence_loss(model, frames, events, queries, gt_by_id, 0.8)
+        total = losses[0]
+        for loss in losses[1:]:
+            total = total + loss
+        backward(total)
+    return [np.zeros_like(p.data) if p.grad is None else p.grad for _, p in model.store.items()]
+
+
+def _rel_l2(got, want):
+    num = sum(float(np.sum((g.astype(np.float64) - w) ** 2)) for g, w in zip(got, want))
+    return np.sqrt(num / sum(float(np.sum(w.astype(np.float64) ** 2)) for w in want))
+
+
+def _seq(duration_us):
+    frames, events, queries, gt_by_id, _, slice_times = tiny_sequence(seed=1, duration_us=duration_us)
+    return (frames, events, queries, gt_by_id), len(slice_times)
+
+
+class TestWindowedBackward:
+    """Each window's loss goes back when the window is refined, the rest of
+    the graph when the session lets go of it: the gradients are those of
+    one backward over the whole sequence, and memory is that of a window."""
+
+    @pytest.mark.parametrize("mode", [{}, {"use_frames": False}, {"use_events": False},
+                                      {"accumulate_mode": "fixed"}])
+    def test_gradients_match_one_whole_sequence_backward(self, mode, monkeypatch):
+        seq, n_slices = _seq(375_000)
+        assert n_slices == 16  # 7 windows of 4 slices, 2 apart; frames-only, 3
+        for precision_kind, bound in (("f32", 1e-5), ("f64", 1e-12)):
+            with precision(precision_kind):
+                got = _step_grads(tiny_model(seed=0, randomize_heads=True, **mode), seq)
+                want = _step_grads(tiny_model(seed=0, randomize_heads=True, **mode), seq,
+                                   monkeypatch)
+            assert _rel_l2(got, want) < bound, precision_kind
+
+    def test_seven_windows_peak_within_one_and_a_half_of_one(self):
+        model = tiny_model(seed=0, randomize_heads=True)
+
+        def peak(seq):
+            _step_grads(model, seq)  # warm
+            model.store.zero_grad()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sequence_loss(model, *seq, 0.8)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        (one, n_one), (seven, n_seven) = _seq(75_000), _seq(375_000)
+        assert (n_one, n_seven) == (4, 16)
+        assert peak(seven) <= 1.5 * peak(one)
+
+    def test_one_window_peaks_near_what_its_forward_holds(self, monkeypatch):
+        """Forward plus backward of one window peaks at most 1.3x what the
+        forward holds when its loss goes back."""
+        seq, n_slices = _seq(75_000)
+        assert n_slices == 4
+        model = tiny_model(seed=0, randomize_heads=True)
+        _step_grads(model, seq)  # warm
+        held = []
+
+        def measured_backward(root):
+            held.append(tracemalloc.get_traced_memory()[0])
+            backward(root)
+
+        monkeypatch.setattr(training, "backward", measured_backward)
+        model.store.zero_grad()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sequence_loss(model, *seq, 0.8)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert peak <= 1.3 * (held[0] - base)
 
 
 class TestLrSchedule:
