@@ -140,37 +140,30 @@ def matmul(a, b) -> Tensor:
     return make_node(out, (a, b), vjp)
 
 
-def linear(x, weight, bias=None) -> Tensor:
+def linear(x, weight, bias) -> Tensor:
     """Affine map over the trailing dimension: y = x @ weight.T + bias.
 
     The leading axes are flattened first, so forward and both weight and
     input gradients are one 2-D GEMM each; `np.matmul` on an (N, W, D)
     input would call BLAS once per leading index.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
         raise ConfigError(
             f"linear dimension mismatch: input trailing dim {x.shape[-1]}, weight {weight.shape}"
         )
     d_out = weight.shape[0]
+    if bias.shape != (d_out,):
+        raise ConfigError(f"linear bias shape {bias.shape} != ({d_out},)")
     x_flat = x.data.reshape(-1, x.shape[-1])
     out = x_flat @ weight.data.T
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (d_out,):
-            raise ConfigError(f"linear bias shape {bias.shape} != ({d_out},)")
-        out += bias.data
+    out += bias.data
 
     def vjp(g):
         g_flat = g.reshape(-1, d_out)
-        gx = (g_flat @ weight.data).reshape(x.shape)
-        gw = g_flat.T @ x_flat
-        if bias is None:
-            return gx, gw
-        return gx, gw, g_flat.sum(axis=0)
+        return (g_flat @ weight.data).reshape(x.shape), g_flat.T @ x_flat, g_flat.sum(axis=0)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return make_node(out.reshape(x.shape[:-1] + (d_out,)), parents, vjp)
+    return make_node(out.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), vjp)
 
 
 def attention(qkv, heads: int, axis: int) -> Tensor:

@@ -118,11 +118,6 @@ class Tensor:
 
         return ops.mul(self, other)
 
-    def __getitem__(self, index):
-        from . import ops
-
-        return ops.getitem(self, index)
-
     def reshape(self, *shape):
         from . import ops
 

@@ -51,11 +51,14 @@ def _sequence_dirs(data_dir: str) -> list[str]:
 
 
 def cmd_gen_synth(args) -> str:
-    size = args.size.lower().split("x")
-    if len(size) != 2:
-        raise ConfigError(f"--size expects WxH, got {args.size!r}")
-    cfg = _config(args, {"synth_width": size[0], "synth_height": size[1],
-                         "scenes": str(args.scenes), "seed": str(args.seed)})
+    # a flag that is given beats the config file; --set beats both
+    extra = {k: str(v) for k, v in (("scenes", args.scenes), ("seed", args.seed)) if v is not None}
+    if args.size is not None:
+        size = args.size.lower().split("x")
+        if len(size) != 2:
+            raise ConfigError(f"--size expects WxH, got {args.size!r}")
+        extra.update(synth_width=size[0], synth_height=size[1])
+    cfg = _config(args, extra)
     if args.translate_only:
         cfg.translate_only = True
     generate_dataset(
@@ -168,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="write a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenes", type=int, default=3)
-    p.add_argument("--size", default="64x64")
+    p.add_argument("--seed", type=int, default=None, help="default: the config's seed")
+    p.add_argument("--scenes", type=int, default=None, help="default: the config's scenes")
+    p.add_argument("--size", default=None, help="WxH; default: synth_width x synth_height")
     p.add_argument("--translate-only", action="store_true")
     common(p)
     p.set_defaults(func=cmd_gen_synth)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 from .pipeline import TrackerConfig
 from .training import TrainConfig
@@ -41,6 +43,15 @@ class RunConfig:
     speed_max: float = 55.0
 
     def __post_init__(self):
+        for name, low in (("scenes", 1), ("synth_width", 1), ("synth_height", 1), ("sprites", 1),
+                          ("duration_us", 1), ("frame_period_us", 1), ("dt_sim_us", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0 < self.theta < np.inf:
+            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
+        for name in ("speed_min", "speed_max"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if self.speed_min > self.speed_max:
             raise ConfigError("speed_min exceeds speed_max")
 

@@ -24,9 +24,8 @@ if TYPE_CHECKING:
 
 class Conv2dLayer:
     def __init__(self, store: ParamStore, name: str, cin: int, cout: int, k: int, rng,
-                 stride: int = 1, zero_init: bool = False):
-        std = np.sqrt(2.0 / (cin * k * k))
-        w = np.zeros((cout, cin, k, k)) if zero_init else rng.standard_normal((cout, cin, k, k)) * std
+                 stride: int = 1):
+        w = rng.standard_normal((cout, cin, k, k)) * np.sqrt(2.0 / (cin * k * k))
         self.weight = store.create(f"{name}.w", w.astype(np.float32))
         self.bias = store.create(f"{name}.b", np.zeros(cout, dtype=np.float32))
         self.stride = stride

@@ -50,6 +50,16 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.ts)
 
+    @classmethod
+    def join(cls, streams: list[EventStream]) -> EventStream:
+        """Concatenate checked streams of one geometry that follow one
+        another in time, without checking their events again."""
+        out = cls.__new__(cls)
+        for k in ("xs", "ys", "ts", "ps"):
+            setattr(out, k, np.concatenate([getattr(s, k) for s in streams]))
+        out.geometry = streams[0].geometry
+        return out
+
 
 def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) -> np.ndarray:
     """Tensorize events in [t_start, t_end] into a (2*bins, Y, X) float32 stack.

@@ -49,8 +49,6 @@ def load_image(path: str) -> np.ndarray:
 
 def save_image(path: str, img: np.ndarray) -> None:
     """Write (1,H,W) as PGM or (3,H,W) as PPM; values clipped from [0, 1]."""
-    if img.ndim == 2:
-        img = img[None]
     if img.ndim != 3 or img.shape[0] not in (1, 3):
         raise ConfigError(f"save_image expects (1|3, H, W), got {img.shape}")
     channels, height, width = img.shape

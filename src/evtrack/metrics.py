@@ -28,12 +28,6 @@ class GtTrack:
     id: int
     samples: list[tuple[int, float, float]] = field(default_factory=list)
 
-    @property
-    def lifespan(self) -> tuple[int, int]:
-        if not self.samples:
-            raise MetricError(f"gt track {self.id} has no samples")
-        return self.samples[0][0], self.samples[-1][0]
-
 
 def feature_age(pred_samples, gt: GtTrack, delta_px: float) -> float:
     """Tracked-lifespan fraction before the first error beyond delta_px.

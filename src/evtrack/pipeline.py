@@ -15,8 +15,13 @@ persistent template, and later windows refine the carried ones again; a
 slice is emitted only when it leaves the window (or at the end of the
 stream).
 
-Held input: each event batch is validated once, on arrival, and kept as a
-chunk; a slice stacks the join of the chunks held. After each slice the
+Queries: rows are sorted by (birth, id), so the born queries are a prefix
+of the rows and `_valid_from` is non-decreasing. Their templates are one
+(P, C) block per birth group, the rows born at one frame (events-only: at
+one slice), each read by one bilinear sample.
+
+Held input: each event batch is checked once, on arrival, and kept as a
+chunk; a slice stacks the chunks held, joined unchecked. After each slice the
 session drops what no later slice or template can read: event chunks that
 end before the next slice's earliest event time (its frame in
 `since_frame` mode, `t_slice - event_window_us()` in `fixed` mode), and
@@ -237,9 +242,9 @@ class TrackSession:
         self.p_init = np.array([[r[2], r[3]] for r in rows], dtype=np.float32)
         self._reject_queries(~np.isfinite(self.p_init).all(axis=1), "is not finite")
         self.t_birth = np.array([r[1] for r in rows], dtype=np.int64)
-        n = len(rows)
-        self._templates: list[Tensor | None] = [None] * n
-        self._valid_from = np.full(n, _UNBORN, dtype=np.int64)
+        self._templates: list[Tensor] = []  # (P, C) blocks of the born rows, in row order
+        self._n_born = 0
+        self._valid_from = np.full(len(rows), _UNBORN, dtype=np.int64)
         self._template_cuts = _Cuts()
 
         self.on_window = on_window
@@ -253,7 +258,7 @@ class TrackSession:
         self._next_slice_t: int | None = None
         self._n_slices = 0
         self._window: list[_Slice] = []  # slices not emitted yet, oldest first
-        self._flow_pair = None  # (last, prev, active) refined positions
+        self._dp_prev = 0.0  # mean flow of the last refinement: fusion's gate input
         self._finished = False
 
     # ------------------------------------------------------------------ input
@@ -425,11 +430,6 @@ class TrackSession:
                 emitted += self._refine_and_emit(final=False)
         return emitted
 
-    def _gate_input(self) -> float:
-        if self._flow_pair is None:
-            return 0.0
-        return mean_flow(*self._flow_pair)
-
     def _process_slice(self, t_slice: int):
         cfg = self.cfg
         idx = self._n_slices
@@ -446,9 +446,7 @@ class TrackSession:
 
         if cfg.use_events:
             if duration > 0 and self._chunks:
-                cols = (np.concatenate([getattr(c, k) for c in self._chunks])
-                        for k in ("xs", "ys", "ts", "ps"))
-                raw = build_event_stack(EventStream(*cols, self._sensor), t_ev0, t_slice, cfg.bins)
+                raw = build_event_stack(EventStream.join(self._chunks), t_ev0, t_slice, cfg.bins)
             else:
                 # a slice coinciding with its frame accumulates no events yet
                 x_ext, y_ext = self._sensor
@@ -456,7 +454,7 @@ class TrackSession:
             f_event = self.model.event_encoder(Tensor(raw))
             f_image = self._frame_features(t_frame) if cfg.use_frames else None
             fused, branch = self.model.fusion(
-                f_image, f_event, self._gate_input(), frame.branch, use_frames=cfg.use_frames)
+                f_image, f_event, self._dp_prev, frame.branch, use_frames=cfg.use_frames)
             if cfg.use_frames and frame.branch is None:
                 frame.branch = branch
                 frame.cuts.add(*branch)
@@ -469,45 +467,43 @@ class TrackSession:
         self._window.append(_Slice(idx, t_slice, duration, pyramid, cuts))
         self._n_slices += 1
 
-        newly = np.nonzero((self._valid_from == _UNBORN) & (self.t_birth <= t_slice))[0]
-        self._valid_from[newly] = idx
-        self._sample_templates(newly, fused, cuts)
+        n_born = int(np.searchsorted(self.t_birth, t_slice, side="right"))
+        if n_born > self._n_born:
+            self._valid_from[self._n_born:n_born] = idx
+            self._sample_templates(n_born, fused, cuts)
 
-    def _sample_templates(self, newly: np.ndarray, fused: Tensor, slice_cuts: _Cuts):
-        """Templates of the queries born at this slice: one bilinear read of
-        each birth frame's features for all the queries born at that frame.
-        Every later window reads them, so they are cuts."""
+    def _sample_templates(self, n_born: int, fused: Tensor, slice_cuts: _Cuts):
+        """Templates of rows [_n_born, n_born), born at this slice: one
+        bilinear read per birth group, of its birth frame's features (the
+        events-only ablation reads this slice's fused map for all of them).
+        Every later window reads the blocks, so they are cuts."""
         cfg = self.cfg
-        # events-only ablation: every template comes from the first fused map
-        births = self.t_birth[newly] if cfg.use_frames else np.zeros_like(newly)
-        for t_birth in np.unique(births):
-            members = newly[births == t_birth]
+        lo = self._n_born
+        if cfg.use_frames:
+            times, starts = np.unique(self.t_birth[lo:n_born], return_index=True)
+            bounds = [*(lo + starts).tolist(), n_born]
+            groups = zip(times.tolist(), bounds, bounds[1:])
+        else:
+            groups = [(None, lo, n_born)]
+        for t_birth, a, b in groups:
             if not cfg.use_frames:
                 source = fused
                 self._template_cuts.read(slice_cuts)
-            elif int(t_birth) in self._frames:
-                source = self._frame_features(int(t_birth))
-                self._template_cuts.read(self._frames[int(t_birth)].cuts)
+            elif t_birth in self._frames:
+                source = self._frame_features(t_birth)
+                self._template_cuts.read(self._frames[t_birth].cuts)
             else:
-                raise UsageError(f"query {self.query_ids[members[0]]} born at {t_birth}, "
+                raise UsageError(f"query {self.query_ids[a]} born at {t_birth}, "
                                  "which is not a frame time")
-            pts = (self.p_init[members] / cfg.downsample).astype(np.float32)
-            sampled = ops.bilinear_sample(source, pts)
-            for i, n in enumerate(members):
-                self._templates[n] = ops.getitem(sampled, i)
-                self._template_cuts.add(self._templates[n])
+            block = ops.bilinear_sample(source, (self.p_init[a:b] / cfg.downsample).astype(np.float32))
+            self._templates.append(block)
+            self._template_cuts.add(block)
+        self._n_born = n_born
 
     def _template_matrix(self) -> Tensor:
-        zero = None
-        cols = []
-        for tpl in self._templates:
-            if tpl is None:
-                if zero is None:
-                    zero = Tensor(np.zeros(self.cfg.channels, dtype=np.float32))
-                cols.append(zero)
-            else:
-                cols.append(tpl)
-        return ops.stack(cols, axis=0)
+        """(N, C): the born rows' template blocks, then zeros for the unborn."""
+        unborn = Tensor(np.zeros((len(self.query_ids) - self._n_born, self.cfg.channels)))
+        return ops.concat(self._templates + [unborn], axis=0)
 
     def _assemble_state(self) -> WindowState:
         """Refined slices keep their position and feature; fresh ones start
@@ -538,7 +534,7 @@ class TrackSession:
             s.position, s.feature = position, feature
         if state.window >= 2:
             active = (state.start_index + state.window - 1) >= self._valid_from
-            self._flow_pair = (pos_data[-1], pos_data[-2], active)
+            self._dp_prev = mean_flow(pos_data[-1], pos_data[-2], active)
 
         if self.on_window is not None:
             self.on_window(WindowRun(snapshots, state.start_index, state.slice_times,
@@ -549,9 +545,10 @@ class TrackSession:
         """Emit the oldest `count` window slices and release them."""
         emitted = []
         for s in self._window[:count]:
-            for n, qid in enumerate(self.query_ids):
-                if self._valid_from[n] <= s.index:
-                    emitted.append((qid, s.t_slice, float(s.position[n, 0]), float(s.position[n, 1])))
+            # _valid_from is non-decreasing, so the rows alive at s are a prefix
+            live = int(np.searchsorted(self._valid_from, s.index, side="right"))
+            emitted += [(qid, s.t_slice, x, y)
+                        for qid, (x, y) in zip(self.query_ids, s.position[:live].tolist())]
             _release(s.cuts)
         del self._window[:count]
         return emitted

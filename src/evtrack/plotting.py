@@ -39,8 +39,6 @@ def write_png(path: str, rgb: np.ndarray) -> None:
 
 def to_rgb(image: np.ndarray) -> np.ndarray:
     """(1|3, H, W) float in [0,1] -> (H, W, 3) uint8."""
-    if image.ndim == 2:
-        image = image[None]
     arr = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
     if arr.shape[0] == 1:
         arr = np.repeat(arr, 3, axis=0)

@@ -93,6 +93,9 @@ def make_scene(seed: int, size: tuple[int, int] = (64, 64), n_sprites: int = 2,
             vel = vel * 0.4  # too fast for the canvas; slow this sprite down
             start_lo = np.maximum(lo, lo - vel * dur_s)
             start_hi = np.minimum(hi, hi - vel * dur_s)
+            if np.any(start_hi < start_lo):
+                raise ConfigError(f"a {side} px sprite cannot stay inside the {width}x{height} "
+                                  f"canvas for {duration_us} us")
         center0 = rng.uniform(start_lo, start_hi)
         omega = 0.0 if translate_only else float(rng.uniform(-0.8, 0.8))
         texture = _smooth_noise(rng, (side, side), 4, 0.0, 1.0)

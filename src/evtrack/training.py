@@ -74,7 +74,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise UsageError(f"gamma must be in (0, 1], got {self.gamma}")
-        for name in ("steps", "warmup_steps", "checkpoint_every"):
+        for name in ("steps", "warmup_steps", "checkpoint_every", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 < self.lr < np.inf:

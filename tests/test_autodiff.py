@@ -714,10 +714,10 @@ def _build_linear_1d(rng, tensors=None, make_arrays=False):
     return ops.mul(ops.linear(*tensors), np.arange(1.0, 4.0))
 
 
-@case("linear_4d_no_bias", 2)
+@case("linear_4d", 3)
 def _build_linear_4d(rng, tensors=None, make_arrays=False):
     if make_arrays:
-        return [rng.standard_normal((2, 3, 2, 4)), rng.standard_normal((5, 4))]
+        return [rng.standard_normal((2, 3, 2, 4)), rng.standard_normal((5, 4)), rng.standard_normal(5)]
     w = np.arange(60, dtype=np.float64).reshape(2, 3, 2, 5)
     return ops.mul(ops.linear(*tensors), w)
 

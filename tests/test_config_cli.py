@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -273,6 +275,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bins must be >= 1")
         assert captured.err.strip().count("\n") == 0 and captured.out == ""
+
+    def test_gen_synth_reads_the_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("scenes = 1\nseed = 7\nsynth_width = 48\nsprites = 1\n"
+                        "duration_us = 100000\nframe_period_us = 50000\n")
+        out = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(out), "--config", str(path)]) == 0
+        assert f"gen-synth ok scenes=1 seed=7 out={out}" in capsys.readouterr().out
+        assert os.listdir(out) == ["seq_000"]
+        manifest = json.loads((out / "seq_000" / "manifest.json").read_text())
+        assert (manifest["width"], manifest["height"], manifest["seed"]) == (48, 64, 7)
+
+    @pytest.mark.parametrize("args, error", [
+        (["--size", "32x32"], "a 22 px sprite cannot stay inside the 32x32 canvas"),
+        (["--set", "dt_sim_us=0"], "dt_sim_us must be >= 1, got 0"),
+        (["--set", "theta=nan"], "theta must be positive and finite, got nan"),
+        (["--set", "duration_us=-5"], "duration_us must be >= 1, got -5"),
+        (["--set", "sprites=-1"], "sprites must be >= 1, got -1"),
+        (["--set", "frame_period_us=0"], "frame_period_us must be >= 1, got 0"),
+        (["--set", "speed_min=nan"], "speed_min must be >= 0 and finite, got nan"),
+        (["--set", "synth_width=0"], "synth_width must be >= 1, got 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_gen_synth_rejects_bad_synthetic_values(self, tmp_path, args, error):
+        """One `error:` line and exit code 1 within seconds: no traceback, no hang."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "evtrack.cli", "gen-synth", "--out", str(tmp_path / "ds"), *args],
+            capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {error}")
+        assert proc.stderr.strip().count("\n") == 0 and proc.stdout == ""
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         assert main(["gen-synth", "--out", str(tmp_path / "x"), "--scenes", "1",

@@ -199,11 +199,12 @@ def test_templates_one_read_per_birth_frame(monkeypatch):
         session.finish()
         cells = [model.frame_encoder(Tensor(image)) for image in images[:2]]
         assert reads == [3, 2]
+        templates = session._template_matrix().data
         for n, qid in enumerate(session.query_ids):  # the session orders queries by birth
             _, t_birth, x, y = rows[qid]
             pts = np.array([[x, y]], dtype=np.float32) / 4
             alone = sample(cells[t_birth // 50_000], pts).data[0]
-            assert np.array_equal(session._templates[n].data, alone)
+            assert np.array_equal(templates[n], alone)
 
 
 def test_init_queries_errors():

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from evtrack.autodiff import no_grad
 from evtrack.errors import ConfigError, DegenerateWindowError, UsageError
 from evtrack.events import EventStream, build_event_stack, load_binary_events, save_binary_events
-from evtrack.pipeline import run_offline
+from evtrack.pipeline import TrackSession, run_offline
 from oracles import event_stack_oracle
-from util_fixtures import tiny_model
+from util_fixtures import tiny_model, tiny_sequence
 
 
 def stream_of(rows, geometry):
@@ -217,3 +217,39 @@ def test_stream_validation():
     for geometry in ((0, 0), (-4, 8), (4, 0)):
         with pytest.raises(ConfigError, match="not positive"):
             EventStream([], [], [], [], geometry)
+
+
+def test_held_events_checked_once(monkeypatch):
+    """A batch is checked when it arrives; the slices it completes stack the
+    join of the held chunks, which equals their checked concatenation and
+    builds no EventStream."""
+    frames, events, queries, _, _, _ = tiny_sequence(seed=3)
+    bounds = [0, *np.searchsorted(events.ts, [60_000, 140_000]), len(events)]
+    chunks = [EventStream(events.xs[lo:hi], events.ys[lo:hi], events.ts[lo:hi],
+                          events.ps[lo:hi], events.geometry)
+              for lo, hi in zip(bounds, bounds[1:])]
+    assert all(len(c) for c in chunks)
+    joined = EventStream.join(chunks)
+    checked = EventStream(*(np.concatenate([getattr(c, k) for c in chunks])
+                            for k in ("xs", "ys", "ts", "ps")), events.geometry)
+    assert joined.geometry == checked.geometry
+    for k in ("xs", "ys", "ts", "ps"):
+        assert getattr(joined, k).dtype == getattr(checked, k).dtype
+        assert np.array_equal(getattr(joined, k), getattr(checked, k))
+
+    built = []
+    init = EventStream.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    with no_grad():
+        session = TrackSession(tiny_model(), queries)
+        session.advance(frame=frames[0])
+        monkeypatch.setattr(EventStream, "__init__", counting_init)
+        for chunk in chunks:
+            n_slices = session._n_slices
+            session.advance(events=chunk)
+            assert session._n_slices > n_slices
+    assert built == []

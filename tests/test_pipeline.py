@@ -349,7 +349,7 @@ class TestStreaming:
                                 (32, 32)))
         # the 50 ms slice read frame 40 ms, and query 1 took its template from frame 30 ms
         assert list(session._frames) == [40_000]
-        assert session._templates[1] is not None
+        assert session._n_born == 2
         # query 2 is born after the last frame, so it is not a frame time after all
         with pytest.raises(UsageError, match="query 2 born at 60000, which is not a frame time"):
             session.advance(events=(np.array([5]), np.array([6]), np.array([76_000]),
@@ -544,17 +544,17 @@ class TestHandoff:
                     cursor = hi
                 session.advance(frame=(t, img))
                 if not snap:
-                    for n, tpl in enumerate(session._templates):
-                        if tpl is not None:
-                            snap[n] = tpl.data.copy()
+                    templates = session._template_matrix().data
+                    snap = {n: templates[n].copy() for n in range(session._n_born)}
             session.advance(events=EventStream(
                 events.xs[cursor:], events.ys[cursor:], events.ts[cursor:],
                 events.ps[cursor:], events.geometry))
             session.finish()
         assert snap, "no templates were sampled early"
         assert len(runs) >= 3  # several hand-offs happened
+        templates = session._template_matrix().data
         for n, before in snap.items():
-            assert np.array_equal(session._templates[n].data, before)
+            assert np.array_equal(templates[n], before)
 
 
 class TestAblations:

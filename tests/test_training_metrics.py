@@ -128,6 +128,24 @@ class TestWindowedBackward:
                                    monkeypatch)
             assert _rel_l2(got, want) < bound, precision_kind
 
+    @pytest.mark.parametrize("mode", [{}, {"use_frames": False}, {"use_events": False}])
+    def test_staggered_births_match_one_whole_sequence_backward(self, mode, monkeypatch):
+        """Queries born at three frames: each birth group's template block
+        gathers its windows' gradients and goes back at `finish`."""
+        (frames, events, queries, gt_by_id), _ = _seq(375_000)
+        rows, gt = [], {}
+        for k, t_birth in enumerate((0, 100_000, 250_000)):
+            for qid, _, _, _ in queries:
+                samples = [s for s in gt_by_id[qid] if s[0] >= t_birth]
+                assert samples[0][0] == t_birth
+                rows.append((10 * qid + k, t_birth, samples[0][1], samples[0][2]))
+                gt[10 * qid + k] = samples
+        seq = (frames, events, rows, gt)
+        with precision("f64"):
+            got = _step_grads(tiny_model(seed=0, randomize_heads=True, **mode), seq)
+            want = _step_grads(tiny_model(seed=0, randomize_heads=True, **mode), seq, monkeypatch)
+        assert _rel_l2(got, want) < 1e-12
+
     def test_seven_windows_peak_within_one_and_a_half_of_one(self):
         model = tiny_model(seed=0, randomize_heads=True)
 
