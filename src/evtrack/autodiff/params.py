@@ -20,6 +20,10 @@ class ParamStore:
     """Uniquely named parameters plus Adam moments and one shared step count.
 
     Every `adamw_step` updates every parameter, so one `step` serves all.
+    A parameter has no moments until the optimizer needs them: the first
+    `adamw_step` makes them as zeros, or a restored checkpoint sets them
+    (both through `load_state`). A model that only tracks holds its
+    weights and nothing else.
     """
 
     def __init__(self):
@@ -32,7 +36,6 @@ class ParamStore:
             raise ConfigError(f"duplicate parameter name {name!r}")
         t = Tensor(np.asarray(data, dtype=np.float32), requires_grad=True)
         self._params[name] = t
-        self._moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
         return t
 
     def names(self):
@@ -46,13 +49,16 @@ class ParamStore:
             t.grad = None
 
     def load_state(self, name: str, m: np.ndarray, v: np.ndarray) -> None:
+        """Set the Adam moments of `name`. The store keeps float32 arrays
+        as given, without a copy, and the optimizer updates them in place."""
         ref = self._params[name].data
         if m.shape != ref.shape or v.shape != ref.shape:
             raise ConfigError(f"optimizer state shape mismatch for {name!r}")
-        self._moments[name] = (m.astype(np.float32), v.astype(np.float32))
+        self._moments[name] = (np.asarray(m, dtype=np.float32), np.asarray(v, dtype=np.float32))
 
-    def moments(self, name: str):
-        return self._moments[name]
+    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """The (m, v) moments of `name`, or None before its first step or restore."""
+        return self._moments.get(name)
 
 
 def adamw_step(
@@ -67,7 +73,9 @@ def adamw_step(
 
     Gradients come from each parameter's `.grad` (missing grads are
     treated as zero). Every gradient is checked before any parameter
-    moves, so a step that raises leaves the store as it was.
+    moves, so a step that raises leaves the store as it was, without
+    moments if it was the first. A parameter's first update starts from
+    float32 zero moments, made here and handed to `load_state`.
 
     The moments and the parameter are updated in place, through two
     scratch buffers shared by every parameter; each value goes through
@@ -89,7 +97,9 @@ def adamw_step(
     scratch = np.empty((2, largest), dtype=np.float32)
     for name, p in store.items():
         g = grads[name]
-        m, v = store._moments[name]
+        if store.moments(name) is None:
+            store.load_state(name, *(np.zeros(p.data.shape, np.float32) for _ in range(2)))
+        m, v = store.moments(name)
         a, b = (buf[: p.data.size].reshape(p.data.shape) for buf in scratch)
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=a)
@@ -137,33 +147,38 @@ def save_weights(store: ParamStore, path: str, extra: dict | None = None) -> Non
 
 
 def read_weight_file(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Load a blob + manifest pair into {name: float32 array} and its meta dict."""
+    """Load a blob + manifest pair into {name: float32 array} and its meta dict.
+
+    Each array is read from the file straight into its own buffer, so the
+    arrays take the blob's size and no more.
+    """
     mpath = manifest_path(path)
     if not os.path.exists(path) or not os.path.exists(mpath):
         raise ConfigError(f"weight file or manifest missing: {path}")
     with open(mpath) as f:
         manifest = json.load(f)
-    with open(path, "rb") as f:
-        blob = f.read()
     arrays = {}
-    for entry in manifest["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["byte_offset"]
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float32)
+    with open(path, "rb") as f:
+        for entry in manifest["entries"]:
+            arr = np.empty(tuple(entry["shape"]), dtype="<f4")
+            f.seek(entry["byte_offset"])
+            if f.readinto(arr) != arr.nbytes:
+                raise ConfigError(f"weight file {path} is shorter than its manifest "
+                                  f"(entry {entry['name']!r})")
+            arrays[entry["name"]] = arr.astype(np.float32, copy=False)
     return arrays, manifest.get("meta", {})
 
 
 def load_weights(store: ParamStore, path: str) -> dict:
-    """Copy weights from disk into an existing store; returns the file's meta dict."""
+    """Read weights from disk into an existing store; returns the file's meta dict."""
     arrays, meta = read_weight_file(path)
     assign_weights(store, arrays, path)
     return meta
 
 
 def assign_weights(store: ParamStore, arrays: dict[str, np.ndarray], path: str) -> None:
-    """Copy every store parameter from `arrays` (read from `path`); names and shapes must match."""
+    """Set every store parameter to its array from `arrays` (read from
+    `path`), which the store then owns; names and shapes must match."""
     for name, p in store.items():
         if name not in arrays:
             raise ConfigError(f"weight file {path} missing parameter {name!r}")
@@ -171,4 +186,4 @@ def assign_weights(store: ParamStore, arrays: dict[str, np.ndarray], path: str) 
             raise ConfigError(
                 f"shape mismatch for {name!r}: file {arrays[name].shape}, model {p.data.shape}"
             )
-        p.data = arrays[name].copy()
+        p.data = arrays[name]

@@ -22,11 +22,25 @@ if TYPE_CHECKING:
     from .pipeline import TrackerConfig
 
 
+_DRAW_BLOCK = 1 << 16  # float64 draws held at once while a weight is initialised
+
+
+def _normal_weight(rng, shape: tuple[int, ...], std: float) -> np.ndarray:
+    """float32 draws of N(0, std²), the numbers of one `standard_normal(shape)`
+    call, made in blocks so that only one block of float64 draws is held."""
+    w = np.empty(shape, dtype=np.float32)
+    flat = w.reshape(-1)
+    for lo in range(0, flat.size, _DRAW_BLOCK):
+        part = flat[lo:lo + _DRAW_BLOCK]
+        part[...] = rng.standard_normal(part.size) * std
+    return w
+
+
 class Conv2dLayer:
     def __init__(self, store: ParamStore, name: str, cin: int, cout: int, k: int, rng,
                  stride: int = 1):
-        w = rng.standard_normal((cout, cin, k, k)) * np.sqrt(2.0 / (cin * k * k))
-        self.weight = store.create(f"{name}.w", w.astype(np.float32))
+        w = _normal_weight(rng, (cout, cin, k, k), np.sqrt(2.0 / (cin * k * k)))
+        self.weight = store.create(f"{name}.w", w)
         self.bias = store.create(f"{name}.b", np.zeros(cout, dtype=np.float32))
         self.stride = stride
         self.pad = k // 2
@@ -38,9 +52,11 @@ class Conv2dLayer:
 class LinearLayer:
     def __init__(self, store: ParamStore, name: str, din: int, dout: int, rng,
                  zero_init: bool = False):
-        std = np.sqrt(1.0 / din)
-        w = np.zeros((dout, din)) if zero_init else rng.standard_normal((dout, din)) * std
-        self.weight = store.create(f"{name}.w", w.astype(np.float32))
+        if zero_init:
+            w = np.zeros((dout, din), dtype=np.float32)
+        else:
+            w = _normal_weight(rng, (dout, din), np.sqrt(1.0 / din))
+        self.weight = store.create(f"{name}.w", w)
         self.bias = store.create(f"{name}.b", np.zeros(dout, dtype=np.float32))
 
     def __call__(self, x) -> Tensor:

@@ -14,7 +14,8 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWindowError
+from .checks import pixel_column, polarity_column, whole, whole_column
+from .errors import ConfigError, DegenerateWindowError, UsageError
 
 EVENT_MAGIC = b"FETAPEVT"
 _HEADER = struct.Struct("<8sHH4x")
@@ -24,28 +25,29 @@ _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"),
 class EventStream:
     """Time-sorted events plus the (X, Y) sensor extents.
 
-    Stored as column arrays (xs, ys, ts, ps) for vectorized slicing.
+    Stored as column arrays (xs, ys, ts, ps) for vectorized slicing. The
+    columns are 1-D and hold whole pixels inside the sensor, whole
+    timestamps and polarities of -1 or +1; any other value is rejected,
+    never truncated.
     """
 
     def __init__(self, xs, ys, ts, ps, geometry: tuple[int, int]):
-        self.xs = np.asarray(xs, dtype=np.int32)
-        self.ys = np.asarray(ys, dtype=np.int32)
-        self.ts = np.asarray(ts, dtype=np.int64)
-        self.ps = np.asarray(ps, dtype=np.int8)
-        self.geometry = (int(geometry[0]), int(geometry[1]))
+        try:
+            width, height = geometry
+        except (TypeError, ValueError):
+            raise UsageError(f"sensor geometry {geometry!r} is not a (width, height) pair") from None
+        self.geometry = (whole(width, "sensor width"), whole(height, "sensor height"))
         if min(self.geometry) < 1:
             raise ConfigError(f"sensor geometry {self.geometry} is not positive")
+        self.xs = pixel_column(xs, self.geometry[0], "event x")
+        self.ys = pixel_column(ys, self.geometry[1], "event y")
+        self.ts = whole_column(ts, "event t")
+        self.ps = polarity_column(ps)
         n = len(self.ts)
         if not (len(self.xs) == len(self.ys) == len(self.ps) == n):
             raise ConfigError("event column lengths differ")
         if n and np.any(np.diff(self.ts) < 0):
             raise ConfigError("event timestamps must be non-decreasing")
-        if n and (self.xs.min() < 0 or self.xs.max() >= self.geometry[0]):
-            raise ConfigError(f"event x outside [0, {self.geometry[0]})")
-        if n and (self.ys.min() < 0 or self.ys.max() >= self.geometry[1]):
-            raise ConfigError(f"event y outside [0, {self.geometry[1]})")
-        if n and not np.all(np.abs(self.ps) == 1):
-            raise ConfigError("polarity must be -1 or +1")
 
     def __len__(self) -> int:
         return len(self.ts)

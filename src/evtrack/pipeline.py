@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, backward, cut, no_grad, ops
+from .checks import whole
 from .correlation import CorrelationPyramid, WindowState, build_pyramid, check_pyramid_depth
 from .encoders import FpnEncoder, MotionGatedFusion, mean_flow
 from .errors import ConfigError, OrderingError, UsageError
@@ -269,8 +270,11 @@ class TrackSession:
             raise UsageError("session already finished")
         last_slice = self._window[-1].t_slice if self._window else None
         if frame is not None:
-            t, image = frame
-            t = int(t)
+            try:
+                t, image = frame
+            except (TypeError, ValueError):
+                raise UsageError(f"frame {type(frame).__name__} is not a (t_us, image) pair") from None
+            t = whole(t, "frame time")
             last_frame = next(reversed(self._frames), None)
             if last_frame is not None and t < last_frame:
                 raise OrderingError(f"frame at {t} after frame at {last_frame}")
@@ -287,7 +291,7 @@ class TrackSession:
             self._frames[t] = _Frame(image)
             self._watermark = t if self._watermark is None else max(self._watermark, t)
         if events is not None:
-            batch = events if isinstance(events, EventStream) else EventStream(*events)
+            batch = _event_batch(events)
             self._fix_sensor(batch.geometry, "event batch")
             if len(batch):
                 t0, t1 = int(batch.ts[0]), int(batch.ts[-1])
@@ -556,20 +560,28 @@ class TrackSession:
 
 def _query_row(row) -> tuple[int, int, float, float]:
     """A query row (id, t_birth_us, x, y): the id and birth time must be
-    whole numbers and the birth time finite; x and y are checked later."""
+    whole numbers; x and y are checked later. Any bad row is a `UsageError`."""
     if len(row) != 4:
         raise UsageError(f"query row {row!r} is not (id, t_birth_us, x, y)")
-    whole = []
-    for what, value in zip(("id", "birth time"), row[:2]):
-        number = isinstance(value, (int, float, np.integer, np.floating))
-        if not number or isinstance(value, bool) or not float(value).is_integer():
-            raise UsageError(f"query row {row!r}: {what} {value!r} is not a whole number")
-        whole.append(int(value))
+    try:
+        qid, birth = whole(row[0], "id"), whole(row[1], "birth time")
+    except ConfigError as err:
+        raise UsageError(f"query row {row!r}: {err}") from None
     try:
         x, y = float(row[2]), float(row[3])
     except (TypeError, ValueError):
         raise UsageError(f"query row {row!r}: position is not a number") from None
-    return whole[0], whole[1], x, y
+    return qid, birth, x, y
+
+
+def _event_batch(events) -> EventStream:
+    """An `EventStream`, or the (xs, ys, ts, ps, geometry) to build one."""
+    if isinstance(events, EventStream):
+        return events
+    if not isinstance(events, (tuple, list)) or len(events) != 5:
+        raise UsageError("an event batch is an EventStream or (xs, ys, ts, ps, (width, height)), "
+                         f"got {type(events).__name__}")
+    return EventStream(*events)
 
 
 def run_offline(model: TrackerModel, frames, events: EventStream, query_rows, on_window=None):

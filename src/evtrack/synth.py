@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import whole
 from .errors import ConfigError
 from .events import EventStream, save_binary_events
 from .images import save_image
@@ -152,8 +153,11 @@ def generate_events(scene: SynthScene, theta: float = 0.2, dt_sim_us: int = 1000
     `render_fn(scene, t_us)` defaults to `render`; tests substitute
     synthetic intensity profiles here.
     """
-    if theta <= 0:
-        raise ConfigError(f"contrast threshold must be positive, got {theta}")
+    if not 0 < theta < np.inf:
+        raise ConfigError(f"contrast threshold must be positive and finite, got {theta}")
+    dt_sim_us = whole(dt_sim_us, "dt_sim_us")
+    if dt_sim_us < 1:
+        raise ConfigError(f"dt_sim_us must be >= 1, got {dt_sim_us}")
     if render_fn is None:
         render_fn = render
     log_prev = np.log(render_fn(scene, 0) + eps)

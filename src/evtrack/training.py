@@ -139,10 +139,13 @@ def check_trained_config(cfg: TrackerConfig, meta: dict, path: str) -> None:
 
 
 def save_checkpoint(model: TrackerModel, path: str, step: int) -> None:
-    """Weights plus Adam moments, step count and tracker config, in the weight-file container."""
+    """Weights plus Adam moments, step count and tracker config, in the weight-file container.
+
+    A parameter without moments yet (no step taken) is saved with zero moments.
+    """
     arrays = {name: p.data for name, p in model.store.items()}
-    for name in model.store.names():
-        m, v = model.store.moments(name)
+    for name, p in model.store.items():
+        m, v = model.store.moments(name) or (np.zeros(p.data.shape, np.float32),) * 2
         arrays[f"opt.{name}.m"] = m
         arrays[f"opt.{name}.v"] = v
     save_arrays(arrays, path, extra=_file_meta(model, step))

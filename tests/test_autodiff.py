@@ -24,7 +24,7 @@ from evtrack.errors import ConfigError, TrainingError, UsageError
 from evtrack.training import sequence_loss
 from fd_oracle import assert_grads_close, numerical_grad
 from oracles import attention_oracle, conv2d_oracle, offsets_grid
-from util_fixtures import tiny_model, tiny_sequence
+from util_fixtures import tiny_model, tiny_sequence, traced_peak
 
 
 def test_conv2d_identity_kernel():
@@ -202,19 +202,9 @@ def test_conv2d_stem_peak_is_bounded_by_the_band():
     w = Tensor((rng.standard_normal((32, 10, 7, 7)) / 7).astype(np.float32), requires_grad=True)
     b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
     padded = 10 * 266 * 352 * 4
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = ops.conv2d(x, w, b, stride=2, pad=3)
-        forward_peak = tracemalloc.get_traced_memory()[1] - base
-        g = np.ones_like(out.data)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        grads = out._vjp(g)
-        backward_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    out, forward_peak = traced_peak(lambda: ops.conv2d(x, w, b, stride=2, pad=3))
+    g = np.ones_like(out.data)
+    grads, backward_peak = traced_peak(lambda: out._vjp(g))
     assert out.shape == (32, 130, 173) and grads[0].shape == x.shape
     assert forward_peak < out.data.nbytes + padded + 2 * ops._BAND_BYTES
     assert backward_peak < 2 * padded + 2 * ops._BAND_BYTES
@@ -548,6 +538,53 @@ def test_adamw_step_is_all_or_nothing():
     for was, now in zip(before, after):
         for x, y in zip(was, now):
             assert np.array_equal(x, y)
+
+
+def test_first_step_makes_the_moments_a_zero_restore_would():
+    """A new parameter has no moments. The first step makes them, and its
+    parameters and moments equal, bit for bit, those of a step from zero
+    moments set by `load_state`, on that step and the next."""
+    rng = np.random.default_rng(10)
+    lazy, restored = ParamStore(), ParamStore()
+    for i, shape in enumerate([(3, 4), (7,), (2, 3, 5)]):
+        data = rng.standard_normal(shape).astype(np.float32)
+        lazy.create(f"p{i}", data.copy())
+        restored.create(f"p{i}", data.copy())
+        restored.load_state(f"p{i}", np.zeros(shape, np.float32), np.zeros(shape, np.float32))
+    assert all(lazy.moments(name) is None for name in lazy.names())
+    for lr in (1e-2, 3e-3):
+        for (_, p), (_, q) in zip(lazy.items(), restored.items()):
+            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+            q.grad = p.grad.copy()
+        for store in (lazy, restored):
+            adamw_step(store, lr=lr, weight_decay=1e-2)
+        for (name, p), (_, q) in zip(lazy.items(), restored.items()):
+            assert np.array_equal(p.data, q.data)
+            for a, b in zip(lazy.moments(name), restored.moments(name)):
+                assert a.dtype == np.float32 and np.array_equal(a, b)
+
+
+def test_failed_first_step_makes_no_moments():
+    store = ParamStore()
+    a = store.create("a", np.array([1.0, -1.0], dtype=np.float32))
+    b = store.create("b", np.array([2.0], dtype=np.float32))
+    a.grad, b.grad = np.ones(2, dtype=np.float32), np.array([np.inf], dtype=np.float32)
+    with pytest.raises(TrainingError, match="'b'"):
+        adamw_step(store, lr=0.1)
+    assert store.step == 0 and all(store.moments(name) is None for name in store.names())
+    assert np.array_equal(a.data, [1.0, -1.0]) and np.array_equal(b.data, [2.0])
+
+
+def test_short_weight_blob_rejected_naming_the_file(tmp_path):
+    store = ParamStore()
+    w = store.create("w", np.ones((3, 4), dtype=np.float32))
+    path = str(tmp_path / "weights.bin")
+    save_weights(store, path)
+    with open(path, "r+b") as f:
+        f.truncate(3 * 4 * 4 - 2)
+    with pytest.raises(ConfigError, match=f"weight file {path} is shorter than its manifest"):
+        load_weights(store, path)
+    assert np.array_equal(w.data, np.ones((3, 4)))  # left as it was
 
 
 def test_weight_serialization_roundtrip(tmp_path):

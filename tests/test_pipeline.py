@@ -13,13 +13,14 @@ from evtrack.events import EventStream
 from evtrack.pipeline import (
     Track,
     TrackerConfig,
+    TrackerModel,
     TrackSession,
     load_queries_csv,
     load_tracks_csv,
     run_offline,
     save_tracks_csv,
 )
-from util_fixtures import scramble_heads, tiny_model, tiny_sequence
+from util_fixtures import scramble_heads, tiny_model, tiny_sequence, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,105 @@ class TestStreaming:
         with pytest.raises(UsageError, match="query 2 born at 60000, which is not a frame time"):
             session.advance(events=(np.array([5]), np.array([6]), np.array([76_000]),
                                     np.array([1]), (32, 32)))
+
+
+def _set_first(events, column: int, value):
+    """The (xs, ys, ts, ps, geometry) columns of `events`, with the first
+    value of one column replaced by `value` (in a float or str copy)."""
+    cols = [events.xs, events.ys, events.ts, events.ps]
+    cols[column] = cols[column].astype(type(value))
+    cols[column][0] = value
+    return (*cols, events.geometry)
+
+
+class TestInputValues:
+    """A bad frame time or event column is rejected by the `advance` call
+    that receives it: `UsageError` for a call of the wrong shape,
+    `ConfigError` for a bad value. Nothing is truncated or stored."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make, error, match", [
+        pytest.param(lambda img: (float("nan"), img), ConfigError,
+                     "frame time nan is not a whole number", id="time-nan"),
+        pytest.param(lambda img: ("a", img), ConfigError,
+                     "frame time 'a' is not a whole number", id="time-str"),
+        pytest.param(lambda img: (2.5, img), ConfigError,
+                     "frame time 2.5 is not a whole number", id="time-2.5"),
+        pytest.param(lambda img: img, UsageError,
+                     r"frame ndarray is not a \(t_us, image\) pair", id="not-a-pair"),
+        pytest.param(lambda img: (0, img, img), UsageError,
+                     r"frame tuple is not a \(t_us, image\) pair", id="triple"),
+    ])
+    def test_bad_frame_rejected(self, seq, make, error, match):
+        frames, _, queries, _, _, _ = seq
+        session = TrackSession(tiny_model(seed=0), queries)
+        with pytest.raises(error, match=match):
+            session.advance(frame=make(frames[0][1]))
+        assert not session._frames and session._sensor is None
+        session.advance(frame=frames[0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make, error, match", [
+        pytest.param(lambda ev: _set_first(ev, 0, np.nan), ConfigError,
+                     r"event x outside \[0, 32\)", id="x-nan"),
+        pytest.param(lambda ev: _set_first(ev, 0, 1e12), ConfigError,
+                     r"event x outside \[0, 32\)", id="x-1e12"),
+        pytest.param(lambda ev: _set_first(ev, 0, 1.7), ConfigError,
+                     "event x 1.7 is not a whole number", id="x-1.7"),
+        pytest.param(lambda ev: _set_first(ev, 0, "a"), ConfigError,
+                     "event x holds <U.* values, not numbers", id="x-str"),
+        pytest.param(lambda ev: _set_first(ev, 2, 10.6), ConfigError,
+                     "event t 10.6 is not a whole number", id="t-10.6"),
+        pytest.param(lambda ev: _set_first(ev, 3, 1.5), ConfigError,
+                     r"polarity must be -1 or \+1", id="p-1.5"),
+        pytest.param(lambda ev: (ev.xs, ev.ys, ev.ts, ev.ps), UsageError,
+                     "an event batch is an EventStream or", id="four-items"),
+        pytest.param(lambda ev: (ev.xs[:, None], ev.ys[:, None], ev.ts[:, None], ev.ps[:, None],
+                                 ev.geometry), UsageError,
+                     "event x must be a 1-D column", id="2d-columns"),
+        pytest.param(lambda ev: (ev.xs, ev.ys, ev.ts, ev.ps, (32.7, 32)), ConfigError,
+                     "sensor width 32.7 is not a whole number", id="geometry-32.7"),
+        pytest.param(lambda ev: (ev.xs, ev.ys, ev.ts, ev.ps, 32), UsageError,
+                     r"sensor geometry 32 is not a \(width, height\) pair", id="geometry-int"),
+    ])
+    def test_bad_event_batch_rejected(self, seq, make, error, match):
+        _, events, queries, _, _, _ = seq
+        session = TrackSession(tiny_model(seed=0), queries)
+        with pytest.raises(error, match=match):
+            session.advance(events=make(events))
+        assert not session._chunks and session._sensor is None
+        session.advance(events=events)
+
+    def test_integer_columns_kept_as_given(self, seq):
+        """Columns already of the stored dtypes are checked, not copied."""
+        _, events, _, _, _, _ = seq
+        cols = (events.xs.astype(np.int32), events.ys.astype(np.int32),
+                events.ts.astype(np.int64), events.ps.astype(np.int8))
+        stream = EventStream(*cols, events.geometry)
+        assert all(a is b for a, b in zip((stream.xs, stream.ys, stream.ts, stream.ps), cols))
+
+
+class TestModelState:
+    def test_built_model_holds_its_weights_and_no_moments(self):
+        tiny_model(seed=0)  # import what building a model imports
+        model, peak = traced_peak(lambda: TrackerModel(TrackerConfig(), seed=1))
+        assert peak <= 1.1 * sum(p.data.nbytes for _, p in model.store.items())
+        assert all(model.store.moments(name) is None for name in model.store.names())
+
+    def test_tracking_leaves_no_moments_and_no_grads(self, seq):
+        frames, events, queries, _, _, _ = seq
+        model = tiny_model(seed=0, randomize_heads=True)
+        run_offline(model, frames, events, queries)
+        session = TrackSession(model, queries)
+        edges = [0, *np.searchsorted(events.ts, [t for t, _ in frames]), len(events)]
+        for (lo, hi), frame in zip(zip(edges, edges[1:]), frames + [None]):
+            session.advance(events=EventStream(events.xs[lo:hi], events.ys[lo:hi],
+                                               events.ts[lo:hi], events.ps[lo:hi], events.geometry))
+            if frame is not None:
+                session.advance(frame=frame)
+        assert session.finish()
+        assert all(model.store.moments(name) is None for name in model.store.names())
+        assert all(p.grad is None for _, p in model.store.items())
 
 
 class TestBoundedState:

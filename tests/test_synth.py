@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from evtrack.errors import ConfigError
 from evtrack.synth import (
     SynthScene,
     Sprite,
@@ -93,6 +98,36 @@ def test_net_event_count_matches_log_change():
     np.add.at(net, (events.ys, events.xs), events.ps)
     expect = (np.log(render(scene, scene.duration_us) + eps) - np.log(render(scene, 0) + eps)) / theta
     assert np.max(np.abs(net - np.trunc(expect))) <= 1.0
+
+
+@pytest.mark.parametrize("dt_sim_us", [0, -5])
+def test_generate_events_rejects_a_step_that_never_ends_the_loop(dt_sim_us):
+    """Run in a child process with a timeout, so that a loop that never
+    ends fails the test instead of hanging the suite."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("from evtrack.errors import ConfigError\n"
+            "from evtrack.synth import generate_events, make_scene\n"
+            "try:\n"
+            f"    generate_events(make_scene(0, duration_us=10_000), dt_sim_us={dt_sim_us})\n"
+            "except ConfigError as err:\n"
+            "    print(err)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == f"dt_sim_us must be >= 1, got {dt_sim_us}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(dt_sim_us=2.5), "dt_sim_us 2.5 is not a whole number"),
+    (dict(dt_sim_us="a"), "dt_sim_us 'a' is not a whole number"),
+    (dict(theta=float("nan")), "contrast threshold must be positive and finite, got nan"),
+    (dict(theta=float("inf")), "contrast threshold must be positive and finite, got inf"),
+    (dict(theta=0.0), "contrast threshold must be positive and finite, got 0.0"),
+])
+def test_generate_events_rejects_bad_steps_and_thresholds(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        generate_events(make_scene(0, duration_us=10_000), **kwargs)
 
 
 def test_gt_kinematics_translation():

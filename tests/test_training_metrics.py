@@ -1,4 +1,3 @@
-import gc
 import os
 import tracemalloc
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from evtrack import pipeline, training
-from evtrack.autodiff import Tensor, backward, precision
+from evtrack.autodiff import Tensor, backward, load_weights, precision, save_weights
 from evtrack.errors import ConfigError, MetricError, TrainingError, UsageError
 from evtrack.metrics import GtTrack, evaluate_tracks, expected_feature_age, feature_age
 from evtrack.training import (
@@ -20,7 +19,7 @@ from evtrack.training import (
     window_loss,
 )
 from fd_oracle import assert_grads_close, numerical_grad
-from util_fixtures import tiny_model, tiny_sequence
+from util_fixtures import tiny_model, tiny_sequence, traced_peak
 
 
 class TestWindowLoss:
@@ -152,14 +151,7 @@ class TestWindowedBackward:
         def peak(seq):
             _step_grads(model, seq)  # warm
             model.store.zero_grad()
-            gc.collect()
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                sequence_loss(model, *seq, 0.8)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: sequence_loss(model, *seq, 0.8))[1]
 
         (one, n_one), (seven, n_seven) = _seq(75_000), _seq(375_000)
         assert (n_one, n_seven) == (4, 16)
@@ -178,18 +170,16 @@ class TestWindowedBackward:
             held.append(tracemalloc.get_traced_memory()[0])
             backward(root)
 
+        def measured_loss():
+            held.append(tracemalloc.get_traced_memory()[0])  # the base
+            return sequence_loss(model, *seq, 0.8)
+
         monkeypatch.setattr(training, "backward", measured_backward)
         model.store.zero_grad()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sequence_loss(model, *seq, 0.8)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert len(held) == 1
-        assert peak <= 1.3 * (held[0] - base)
+        _, peak = traced_peak(measured_loss)
+        assert len(held) == 2
+        base, at_backward = held
+        assert peak <= 1.3 * (at_backward - base)
 
 
 class TestLrSchedule:
@@ -368,6 +358,26 @@ class TestTrainingLoop:
         assert fresh.store.step == 2
         m, v = fresh.store.moments(name)
         assert np.array_equal(m, model.store.moments(name)[0])
+
+    def test_loading_reads_each_array_once(self, tmp_path):
+        """Loading the default model's weight file or checkpoint peaks at
+        most 1.1x the file's size, and a checkpoint read for its weights
+        alone leaves parameters that own their bytes, not views of the
+        blob that would keep the moments alive."""
+        model = pipeline.TrackerModel(pipeline.TrackerConfig(), seed=1)
+        weights, checkpoint = str(tmp_path / "weights.bin"), str(tmp_path / "checkpoint.bin")
+        save_weights(model.store, weights)
+        save_checkpoint(model, checkpoint, step=0)
+        _, peak = traced_peak(lambda: load_weights(model.store, weights))
+        assert peak <= 1.1 * os.path.getsize(weights)
+        _, peak = traced_peak(lambda: load_checkpoint(model, checkpoint))
+        assert peak <= 1.1 * os.path.getsize(checkpoint)
+        fresh = tiny_model(seed=3)
+        path = str(tmp_path / "tiny.bin")
+        save_checkpoint(fresh, path, step=0)
+        load_weights(fresh.store, path)
+        assert all(p.data.base is None and p.data.flags.owndata for _, p in fresh.store.items())
+        assert all(fresh.store.moments(name) is None for name in fresh.store.names())
 
     def test_checkpoint_of_another_model_rejected(self, tmp_path):
         """A 16-channel checkpoint must not load into a 24-channel model."""

@@ -1,4 +1,8 @@
-"""Small shared fixtures: tiny tracker configs and short synthetic sequences."""
+"""Small shared fixtures: tiny tracker configs, short synthetic sequences
+and a traced-memory probe."""
+
+import gc
+import tracemalloc
 
 import numpy as np
 
@@ -65,3 +69,16 @@ def tiny_sequence(seed=0, size=(32, 32), duration_us=250_000, frame_period_us=50
     gt_by_id = {t.id: t.samples for t in gtt}
     queries = [(t.id, t.samples[0][0], t.samples[0][1], t.samples[0][2]) for t in gtt]
     return frames, events, queries, gt_by_id, gtt, slice_times
+
+
+def traced_peak(fn):
+    """Call `fn()` under tracemalloc; return its result and the peak of the
+    traced bytes above those held when it started."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
