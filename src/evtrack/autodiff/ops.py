@@ -11,6 +11,9 @@ checks each.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from ..errors import ConfigError, UsageError
@@ -223,8 +226,14 @@ def attention(qkv, heads: int, axis: int) -> Tensor:
 
 # Bytes that one band of conv2d columns may take. Of 2, 4 and 8 MB, 4 MB
 # ran a 346x260 offline run fastest; every conv of a 64x64 tracker fits in
-# one band.
+# one band. Each forward worker holds one band of columns.
 _BAND_BYTES = 4 << 20
+
+# Threads that share out the bands of a multi-band conv2d forward: the CPUs
+# this process may use. A one-band map and every backward run on the
+# calling thread alone.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
@@ -236,19 +245,34 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     of columns, at least one, and the bands split Ho evenly. A band's
     padded input is lowered to channels-first columns (Cin*k*k, rows*Wo),
     rows in (c, u, v) order, one strided slice copy per tap, into a
-    buffer that every band reuses. One GEMM `w.reshape(Cout, -1) @ cols`
-    then writes that band's rows of the CHW output, so the reduction over
-    Cin*k*k is that GEMM's and each output is the same dot product at any
-    band size. A map whose columns fit is one band. A large map holds one
-    band of columns, not the whole matrix: a 346x260 event stem's would
-    be 44 MB, which the allocator maps and faults in afresh on every call.
+    column buffer. One GEMM `w.reshape(Cout, -1) @ cols` then writes that
+    band's rows of the CHW output, so the reduction over Cin*k*k is that
+    GEMM's. A map whose columns fit is one band. A large map holds one
+    band of columns per worker, not the whole matrix: a 346x260 event
+    stem's would be 44 MB, which the allocator maps and faults in afresh
+    on every call.
 
-    The backward pass keeps no columns either. Band by band it rebuilds
-    them from the input and adds the band's `g @ colsᵀ` to the weight
-    gradient. Only when the input needs a gradient (an encoder stem's
-    input does not), it writes the band's column gradient into the same
-    buffer and scatters it into the padded input gradient through the
-    k*k slices.
+    A forward of more than one band runs on `_WORKERS` threads: worker i
+    lowers and multiplies bands i, i + W, ... through its own buffer,
+    and the calling thread serves share 0, then re-raises any worker's
+    error. The calling thread allocates every buffer before the pool
+    starts. Bands read the padded input and write disjoint output rows,
+    so they need no lock, and numpy releases the interpreter lock inside
+    the GEMMs, which do most of the work. The band split does not depend
+    on the worker count, because a GEMM's bits depend on its shape: with
+    OpenBLAS 0.3.31, `w @ c[:, :n]` and the first n columns of `w @ c`
+    differ in the last bit for many n. The workers run exactly the GEMMs
+    one worker would, so the output is bit-identical at any worker
+    count. A one-band map runs on the calling thread with no pool.
+
+    The backward pass keeps no columns either. Band by band, in order on
+    the calling thread, it rebuilds them from the input and adds the
+    band's `g @ colsᵀ` to the weight gradient. Only when the input needs
+    a gradient (an encoder stem's input does not), it writes the band's
+    column gradient into the same buffer and scatters it into the padded
+    input gradient through the k*k slices. It stays sequential: adjacent
+    bands scatter into overlapping halo rows, and every band adds into
+    one weight gradient, whose sum order fixes its bits.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xd = x.data
@@ -292,12 +316,26 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
         return cols.reshape(kk, (r1 - r0) * wo)
 
     w_flat = weight.data.reshape(cout, kk)
-    # The output outlives the padded input and the buffer, so it is allocated
+    # The output outlives the padded input and the buffers, so it is allocated
     # first: allocated after them, it raised the peak RSS of 64x64 runs.
     out = np.empty((cout, ho * wo), dtype=xd.dtype)
-    xp, buf = padded(), np.empty(kk * rows * wo, dtype=xd.dtype)
-    for r0, r1 in bands:
-        np.matmul(w_flat, columns(xp, buf, r0, r1), out=out[:, r0 * wo : r1 * wo])
+    xp = padded()
+    workers = min(_WORKERS, len(bands))
+    bufs = [np.empty(kk * rows * wo, dtype=xd.dtype) for _ in range(workers)]
+
+    def share(i):
+        """Bands i, i + workers, ... into their rows of `out`, through bufs[i]."""
+        for r0, r1 in bands[i::workers]:
+            np.matmul(w_flat, columns(xp, bufs[i], r0, r1), out=out[:, r0 * wo : r1 * wo])
+
+    if workers == 1:
+        share(0)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(share, i) for i in range(1, workers)]
+            share(0)
+            for future in futures:
+                future.result()
     out = out.reshape(cout, ho, wo)
     out += bias.data[:, None, None]
 

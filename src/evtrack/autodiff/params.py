@@ -176,14 +176,24 @@ def load_weights(store: ParamStore, path: str) -> dict:
     return meta
 
 
+def check_weights(store: ParamStore, arrays: dict[str, np.ndarray], path: str,
+                  key: str = "{}") -> None:
+    """Raise unless `arrays` (read from `path`) holds, for every store
+    parameter, an array of its shape under `key.format(name)`."""
+    for name, p in store.items():
+        entry = key.format(name)
+        if entry not in arrays:
+            raise ConfigError(f"weight file {path} missing parameter {entry!r}")
+        if arrays[entry].shape != p.data.shape:
+            raise ConfigError(
+                f"shape mismatch for {entry!r}: file {arrays[entry].shape}, model {p.data.shape}"
+            )
+
+
 def assign_weights(store: ParamStore, arrays: dict[str, np.ndarray], path: str) -> None:
     """Set every store parameter to its array from `arrays` (read from
-    `path`), which the store then owns; names and shapes must match."""
+    `path`), which the store then owns. Every name and shape is checked
+    before the first parameter changes."""
+    check_weights(store, arrays, path)
     for name, p in store.items():
-        if name not in arrays:
-            raise ConfigError(f"weight file {path} missing parameter {name!r}")
-        if arrays[name].shape != p.data.shape:
-            raise ConfigError(
-                f"shape mismatch for {name!r}: file {arrays[name].shape}, model {p.data.shape}"
-            )
         p.data = arrays[name]

@@ -3,7 +3,8 @@
 Each takes a value as a caller gave it and returns it in the package's
 own type, or raises: `UsageError` for a call of the wrong shape (a column
 that is not 1-D), `ConfigError` for a bad value. Nothing is truncated on
-the way: 2.5 is not a frame time, and 1.7 is not a pixel. Integer columns
+the way: 2.5 is not a frame time, 1.7 is not a pixel, and neither the
+string "4.0" nor True is a query position. Integer columns
 are checked by their minimum and maximum only, with no extra pass.
 """
 
@@ -29,6 +30,19 @@ def whole(value, what: str) -> int:
     if not _INT64[0] <= n < _INT64[1]:
         raise ConfigError(f"{what} {value!r} does not fit 64 bits")
     return n
+
+
+def finite(value, what: str) -> float:
+    """`value` as a float: a finite real number, not a bool or a string."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ConfigError(f"{what} {value!r} is not a number")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} {value!r} is not finite")
+    return x
 
 
 def whole_column(values, what: str) -> np.ndarray:

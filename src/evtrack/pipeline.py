@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, backward, cut, no_grad, ops
-from .checks import whole
+from .checks import finite, whole
 from .correlation import CorrelationPyramid, WindowState, build_pyramid, check_pyramid_depth
 from .encoders import FpnEncoder, MotionGatedFusion, mean_flow
 from .errors import ConfigError, OrderingError, UsageError
@@ -240,7 +240,8 @@ class TrackSession:
         self.query_ids = [r[0] for r in rows]
         if len(set(self.query_ids)) != len(self.query_ids):
             raise ConfigError("duplicate query ids")
-        self.p_init = np.array([[r[2], r[3]] for r in rows], dtype=np.float32)
+        with np.errstate(over="ignore"):  # a position past float32's range is inf, rejected next
+            self.p_init = np.array([[r[2], r[3]] for r in rows], dtype=np.float32)
         self._reject_queries(~np.isfinite(self.p_init).all(axis=1), "is not finite")
         self.t_birth = np.array([r[1] for r in rows], dtype=np.int64)
         self._templates: list[Tensor] = []  # (P, C) blocks of the born rows, in row order
@@ -265,7 +266,10 @@ class TrackSession:
     # ------------------------------------------------------------------ input
 
     def advance(self, frame=None, events=None):
-        """Feed the next frame (t_us, image) or event batch; returns new samples."""
+        """Feed the next frame (t_us, image) or event batch; returns new samples.
+
+        An image is (C, H, W) floats on the [0, 1] scale; integer pixels are
+        rejected, not read as 0-255."""
         if self._finished:
             raise UsageError("session already finished")
         last_slice = self._window[-1].t_slice if self._window else None
@@ -282,7 +286,11 @@ class TrackSession:
                 raise OrderingError(f"second frame at {t}")
             if last_slice is not None and t <= last_slice:
                 raise OrderingError(f"frame at {t} arrived after slices past it were processed")
-            image = np.asarray(image, dtype=np.float32)
+            image = np.asarray(image)
+            if image.dtype.kind != "f":
+                raise ConfigError(f"frame at {t} has {image.dtype} pixels; a frame holds floats "
+                                  "on the [0, 1] scale that images.load_image gives")
+            image = image.astype(np.float32, copy=False)
             self._check_frame_shape(image.shape)
             if not np.isfinite(image).all():
                 raise UsageError(f"frame at {t} has non-finite pixels")
@@ -560,18 +568,15 @@ class TrackSession:
 
 def _query_row(row) -> tuple[int, int, float, float]:
     """A query row (id, t_birth_us, x, y): the id and birth time must be
-    whole numbers; x and y are checked later. Any bad row is a `UsageError`."""
+    whole numbers, x and y finite numbers; whether the position lies on
+    the sensor is checked at the first input. Any bad row is a `UsageError`."""
     if len(row) != 4:
         raise UsageError(f"query row {row!r} is not (id, t_birth_us, x, y)")
     try:
-        qid, birth = whole(row[0], "id"), whole(row[1], "birth time")
+        return (whole(row[0], "id"), whole(row[1], "birth time"),
+                finite(row[2], "x"), finite(row[3], "y"))
     except ConfigError as err:
         raise UsageError(f"query row {row!r}: {err}") from None
-    try:
-        x, y = float(row[2]), float(row[3])
-    except (TypeError, ValueError):
-        raise UsageError(f"query row {row!r}: position is not a number") from None
-    return qid, birth, x, y
 
 
 def _event_batch(events) -> EventStream:

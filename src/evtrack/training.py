@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, adamw_step, backward, ops
-from .autodiff.params import assign_weights, read_weight_file, save_arrays, save_weights
+from .autodiff.params import (
+    assign_weights,
+    check_weights,
+    read_weight_file,
+    save_arrays,
+    save_weights,
+)
 from .errors import ConfigError, TrainingError, UsageError
 from .pipeline import TrackerConfig, TrackerModel, run_offline
 
@@ -156,18 +162,24 @@ def load_checkpoint(model: TrackerModel, path: str) -> int:
 
     One Adam step is taken per training step, so the optimizer resumes at
     that step too. A file without optimizer state, or one trained with
-    another tracker config, is rejected.
+    another tracker config, is rejected. Everything is checked before the
+    first parameter or moment changes, so a rejected file leaves the
+    model as it was.
     """
     arrays, meta = read_weight_file(path)
-    assign_weights(model.store, arrays, path)
+    store = model.store
+    check_weights(store, arrays, path)
     check_trained_config(model.cfg, meta, path)
-    names = model.store.names()
+    names = store.names()
     if not all(f"opt.{name}.m" in arrays and f"opt.{name}.v" in arrays for name in names):
         raise UsageError(f"{path} holds no optimizer state; resume from a checkpoint.bin")
+    for key in ("opt.{}.m", "opt.{}.v"):
+        check_weights(store, arrays, path, key)
+    assign_weights(store, arrays, path)
     for name in names:
-        model.store.load_state(name, arrays[f"opt.{name}.m"], arrays[f"opt.{name}.v"])
-    model.store.step = int(meta.get("step", 0))
-    return model.store.step
+        store.load_state(name, arrays[f"opt.{name}.m"], arrays[f"opt.{name}.v"])
+    store.step = int(meta.get("step", 0))
+    return store.step
 
 
 def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,

@@ -1,5 +1,7 @@
 import gc
 import json
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -132,10 +134,12 @@ def _band_rows(monkeypatch, rows, cin, k, wo, itemsize):
 def test_conv2d_bands_match_oracle(monkeypatch, k, stride, rows):
     """Split into bands of `rows` output rows, one GEMM each (13 or 7
     output rows, so 3-row bands leave a ragged 1-row band last), the
-    forward still matches the oracle."""
+    forward still matches the oracle. One worker keeps the band split to
+    the bytes alone, so the GEMM shapes below hold on any host."""
     rng = np.random.default_rng(100 * k + 10 * stride + rows)
     x, wt, b, pad, ho, wo = _conv_case(rng, 3, 4, 13, 9, k, stride)
     _band_rows(monkeypatch, rows, 3, k, wo, 4)
+    monkeypatch.setattr(ops, "_WORKERS", 1)
     gemms = []
     matmul = np.matmul
 
@@ -192,11 +196,109 @@ def test_conv2d_banded_gradients_within_1e6_of_one_band(monkeypatch):
         assert np.linalg.norm(banded - one) <= 1e-6 * np.linalg.norm(one)
 
 
-def test_conv2d_stem_peak_is_bounded_by_the_band():
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_worker_bands_are_bit_identical(monkeypatch, workers, k, stride):
+    """On 2 or 3 workers, 3-row bands of 13 or 7 output rows (a ragged one
+    last) run the GEMMs of one worker, shape for shape, on more than one
+    thread, and give its output and gradients bit for bit."""
+    rng = np.random.default_rng(300 + 10 * k + stride)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 3, 4, 13, 9, k, stride)
+    g = rng.standard_normal((4, ho, wo)).astype(np.float32)
+    _band_rows(monkeypatch, 3, 3, k, wo, 4)
+    matmul = np.matmul
+    results, gemms = [], []
+    for n in (1, workers):
+        monkeypatch.setattr(ops, "_WORKERS", n)
+        calls = []
+
+        def recording_matmul(*args, **kwargs):
+            calls.append((threading.get_ident(), args[1].shape))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        out = ops.conv2d(Tensor(x, requires_grad=True), Tensor(wt), Tensor(b), stride=stride, pad=pad)
+        monkeypatch.setattr(np, "matmul", matmul)
+        assert (len({thread for thread, _ in calls}) > 1) == (n > 1)
+        gemms.append(sorted(shape for _, shape in calls))
+        results.append((out.data, *out._vjp(g)))
+    assert gemms[0] == gemms[1] and len(gemms[0]) == -(-ho // 3)
+    for one, many in zip(*results):
+        assert np.array_equal(one, many)
+
+
+def test_conv2d_worker_error_is_raised_from_conv2d(monkeypatch):
+    """An error in a band that a worker thread serves comes out of conv2d
+    as the same exception object."""
+    rng = np.random.default_rng(31)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 3, 4, 13, 9, 3, 1)
+    _band_rows(monkeypatch, 3, 3, 3, wo, 4)
+    monkeypatch.setattr(ops, "_WORKERS", 2)
+    error = MemoryError("band 1")
+    matmul = np.matmul
+
+    def failing_matmul(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing_matmul)
+    with pytest.raises(MemoryError) as raised:
+        ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), pad=pad)
+    assert raised.value is error
+
+
+def test_conv2d_one_band_starts_no_pool(monkeypatch):
+    """A map whose columns fit one band, or any map with one worker, runs
+    on the calling thread without an executor."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("conv2d started a thread pool")
+
+    monkeypatch.setattr(ops, "ThreadPoolExecutor", no_pool)
+    rng = np.random.default_rng(32)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 3, 4, 13, 9, 3, 1)
+    monkeypatch.setattr(ops, "_WORKERS", 2)
+    one_band = ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), pad=pad).data
+    _band_rows(monkeypatch, 1, 3, 3, wo, 4)
+    monkeypatch.setattr(ops, "_WORKERS", 1)
+    assert np.array_equal(ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), pad=pad).data, one_band)
+
+
+def test_conv2d_many_workers_under_fast_switching(monkeypatch):
+    """Stress: 8 workers on one-row bands, with the interpreter switching
+    threads every microsecond, still write every output row exactly as
+    one worker does. The run is bounded by a join timeout."""
+    rng = np.random.default_rng(33)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 8, 8, 40, 24, 3, 1)
+    _band_rows(monkeypatch, 1, 8, 3, wo, 4)
+    monkeypatch.setattr(ops, "_WORKERS", 1)
+    sequential = ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), pad=pad).data
+    monkeypatch.setattr(ops, "_WORKERS", 8)
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run():
+            for _ in range(10):
+                outs.append(ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), pad=pad).data)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(outs) == 10 and all(np.array_equal(out, sequential) for out in outs)
+
+
+def test_conv2d_stem_peak_is_bounded_by_the_band(monkeypatch):
     """A 346x260 event stem (10 channels, 7x7, stride 2) lowers one band at
-    a time. Its forward peaks below output + padded input + two bands,
-    where whole columns alone would be 490 x 22490 float32 (44 MB); its
-    backward below the padded input and its gradient + two bands."""
+    a time on each of two workers. Its forward peaks below output + padded
+    input + one band per worker, where whole columns alone would be 490 x
+    22490 float32 (44 MB); its backward below the padded input and its
+    gradient + two bands."""
+    monkeypatch.setattr(ops, "_WORKERS", 2)
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((10, 260, 346)).astype(np.float32), requires_grad=True)
     w = Tensor((rng.standard_normal((32, 10, 7, 7)) / 7).astype(np.float32), requires_grad=True)
@@ -206,7 +308,7 @@ def test_conv2d_stem_peak_is_bounded_by_the_band():
     g = np.ones_like(out.data)
     grads, backward_peak = traced_peak(lambda: out._vjp(g))
     assert out.shape == (32, 130, 173) and grads[0].shape == x.shape
-    assert forward_peak < out.data.nbytes + padded + 2 * ops._BAND_BYTES
+    assert forward_peak < out.data.nbytes + padded + ops._WORKERS * ops._BAND_BYTES
     assert backward_peak < 2 * padded + 2 * ops._BAND_BYTES
 
 

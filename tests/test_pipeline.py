@@ -226,6 +226,25 @@ class TestStreaming:
         with pytest.raises(UsageError, match=f"{what} is not a whole number"):
             TrackSession(tiny_model(seed=0), [(7, 0, 1.0, 1.0), row])
 
+    @pytest.mark.parametrize("row, what", [
+        pytest.param((0, 0, "4.0", 4.0), "x '4.0' is not a number", id="str"),
+        pytest.param((0, 0, 4.0, True), "y True is not a number", id="bool"),
+        pytest.param((0, 0, None, 4.0), "x None is not a number", id="none"),
+        pytest.param((0, 0, 4.0, float("nan")), "y nan is not finite", id="nan"),
+        pytest.param((0, 0, float("inf"), 4.0), "x inf is not finite", id="inf"),
+        pytest.param((0, 0, 4.0, 10**400), "y 1000.* is not finite", id="int-past-float"),
+    ])
+    def test_query_positions_are_finite_numbers(self, row, what):
+        """A position is taken as given or rejected: the string "4.0" is not
+        read as 4.0, nor True as 1.0."""
+        with pytest.raises(UsageError, match=f"query row .*: {what}"):
+            TrackSession(tiny_model(seed=0), [(7, 0, 1.0, 1.0), row])
+
+    @pytest.mark.filterwarnings("error")
+    def test_query_position_past_float32_rejected_without_a_warning(self):
+        with pytest.raises(UsageError, match=r"query 0 at \(inf, 4\) is not finite"):
+            TrackSession(tiny_model(seed=0), [(0, 0, 1e39, 4.0)])
+
     @pytest.mark.parametrize("downsample", [4, 8])
     def test_small_sensors_rejected_at_the_first_input_or_tracked(self, downsample):
         """Every sensor from 1x1 to 9x9 is either rejected by the first
@@ -367,9 +386,9 @@ def _set_first(events, column: int, value):
 
 
 class TestInputValues:
-    """A bad frame time or event column is rejected by the `advance` call
-    that receives it: `UsageError` for a call of the wrong shape,
-    `ConfigError` for a bad value. Nothing is truncated or stored."""
+    """A bad frame time, pixel type or event column is rejected by the
+    `advance` call that receives it: `UsageError` for a call of the wrong
+    shape, `ConfigError` for a bad value. Nothing is truncated or stored."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("make, error, match", [
@@ -383,6 +402,13 @@ class TestInputValues:
                      r"frame ndarray is not a \(t_us, image\) pair", id="not-a-pair"),
         pytest.param(lambda img: (0, img, img), UsageError,
                      r"frame tuple is not a \(t_us, image\) pair", id="triple"),
+        pytest.param(lambda img: (0, (img * 255).astype(np.uint8)), ConfigError,
+                     r"frame at 0 has uint8 pixels; a frame holds floats on the \[0, 1\] scale",
+                     id="uint8"),
+        pytest.param(lambda img: (0, img > 0.5), ConfigError,
+                     "frame at 0 has bool pixels", id="bool"),
+        pytest.param(lambda img: (0, np.ones(img.shape, dtype=np.int64)), ConfigError,
+                     "frame at 0 has int64 pixels", id="int64"),
     ])
     def test_bad_frame_rejected(self, seq, make, error, match):
         frames, _, queries, _, _, _ = seq

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from evtrack import pipeline, training
-from evtrack.autodiff import Tensor, backward, load_weights, precision, save_weights
+from evtrack.autodiff import Tensor, backward, load_weights, precision, read_weight_file, save_weights
+from evtrack.autodiff.params import save_arrays
 from evtrack.errors import ConfigError, MetricError, TrainingError, UsageError
 from evtrack.metrics import GtTrack, evaluate_tracks, expected_feature_age, feature_age
 from evtrack.training import (
@@ -378,6 +379,40 @@ class TestTrainingLoop:
         load_weights(fresh.store, path)
         assert all(p.data.base is None and p.data.flags.owndata for _, p in fresh.store.items())
         assert all(fresh.store.moments(name) is None for name in fresh.store.names())
+
+    @pytest.mark.parametrize("spoil, error, match", [
+        pytest.param("no-moments", UsageError, "holds no optimizer state", id="no-moments"),
+        pytest.param("config", ConfigError, "trained with another tracker config", id="config"),
+        pytest.param("last-shape", ConfigError, "shape mismatch", id="last-shape"),
+        pytest.param("last-moment-shape", ConfigError, "shape mismatch", id="last-moment-shape"),
+    ])
+    def test_rejected_checkpoint_changes_nothing(self, tmp_path, spoil, error, match):
+        """A checkpoint rejected for missing optimizer state, another
+        tracker config, or a bad shape in the last parameter or its moment
+        leaves every parameter array, every moment and the step count as
+        they were: the same objects, not copies."""
+        model = tiny_model(seed=0)
+        path = str(tmp_path / "checkpoint.bin")
+        save_checkpoint(tiny_model(seed=1), path, step=3)
+        load_checkpoint(model, path)
+        before = {name: (p.data, *model.store.moments(name)) for name, p in model.store.items()}
+        arrays, meta = read_weight_file(path)
+        last = model.store.names()[-1]
+        if spoil == "no-moments":
+            arrays = {k: a for k, a in arrays.items() if not k.startswith("opt.")}
+        elif spoil == "config":
+            meta["tracker"]["dt_track_us"] += 1
+        else:
+            key = last if spoil == "last-shape" else f"opt.{last}.v"
+            arrays[key] = np.zeros((*arrays[key].shape, 2), dtype=np.float32)
+        meta["step"] = 7
+        save_arrays(arrays, path, extra=meta)
+        with pytest.raises(error, match=match):
+            load_checkpoint(model, path)
+        assert model.store.step == 3
+        for name, p in model.store.items():
+            held = (p.data, *model.store.moments(name))
+            assert all(now is then for now, then in zip(held, before[name])), name
 
     def test_checkpoint_of_another_model_rejected(self, tmp_path):
         """A 16-channel checkpoint must not load into a 24-channel model."""
