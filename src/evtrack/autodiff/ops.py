@@ -12,6 +12,7 @@ checks each.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -127,20 +128,35 @@ def sigmoid(a) -> Tensor:
 # linear algebra
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ConfigError(f"matmul requires ndim >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ConfigError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
+def matmul(a, maps) -> Tensor:
+    """Per-slice products `a[i] @ maps[i].reshape(C, L)` in one (W, N, L) volume.
+
+    `a` is (W, N, C) and `maps` holds W tensors of one shape (C, ...) with
+    L cells after the first axis, so the maps of a window stay where they
+    are instead of being stacked. Each slice is one GEMM of the shape that
+    `np.matmul`'s batch loop would run over the stacked maps, so the
+    volume and its gradients are that loop's bits. The vjp hands each map
+    its own gradient, shaped like the map.
+    """
+    a, maps = as_tensor(a), [as_tensor(m) for m in maps]
+    if a.ndim != 3 or len(maps) != a.shape[0]:
+        raise ConfigError(f"matmul needs (W, N, C) and W maps, got {a.shape} and {len(maps)} maps")
+    w_len, n, c = a.shape
+    shape = maps[0].shape
+    if shape[:1] != (c,) or any(m.shape != shape for m in maps):
+        raise ConfigError(f"matmul maps must all be ({c}, ...), got {[m.shape for m in maps]}")
+    flat = [m.data.reshape(c, -1) for m in maps]
+    out = np.empty((w_len, n, flat[0].shape[1]), dtype=np.result_type(a.dtype, maps[0].dtype))
+    for i, b in enumerate(flat):
+        np.matmul(a.data[i], b, out=out[i])
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        ga = np.empty(a.shape, dtype=g.dtype)
+        for i, b in enumerate(flat):
+            np.matmul(g[i], b.T, out=ga[i])
+        return (ga, *(np.matmul(a.data[i].T, g[i]).reshape(shape) for i in range(w_len)))
 
-    return make_node(out, (a, b), vjp)
+    return make_node(out, (a, *maps), vjp)
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -235,6 +251,24 @@ _BAND_BYTES = 4 << 20
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
+# conv2d's scratch, one set per calling thread: a column buffer per worker
+# (keys 0, 1, ...) and the padded input (key "padded"), as flat bytes.
+_scratch = threading.local()
+
+
+def _scratch_array(key, shape, dtype) -> np.ndarray:
+    """A `shape` array of `dtype` over the calling thread's `key` buffer.
+
+    The buffer grows to fit and never shrinks, and it holds whatever its
+    last use left in it.
+    """
+    held = _scratch.__dict__.setdefault("buffers", {})
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if key not in held or held[key].nbytes < nbytes:
+        held.pop(key, None)
+        held[key] = np.empty(nbytes, dtype=np.uint8)
+    return held[key][:nbytes].view(dtype).reshape(shape)
+
 
 def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding, lowered and multiplied one
@@ -249,13 +283,24 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     band's rows of the CHW output, so the reduction over Cin*k*k is that
     GEMM's. A map whose columns fit is one band. A large map holds one
     band of columns per worker, not the whole matrix: a 346x260 event
-    stem's would be 44 MB, which the allocator maps and faults in afresh
-    on every call.
+    stem's would be 44 MB.
+
+    Scratch: the column buffers and the padded input (the input itself
+    when pad is 0) belong to the calling thread, kept between calls in
+    `_scratch` and grown to the largest conv it has run. They hold at
+    most `_WORKERS` x max(`_BAND_BYTES`, one output row of columns) plus
+    the largest padded input: about 12 MB for a 346x260 tracker and 2 MB
+    at 64x64. Buffers of these sizes made afresh are mapped and faulted
+    in on every call once glibc's mmap threshold is below them: a warm
+    346x260 offline run of 8 slices (2 CPUs) took 96k minor faults and
+    117-161 ms of system time with fresh buffers, 18-33k faults and
+    55-138 ms with the scratch. The padded buffer's border is zeroed on
+    every call, since an earlier conv of another shape wrote there.
 
     A forward of more than one band runs on `_WORKERS` threads: worker i
     lowers and multiplies bands i, i + W, ... through its own buffer,
     and the calling thread serves share 0, then re-raises any worker's
-    error. The calling thread allocates every buffer before the pool
+    error. The calling thread hands out every buffer before the pool
     starts. Bands read the padded input and write disjoint output rows,
     so they need no lock, and numpy releases the interpreter lock inside
     the GEMMs, which do most of the work. The band split does not depend
@@ -266,13 +311,18 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     count. A one-band map runs on the calling thread with no pool.
 
     The backward pass keeps no columns either. Band by band, in order on
-    the calling thread, it rebuilds them from the input and adds the
-    band's `g @ colsᵀ` to the weight gradient. Only when the input needs
-    a gradient (an encoder stem's input does not), it writes the band's
-    column gradient into the same buffer and scatters it into the padded
+    the calling thread, it rebuilds them from the input, padded in the
+    same scratch, into one column buffer of its own, and adds the band's
+    `g @ colsᵀ` to the weight gradient. Only when the input needs a
+    gradient (an encoder stem's input does not), it writes the band's
+    column gradient into that buffer and scatters it into the padded
     input gradient through the k*k slices. It stays sequential: adjacent
     bands scatter into overlapping halo rows, and every band adds into
-    one weight gradient, whose sum order fixes its bits.
+    one weight gradient, whose sum order fixes its bits. Its column
+    buffer is made per call, not taken from the scratch: there it would
+    drop the event stem's columns from a one-window training step's
+    traced peak, and `TestWindowedBackward`'s seven-window peak, which
+    did not grow, would read 1.56x that peak against a bound of 1.5x.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xd = x.data
@@ -298,7 +348,15 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     bands = [(r0, min(ho, r0 + rows)) for r0 in range(0, ho, rows)]
 
     def padded():
-        xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=xd.dtype)
+        """The input zero-padded in the calling thread's scratch; the input
+        itself when there is no padding."""
+        if pad == 0:
+            return xd
+        xp = _scratch_array("padded", (cin, h + 2 * pad, w + 2 * pad), xd.dtype)
+        xp[:, :pad] = 0
+        xp[:, pad + h :] = 0
+        xp[:, pad : pad + h, :pad] = 0
+        xp[:, pad : pad + h, pad + w :] = 0
         xp[:, pad : pad + h, pad : pad + w] = xd
         return xp
 
@@ -316,12 +374,10 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
         return cols.reshape(kk, (r1 - r0) * wo)
 
     w_flat = weight.data.reshape(cout, kk)
-    # The output outlives the padded input and the buffers, so it is allocated
-    # first: allocated after them, it raised the peak RSS of 64x64 runs.
     out = np.empty((cout, ho * wo), dtype=xd.dtype)
     xp = padded()
     workers = min(_WORKERS, len(bands))
-    bufs = [np.empty(kk * rows * wo, dtype=xd.dtype) for _ in range(workers)]
+    bufs = [_scratch_array(i, kk * rows * wo, xd.dtype) for i in range(workers)]
 
     def share(i):
         """Bands i, i + workers, ... into their rows of `out`, through bufs[i]."""

@@ -7,6 +7,11 @@ dy, then dx); samples past the border are zero.
 Positions live at full image resolution; division by scale*2^level
 happens only at sampling time.
 
+A window is correlated against each slice's own pyramid: the levels of
+the W slices are passed as lists and read in place, never stacked into a
+(W, C, h, w) copy, so a window's pyramids are held once and each map gets
+its gradient directly.
+
 All (2r+1)^2 offsets of one position share the fractional part of
 position/scale, so the taps come from one bilinear stencil: the
 (2r+2)^2 cells around the position are gathered once, and each tap
@@ -75,28 +80,30 @@ def build_pyramid(fused: Tensor, levels: int, base_scale: int) -> CorrelationPyr
     return CorrelationPyramid(maps, base_scale)
 
 
-def correlate_batch(features: Tensor, level_stacks: list[Tensor], positions: Tensor,
+def correlate_batch(features: Tensor, levels: list[list[Tensor]], positions: Tensor,
                     radius: int, base_scale: int) -> Tensor:
     """Cost vectors for a whole window at once.
 
-    `features` is (W, N, C); `level_stacks[level]` is (W, C, h, w) with the
-    window's fused maps stacked along the slice axis; `positions` is
-    (W, N, 2). Returns (W, N, levels*(2r+1)^2) cost vectors, laid out as
-    the module docstring describes.
+    `features` is (W, N, C); `levels[level]` lists the W slices' (C, h, w)
+    maps at that level, each slice's own pyramid level, so the window's
+    maps are read where they are held and never copied into a stack;
+    `positions` is (W, N, 2). Returns (W, N, levels*(2r+1)^2) cost
+    vectors, laid out as the module docstring describes.
 
     Because the cost is linear in the map, each level first computes every
-    query's scalar inner-product volume (one matmul) and then reads the
-    (2r+1)^2 taps from it, which equals sampling feature vectors and
-    dotting but moves far less data. The taps are one `ops.bilinear_patch`
-    call over the W*N volumes: one (2r+2)^2 cell gather and one 2x2
-    stencil per (slice, query).
+    query's scalar inner-product volume (one `ops.matmul`: a GEMM per
+    slice into one (W, N, h*w) volume) and then reads the (2r+1)^2 taps
+    from it, which equals sampling feature vectors and dotting but moves
+    far less data. The taps are one `ops.bilinear_patch` call over the
+    W*N volumes: one (2r+2)^2 cell gather and one 2x2 stencil per (slice,
+    query).
     """
-    w_len, n, c = features.shape
+    w_len, n, _ = features.shape
     pieces = []
-    for level, stack in enumerate(level_stacks):
-        h, w = stack.shape[-2], stack.shape[-1]
+    for level, maps in enumerate(levels):
+        h, w = maps[0].shape[-2], maps[0].shape[-1]
         scale = float(base_scale * (2**level))
-        vol = ops.matmul(features, stack.reshape((w_len, c, h * w)))  # (W, N, h*w)
+        vol = ops.matmul(features, maps)  # (W, N, h*w)
         pts = (positions * (1.0 / scale)).reshape((w_len * n, 2))
         sampled = ops.bilinear_patch(vol.reshape((w_len * n, h, w)), pts, radius)
         pieces.append(sampled.reshape((w_len, n, -1)))

@@ -81,14 +81,13 @@ class FpnEncoder:
 
     The stem halves resolution, the stages reach 1/4 and 1/8; the output
     is taken at 1/downsample with `channels` channels after a 3x3 smooth.
-    Inputs have `in_channels` channels and are multiplied by `input_scale`.
+    Inputs have `in_channels` channels.
     """
 
     def __init__(self, store: ParamStore, prefix: str, cfg: TrackerConfig, in_channels: int,
-                 rng, input_scale: float = 1.0):
+                 rng):
         self.downsample = cfg.downsample
         self.in_channels = in_channels
-        self.input_scale = input_scale
         c = cfg.channels
         w0, w1, w2 = max(8, c // 4), max(16, c // 2), c  # stem, stage1, stage2
         self.stem = Conv2dLayer(store, f"{prefix}.stem", in_channels, w0, 7, rng, stride=2)
@@ -107,15 +106,12 @@ class FpnEncoder:
             raise ConfigError(
                 f"input extents {x.shape[-2]}x{x.shape[-1]} too small for 1/{self.downsample} features"
             )
-        if self.input_scale != 1.0:
-            x = x * self.input_scale
-        t = ops.relu(self.stem(x))
-        s1 = self.stage1(t)
-        s2 = self.stage2(s1)
-        p8 = self.lateral2(s2)
+        s1 = self.stage1(ops.relu(self.stem(x)))
+        p8 = self.lateral2(self.stage2(s1))
         if self.downsample == 8:
             return self.smooth(p8)
         p4 = self.lateral1(s1) + ops.upsample2_nearest(p8, (s1.shape[-2], s1.shape[-1]))
+        del s1, p8  # without a graph, smooth need not hold them
         return self.smooth(p4)
 
 
@@ -160,6 +156,7 @@ class MotionGatedFusion:
         f_i, skip = branch
         beta = self.gate_value(dp_prev).reshape((1, 1, 1))
         mixed = beta * f_i + (1.0 - beta) * f_e
+        del f_e  # without a graph, conv_mix need not hold it
         return ops.relu(self.conv_mix(mixed) + skip), branch
 
 

@@ -27,8 +27,13 @@ end before the next slice's earliest event time (its frame in
 `since_frame` mode, `t_slice - event_window_us()` in `fixed` mode), and
 frame records before the next slice's frame, none of which an unborn
 query is born at. A frame record holds the image, its features and
-fusion's image branch, each computed once per frame. Emitted samples go
-back to the caller and are not kept. Held state thus depends on the
+fusion's image branch, each computed once per frame. A window slice
+holds its pyramid, and a refinement correlates against the W slices'
+levels where they are, so each pyramid is the only copy of it. The
+window's pyramids are the largest state held: 3.9 MB a slice at 346x260
+with 128 channels and 4 levels. A slice's event stack is scaled in
+place and dropped once the event encoder has read it. Emitted samples
+go back to the caller and are not kept. Held state thus depends on the
 accumulation window, not on how long the stream has run.
 
 Training: forward passes record a graph only when the caller passes an
@@ -135,8 +140,7 @@ class TrackerModel:
 
         self.store = ParamStore()
         self.frame_encoder = FpnEncoder(self.store, "frame_enc", cfg, cfg.frame_channels, rng)
-        self.event_encoder = FpnEncoder(self.store, "event_enc", cfg, 2 * cfg.bins, rng,
-                                        input_scale=1.0 / max(1, cfg.bins - 1))
+        self.event_encoder = FpnEncoder(self.store, "event_enc", cfg, 2 * cfg.bins, rng)
         self.fusion = MotionGatedFusion(self.store, "fusion", cfg.channels, rng)
         self.refiner = WindowRefiner(self.store, "refiner", cfg, rng)
 
@@ -268,8 +272,9 @@ class TrackSession:
     def advance(self, frame=None, events=None):
         """Feed the next frame (t_us, image) or event batch; returns new samples.
 
-        An image is (C, H, W) floats on the [0, 1] scale; integer pixels are
-        rejected, not read as 0-255."""
+        An image is (C, H, W) floats on the [0, 1] scale, read as float32:
+        integer pixels are rejected, not read as 0-255, and so is a float
+        pixel off that scale. float16 and float64 frames are cast."""
         if self._finished:
             raise UsageError("session already finished")
         last_slice = self._window[-1].t_slice if self._window else None
@@ -291,9 +296,13 @@ class TrackSession:
                 raise ConfigError(f"frame at {t} has {image.dtype} pixels; a frame holds floats "
                                   "on the [0, 1] scale that images.load_image gives")
             image = image.astype(np.float32, copy=False)
-            self._check_frame_shape(image.shape)
             if not np.isfinite(image).all():
                 raise UsageError(f"frame at {t} has non-finite pixels")
+            if image.size and not 0 <= image.min() <= image.max() <= 1:
+                raise ConfigError(f"frame at {t} has pixels from {image.min():g} to "
+                                  f"{image.max():g}, off the [0, 1] scale that "
+                                  "images.load_image gives")
+            self._check_frame_shape(image.shape)
             if self.cfg.use_frames:
                 self._check_births_between(last_frame, t)
             self._frames[t] = _Frame(image)
@@ -457,13 +466,7 @@ class TrackSession:
             cuts.read(frame.cuts)
 
         if cfg.use_events:
-            if duration > 0 and self._chunks:
-                raw = build_event_stack(EventStream.join(self._chunks), t_ev0, t_slice, cfg.bins)
-            else:
-                # a slice coinciding with its frame accumulates no events yet
-                x_ext, y_ext = self._sensor
-                raw = np.zeros((2 * cfg.bins, y_ext, x_ext), dtype=np.float32)
-            f_event = self.model.event_encoder(Tensor(raw))
+            f_event = self._event_features(t_ev0, t_slice)
             f_image = self._frame_features(t_frame) if cfg.use_frames else None
             fused, branch = self.model.fusion(
                 f_image, f_event, self._dp_prev, frame.branch, use_frames=cfg.use_frames)
@@ -483,6 +486,21 @@ class TrackSession:
         if n_born > self._n_born:
             self._valid_from[self._n_born:n_born] = idx
             self._sample_templates(n_born, fused, cuts)
+
+    def _event_features(self, t_ev0: int, t_slice: int) -> Tensor:
+        """Event-encoder features of the events in [t_ev0, t_slice].
+
+        The stack's t* values run over [0, bins - 1]; it is scaled to [0, 1]
+        in place, and it is not held once the encoder has read it."""
+        bins = self.cfg.bins
+        if t_slice > t_ev0 and self._chunks:
+            raw = build_event_stack(EventStream.join(self._chunks), t_ev0, t_slice, bins)
+            raw *= np.float32(1 / max(1, bins - 1))
+        else:
+            # a slice coinciding with its frame accumulates no events yet
+            x_ext, y_ext = self._sensor
+            raw = np.zeros((2 * bins, y_ext, x_ext), dtype=np.float32)
+        return self.model.event_encoder(Tensor(raw))
 
     def _sample_templates(self, n_born: int, fused: Tensor, slice_cuts: _Cuts):
         """Templates of rows [_n_born, n_born), born at this slice: one

@@ -140,9 +140,7 @@ class WindowRefiner:
             raise ConfigError(f"{len(pyramids)} pyramids for a {state.window}-slice window")
         levels = len(pyramids[0].levels)
         base_scale = pyramids[0].base_scale
-        level_stacks = [
-            ops.stack([p.levels[lv] for p in pyramids], axis=0) for lv in range(levels)
-        ]
+        level_maps = [[p.levels[lv] for p in pyramids] for lv in range(levels)]
         idx = state.start_index + np.arange(state.window)[:, None]
         update_mask = (idx > state.valid_from[None, :]).astype(np.float32)[..., None]
         p_init = np.asarray(p_init, dtype=np.float32)
@@ -151,7 +149,7 @@ class WindowRefiner:
         feats = state.features
         snapshots = []
         for m in range(self.cfg.iterations):
-            corr = correlate_batch(feats, level_stacks, pos, self.cfg.radius, base_scale)
+            corr = correlate_batch(feats, level_maps, pos, self.cfg.radius, base_scale)
             raw = make_tokens(pos, feats, corr, p_init, state.durations_us, self.cfg)
             x = self._transform(raw)
             d_pos = self.head_pos(x)

@@ -3,10 +3,14 @@ attention.
 
 Each one follows its contract literally, one event or one scalar read at
 a time, so the vectorized code in the package can be checked against it.
+`correlate_stacked_oracle` is the exception: it keeps the stacked window
+formula that `correlate_batch` replaced, to pin its bits and gradients.
 """
 
 import numpy as np
 
+from evtrack.autodiff import Tensor, ops
+from evtrack.autodiff.tensor import make_node
 from evtrack.correlation import CorrelationPyramid
 from evtrack.events import EventStream
 
@@ -66,6 +70,31 @@ def correlate_oracle(feature: np.ndarray, pyramid: CorrelationPyramid, position,
         for dx, dy in offsets_grid(radius):
             out.append(_sample_scalar(vol, px + float(dx), py + float(dy)))
     return np.array(out, dtype=np.float64)
+
+
+def _batched_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """`np.matmul` over matching leading axes, with its gradients."""
+
+    def vjp(g):
+        return np.matmul(g, np.swapaxes(b.data, -1, -2)), np.matmul(np.swapaxes(a.data, -1, -2), g)
+
+    return make_node(np.matmul(a.data, b.data), (a, b), vjp)
+
+
+def correlate_stacked_oracle(features, levels, positions, radius: int, base_scale: int) -> Tensor:
+    """`correlate_batch` as it was before it read each slice's maps in place:
+    every level's W maps stacked into one (W, C, h, w) copy and multiplied
+    by one `np.matmul` over the slice axis; differentiable."""
+    w_len, n, c = features.shape
+    pieces = []
+    for level, maps in enumerate(levels):
+        stack = ops.stack(maps, axis=0)
+        h, w = stack.shape[-2], stack.shape[-1]
+        vol = _batched_matmul(features, stack.reshape((w_len, c, h * w)))
+        pts = (positions * (1.0 / float(base_scale * 2**level))).reshape((w_len * n, 2))
+        sampled = ops.bilinear_patch(vol.reshape((w_len * n, h, w)), pts, radius)
+        pieces.append(sampled.reshape((w_len, n, -1)))
+    return ops.concat(pieces, axis=-1)
 
 
 def conv2d_oracle(x, weight, bias, stride: int, pad: int) -> np.ndarray:

@@ -1,8 +1,6 @@
-import gc
 import json
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,20 +93,15 @@ def test_conv2d_matches_oracle(k, stride):
 
 def test_conv2d_node_holds_no_columns():
     """A grad-enabled conv node holds its output, not the Cin*k*k-row columns:
-    the backward pass rebuilds those from the input."""
+    the backward pass rebuilds those from the input. The columns live in
+    the calling thread's scratch, which a first call grows to this shape."""
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((64, 32, 32)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32), requires_grad=True)
     b = Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = ops.conv2d(x, w, b, pad=1)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    with no_grad():
+        ops.conv2d(x, w, b, pad=1)
+    out, _, held = traced_peak(lambda: ops.conv2d(x, w, b, pad=1))
     assert out._vjp is not None
     assert held < 4 * x.data.nbytes
 
@@ -292,6 +285,84 @@ def test_conv2d_many_workers_under_fast_switching(monkeypatch):
     assert len(outs) == 10 and all(np.array_equal(out, sequential) for out in outs)
 
 
+def _conv_run(case, stride, g):
+    """Output, input and weight gradients of one conv2d of `case` whose
+    output gets the gradient `g`."""
+    x, wt, b, pad, _, _ = case
+    out = ops.conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True), Tensor(b),
+                     stride=stride, pad=pad)
+    return (out.data, *out._vjp(g)[:2])
+
+
+def _scratch_buffers() -> dict:
+    """The calling thread's conv2d scratch buffers, by key."""
+    return dict(vars(ops._scratch).get("buffers", {}))
+
+
+def test_conv2d_scratch_is_the_calling_threads_own(monkeypatch):
+    """Two threads run convs of different shapes, forward and backward, on
+    two workers each, while the interpreter switches threads every
+    microsecond; each gets the bits of a sequential run."""
+    monkeypatch.setattr(ops, "_WORKERS", 2)
+    monkeypatch.setattr(ops, "_BAND_BYTES", 4096)  # several bands each
+    rng = np.random.default_rng(34)
+    strides = (1, 2)
+    cases = [_conv_case(rng, 3, 4, 21, 13, 3, 1), _conv_case(rng, 5, 6, 27, 19, 7, 2)]
+    grads = [rng.standard_normal((c[1].shape[0], c[4], c[5])).astype(np.float32) for c in cases]
+    sequential = [_conv_run(c, s, g) for c, s, g in zip(cases, strides, grads)]
+    results = [[], []]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(i):
+            for _ in range(5):
+                results[i].append(_conv_run(cases[i], strides[i], grads[i]))
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(sequential, results):
+        assert len(got) == 5
+        assert all(np.array_equal(a, b) for run in got for a, b in zip(want, run))
+
+
+def test_conv2d_scratch_is_bounded_and_reused(monkeypatch):
+    """After a sweep of shapes, a thread's scratch holds at most one column
+    buffer per worker, each max(_BAND_BYTES, one output row of columns),
+    plus the largest padded input; a second sweep allocates none."""
+    monkeypatch.setattr(ops, "_WORKERS", 2)
+    monkeypatch.setattr(ops, "_BAND_BYTES", 64 << 10)
+    rng = np.random.default_rng(35)
+    # (cin, cout, h, w, k, stride): a stem, 3x3 and 1x1 maps, and a 3x3 whose
+    # one row of columns (32*9 x 64 floats) exceeds the band
+    shapes = [(4, 8, 40, 56, 7, 2), (8, 8, 30, 20, 3, 1), (16, 8, 12, 12, 1, 1),
+              (32, 4, 10, 64, 3, 1), (2, 4, 9, 7, 3, 1)]
+    cases = [_conv_case(rng, *shape) for shape in shapes]
+    row = max(c[1][0].size * c[5] * 4 for c in cases)
+    padded = max(c[0].shape[0] * (c[0].shape[1] + 2 * c[3]) * (c[0].shape[2] + 2 * c[3]) * 4
+                 for c in cases)
+    assert row > ops._BAND_BYTES
+
+    def sweep():
+        for c, shape in zip(cases, shapes):
+            _conv_run(c, shape[-1], np.ones((c[1].shape[0], c[4], c[5]), dtype=np.float32))
+        return _scratch_buffers()
+
+    held = []
+    worker = threading.Thread(target=lambda: held.extend([sweep(), sweep()]))
+    worker.start()
+    worker.join(timeout=60)
+    first, second = held
+    assert set(first) == {0, 1, "padded"}
+    assert all(first[key] is second[key] for key in first)
+    assert sum(b.nbytes for b in first.values()) <= 2 * max(ops._BAND_BYTES, row) + padded
+
+
 def test_conv2d_stem_peak_is_bounded_by_the_band(monkeypatch):
     """A 346x260 event stem (10 channels, 7x7, stride 2) lowers one band at
     a time on each of two workers. Its forward peaks below output + padded
@@ -304,9 +375,9 @@ def test_conv2d_stem_peak_is_bounded_by_the_band(monkeypatch):
     w = Tensor((rng.standard_normal((32, 10, 7, 7)) / 7).astype(np.float32), requires_grad=True)
     b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
     padded = 10 * 266 * 352 * 4
-    out, forward_peak = traced_peak(lambda: ops.conv2d(x, w, b, stride=2, pad=3))
+    out, forward_peak, _ = traced_peak(lambda: ops.conv2d(x, w, b, stride=2, pad=3))
     g = np.ones_like(out.data)
-    grads, backward_peak = traced_peak(lambda: out._vjp(g))
+    grads, backward_peak, _ = traced_peak(lambda: out._vjp(g))
     assert out.shape == (32, 130, 173) and grads[0].shape == x.shape
     assert forward_peak < out.data.nbytes + padded + ops._WORKERS * ops._BAND_BYTES
     assert backward_peak < 2 * padded + 2 * ops._BAND_BYTES
@@ -825,18 +896,14 @@ def _build_sigmoid(rng, tensors=None, make_arrays=False):
     return ops.sigmoid(tensors[0])
 
 
-@case("matmul", 2)
+@case("matmul", 3)
 def _build_matmul(rng, tensors=None, make_arrays=False):
+    """Two slices, each with its own (4, 2, 3) map."""
     if make_arrays:
-        return [rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 5))]
-    return ops.matmul(*tensors)
-
-
-@case("matmul_broadcast", 2)
-def _build_matmul_b(rng, tensors=None, make_arrays=False):
-    if make_arrays:
-        return [rng.standard_normal((2, 2, 3, 4)), rng.standard_normal((4, 5))]
-    return ops.matmul(*tensors)
+        return [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 2, 3)),
+                rng.standard_normal((4, 2, 3))]
+    w = np.arange(36, dtype=np.float64).reshape(2, 3, 6) / 36.0
+    return ops.mul(ops.matmul(tensors[0], tensors[1:]), w)
 
 
 @case("linear", 3)
@@ -992,14 +1059,17 @@ def _build_patch_pts(rng, tensors=None, make_arrays=False):
     return ops.mul(ops.bilinear_patch(tensors[0], tensors[1], 1), w)
 
 
-@case("correlate_batch", 3)
+@case("correlate_batch", 4)
 def _build_correlate(rng, tensors=None, make_arrays=False):
-    """Two levels, so the positions' gradient passes through two scales."""
+    """Two slices and two levels, so the positions' gradient passes through
+    two scales and each slice's map gets its own gradient."""
     if make_arrays:
         cells = rng.integers(-1, 4, size=(2, 3, 2)) + rng.uniform(0.1, 0.4, size=(2, 3, 2))
-        return [rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 5, 6)), 8.0 * cells]
-    stacks = [tensors[1], ops.avg_pool2(tensors[1])]
-    corr = correlate_batch(tensors[0], stacks, tensors[2], 1, 4)
+        return [rng.standard_normal((2, 3, 4)), 8.0 * cells, rng.standard_normal((4, 5, 6)),
+                rng.standard_normal((4, 5, 6))]
+    features, positions, *maps = tensors
+    levels = [maps, [ops.avg_pool2(m) for m in maps]]
+    corr = correlate_batch(features, levels, positions, 1, 4)
     return ops.mul(corr, np.arange(108, dtype=np.float64).reshape(2, 3, 18) / 108.0)
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from evtrack.autodiff import Tensor, no_grad, ops, precision
+from evtrack.autodiff import Tensor, backward, no_grad, ops, precision
 from evtrack.correlation import build_pyramid, correlate_batch
 from evtrack.errors import ConfigError, UsageError
 from evtrack.pipeline import TrackSession, load_queries_csv
-from oracles import correlate_oracle, offsets_grid
+from oracles import correlate_oracle, correlate_stacked_oracle, offsets_grid
 from util_fixtures import tiny_model
 
 
@@ -16,10 +16,15 @@ def random_pyramid(rng, channels=8, h=12, w=16, levels=3, scale=4):
 
 def correlate(feature, pyramid, position, radius):
     """Cost vector of one feature at one position: correlate_batch with W = N = 1."""
-    stacks = [level.reshape((1, *level.shape)) for level in pyramid.levels]
+    levels = [[level] for level in pyramid.levels]
     feature = ops.as_tensor(feature).reshape((1, 1, -1))
     position = Tensor(np.asarray(position, dtype=np.float32).reshape(1, 1, 2))
-    return correlate_batch(feature, stacks, position, radius, pyramid.base_scale).reshape((-1,))
+    return correlate_batch(feature, levels, position, radius, pyramid.base_scale).reshape((-1,))
+
+
+def window_levels(pyramids):
+    """Per level, the W slices' maps: what `WindowRefiner.refine` passes."""
+    return [[p.levels[lv] for p in pyramids] for lv in range(len(pyramids[0].levels))]
 
 
 def test_pyramid_shapes_hand_case():
@@ -104,11 +109,12 @@ def test_correlate_batch_matches_oracle_relative(kind, rel_tol):
     w_len, n, levels, radius = 3, 5, 3, 3
     with precision(kind):
         pyramids = [random_pyramid(rng, levels=levels) for _ in range(w_len)]
-        stacks = [ops.stack([p.levels[lv] for p in pyramids], axis=0) for lv in range(levels)]
-        feats = rng.standard_normal((w_len, n, 8)).astype(stacks[0].dtype)
-        positions = rng.uniform(-20, 80, size=(w_len, n, 2)).astype(stacks[0].dtype)
+        dtype = pyramids[0].levels[0].dtype
+        feats = rng.standard_normal((w_len, n, 8)).astype(dtype)
+        positions = rng.uniform(-20, 80, size=(w_len, n, 2)).astype(dtype)
         positions[0, 0] = (1e5, -1e5)
-        batch = correlate_batch(Tensor(feats), stacks, Tensor(positions), radius, 4).data
+        batch = correlate_batch(Tensor(feats), window_levels(pyramids), Tensor(positions),
+                                radius, 4).data
     for t in range(w_len):
         for q in range(n):
             ref = correlate_oracle(feats[t, q], pyramids[t], positions[t, q], radius)
@@ -117,22 +123,58 @@ def test_correlate_batch_matches_oracle_relative(kind, rel_tol):
 
 
 def test_correlate_batch_matches_single(rng):
-    levels = 3
     w_len, n = 4, 3
-    stacks = []
-    per_slice = []
-    for _ in range(w_len):
-        pyr = random_pyramid(rng, levels=levels)
-        per_slice.append(pyr)
-    for lv in range(levels):
-        stacks.append(ops.stack([p.levels[lv] for p in per_slice], axis=0))
+    per_slice = [random_pyramid(rng, levels=3) for _ in range(w_len)]
     feats = rng.standard_normal((w_len, n, 8)).astype(np.float32)
     positions = rng.uniform(0, 60, size=(w_len, n, 2)).astype(np.float32)
-    batch = correlate_batch(Tensor(feats), stacks, Tensor(positions), 2, 4).data
+    batch = correlate_batch(Tensor(feats), window_levels(per_slice), Tensor(positions), 2, 4).data
     for t in range(w_len):
         for q in range(n):
             single = correlate(Tensor(feats[t, q]), per_slice[t], positions[t, q], 2).data
             assert np.allclose(batch[t, q], single, atol=1e-5)
+
+
+def _values_and_grads(correlate, feats, maps, positions, weights, radius):
+    """`correlate`'s costs and the gradients of their weighted sum for the
+    features, every slice's level maps (maps[i][level]) and the positions."""
+    f = Tensor(feats, requires_grad=True)
+    leaves = [[Tensor(m, requires_grad=True) for m in per_slice] for per_slice in maps]
+    p = Tensor(positions, requires_grad=True)
+    levels = [[per_slice[lv] for per_slice in leaves] for lv in range(len(maps[0]))]
+    out = correlate(f, levels, p, radius, 4)
+    backward(ops.sum_(out * Tensor(weights)))
+    return [out.data, f.grad, p.grad] + [m.grad for per_slice in leaves for m in per_slice]
+
+
+def _assert_stacked_bits(w_len, n, channels, h, w, levels, seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(channels, h, w)]
+    for _ in range(levels - 1):
+        shapes.append((channels, -(-shapes[-1][1] // 2), -(-shapes[-1][2] // 2)))
+    maps = [[rng.standard_normal(s).astype(np.float32) for s in shapes] for _ in range(w_len)]
+    feats = rng.standard_normal((w_len, n, channels)).astype(np.float32)
+    # inside, straddling the border and off the map
+    positions = rng.uniform(-20, 4 * w + 20, size=(w_len, n, 2)).astype(np.float32)
+    radius = 2
+    weights = rng.standard_normal((w_len, n, levels * (2 * radius + 1) ** 2)).astype(np.float32)
+    got = _values_and_grads(correlate_batch, feats, maps, positions, weights, radius)
+    want = _values_and_grads(correlate_stacked_oracle, feats, maps, positions, weights, radius)
+    assert len(got) == len(want) == 3 + w_len * levels
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and np.array_equal(a, b), i
+
+
+@pytest.mark.parametrize("w_len", [1, 2, 16])
+@pytest.mark.parametrize("n", [1, 256])
+def test_correlate_batch_is_the_stacked_formula_bit_for_bit(w_len, n):
+    """Reading each slice's maps in place gives the costs and the feature,
+    map and position gradients of one matmul over stacked maps, bit for bit."""
+    _assert_stacked_bits(w_len, n, 8, 12, 16, 3, seed=10 * w_len + n)
+
+
+def test_correlate_batch_is_the_stacked_formula_on_an_87x65_map():
+    """The level-0 map of a 346x260 sensor at 1/4 resolution, 128 channels."""
+    _assert_stacked_bits(2, 8, 128, 65, 87, 4, seed=3)
 
 
 def test_offsets_layout():

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from evtrack.autodiff import ParamStore, Tensor, backward, ops
+from evtrack.autodiff import ParamStore, Tensor, backward, no_grad, ops
 from evtrack.encoders import FpnEncoder, MotionGatedFusion, mean_flow
 from evtrack.errors import ConfigError
-from util_fixtures import tiny_tracker_config
+from evtrack.events import build_event_stack
+from evtrack.pipeline import run_offline
+from util_fixtures import tiny_model, tiny_sequence, tiny_tracker_config
 
 
-def make_encoder(channels=32, downsample=4, in_channels=1, seed=0, scale=1.0):
+def make_encoder(channels=32, downsample=4, in_channels=1, seed=0):
     store = ParamStore()
     cfg = tiny_tracker_config(channels=channels, downsample=downsample)
-    enc = FpnEncoder(store, "enc", cfg, in_channels, np.random.default_rng(seed), input_scale=scale)
+    enc = FpnEncoder(store, "enc", cfg, in_channels, np.random.default_rng(seed))
     return enc, store
 
 
@@ -59,6 +61,28 @@ def test_weight_independence_between_encoders():
     frame_enc.stem.weight.data += 10.0
     after = event_enc(stack).data
     assert np.array_equal(before, after)
+
+
+def test_event_encoder_reads_each_stack_scaled_to_unit_range():
+    """A session hands the event encoder each slice's stack (t* on [0,
+    bins - 1]) times float32(1 / (bins - 1)), bit for bit; a slice at its
+    frame's time reads zeros."""
+    model = tiny_model(seed=0, bins=4)  # the scale 1/3 rounds in float32
+    frames, events, queries, _, _, slice_times = tiny_sequence(seed=0)
+    seen = []
+    encode = model.event_encoder
+    model.event_encoder = lambda x: seen.append(x.data.copy()) or encode(x)
+    with no_grad():
+        run_offline(model, frames, events, queries)
+    frame_times = [t for t, _ in frames]
+    assert len(seen) == len(slice_times)
+    for t_slice, got in zip(slice_times, seen):
+        t_frame = max(t for t in frame_times if t <= t_slice)
+        if t_slice == t_frame:
+            assert not got.any()
+            continue
+        stack = build_event_stack(events, t_frame, t_slice, 4)
+        assert got.max() > 0 and np.array_equal(got, stack * np.float32(1 / 3))
 
 
 def test_encoder_input_validation():

@@ -1,6 +1,3 @@
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +382,13 @@ def _set_first(events, column: int, value):
     return (*cols, events.geometry)
 
 
+def _with_pixel(image, value):
+    """A copy of `image` with one pixel set to `value`."""
+    image = image.copy()
+    image[0, 5, 7] = value
+    return image
+
+
 class TestInputValues:
     """A bad frame time, pixel type or event column is rejected by the
     `advance` call that receives it: `UsageError` for a call of the wrong
@@ -409,6 +413,16 @@ class TestInputValues:
                      "frame at 0 has bool pixels", id="bool"),
         pytest.param(lambda img: (0, np.ones(img.shape, dtype=np.int64)), ConfigError,
                      "frame at 0 has int64 pixels", id="int64"),
+        pytest.param(lambda img: (0, np.full(img.shape, 7.0, dtype=np.float32)), ConfigError,
+                     r"frame at 0 has pixels from 7 to 7, off the \[0, 1\] scale", id="7.0"),
+        pytest.param(lambda img: (0, _with_pixel(img, -0.1)), ConfigError,
+                     r"frame at 0 has pixels from -0.1 to [0-9.]+, off the \[0, 1\] scale",
+                     id="-0.1"),
+        pytest.param(lambda img: (0, _with_pixel(img, 255.0)), ConfigError,
+                     r"frame at 0 has pixels from [0-9.]+ to 255, off the \[0, 1\] scale",
+                     id="255.0"),
+        pytest.param(lambda img: (0, np.full(img.shape, 7.0, dtype=np.float16)), ConfigError,
+                     r"pixels from 7 to 7, off the \[0, 1\] scale", id="float16-7.0"),
     ])
     def test_bad_frame_rejected(self, seq, make, error, match):
         frames, _, queries, _, _, _ = seq
@@ -417,6 +431,18 @@ class TestInputValues:
             session.advance(frame=make(frames[0][1]))
         assert not session._frames and session._sensor is None
         session.advance(frame=frames[0])
+
+    def test_float16_frames_are_cast_to_float32(self, seq):
+        """float16 pixels on [0, 1] are accepted and cast, exactly: a
+        float16 frame tracks as the float32 frame of the same values."""
+        frames, events, queries, _, _, _ = seq
+        half = [(t, img.astype(np.float16)) for t, img in frames]
+        model = tiny_model(seed=0, randomize_heads=True)
+        with no_grad():
+            got, _ = run_offline(model, half, events, queries)
+            want, _ = run_offline(model, [(t, img.astype(np.float32)) for t, img in half],
+                                  events, queries)
+        assert [t.samples for t in got] == [t.samples for t in want]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("make, error, match", [
@@ -462,7 +488,7 @@ class TestInputValues:
 class TestModelState:
     def test_built_model_holds_its_weights_and_no_moments(self):
         tiny_model(seed=0)  # import what building a model imports
-        model, peak = traced_peak(lambda: TrackerModel(TrackerConfig(), seed=1))
+        model, peak, _ = traced_peak(lambda: TrackerModel(TrackerConfig(), seed=1))
         assert peak <= 1.1 * sum(p.data.nbytes for _, p in model.store.items())
         assert all(model.store.moments(name) is None for name in model.store.names())
 
@@ -500,12 +526,12 @@ class TestBoundedState:
         image = rng.random((1, 64, 64)).astype(np.float32)
         edges = np.searchsorted(ts, np.arange(n_batches + 1) * batch_us)
         batch_max = int(np.diff(edges).max())
-        session = TrackSession(model, [(0, 0, 10.0, 12.0), (1, 0, 40.0, 50.0)])
-        held_bytes = []
-        tracemalloc.start()
-        try:
-            for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-                t = k * batch_us
+
+        def run(n):
+            """A session fed the first n batches."""
+            session = TrackSession(model, [(0, 0, 10.0, 12.0), (1, 0, 40.0, 50.0)])
+            for k in range(n):
+                lo, hi, t = edges[k], edges[k + 1], k * batch_us
                 frame = (t, image) if t % frame_period == 0 else None
                 session.advance(frame=frame, events=(xs[lo:hi], ys[lo:hi], ts[lo:hi], ps[lo:hi],
                                                      (64, 64)))
@@ -514,13 +540,13 @@ class TestBoundedState:
                 held = sum(len(c) for c in session._chunks)
                 assert held <= np.count_nonzero(ts[:hi] >= t_frame) + batch_max
                 assert len(session._frames) <= 2
-                if k + 1 in (n_batches // 2, n_batches):
-                    gc.collect()
-                    held_bytes.append(tracemalloc.get_traced_memory()[0])
-        finally:
-            tracemalloc.stop()
+            return session
+
+        run(n_batches // 8)  # conv2d's scratch grows outside the measurement
+        _, half_peak, half_held = traced_peak(lambda: run(n_batches // 2))
+        session, peak, held = traced_peak(lambda: run(n_batches))
         assert session._n_slices == n_batches * batch_us // dt
-        assert held_bytes[1] <= 1.2 * held_bytes[0]
+        assert held <= 1.2 * half_held and peak <= 1.2 * half_peak
 
 
 def _tied(seq, **overrides):

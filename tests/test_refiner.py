@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from evtrack.autodiff import ParamStore, Tensor
+from evtrack.autodiff import ParamStore, Tensor, no_grad
 from evtrack.correlation import WindowState, build_pyramid
 from evtrack.errors import ConfigError, RefinementError
 from evtrack.refiner import WindowRefiner, _AttnBlock, make_tokens, sincos_encode, token_len
-from util_fixtures import tiny_tracker_config
+from util_fixtures import tiny_model, tiny_tracker_config, traced_peak
 
 
 def test_sincos_zero_alternates():
@@ -233,3 +233,27 @@ def test_pyramid_count_checked(rng):
     refiner, _ = _build_refiner(cfg)
     with pytest.raises(ConfigError):
         refiner.refine(state, pyramids[:-1], state.positions[0])
+
+
+def test_refine_holds_no_copy_of_the_pyramids():
+    """Refining a window allocates less than the window's pyramids take:
+    the correlation reads each slice's levels where they are, so a stacked
+    copy of them cannot come back. 87x65 maps, 32 channels, 4 levels."""
+    model = tiny_model(seed=0, randomize_heads=True, channels=32, levels=4)
+    rng = np.random.default_rng(8)
+    w_len, n = model.cfg.window, 8
+    pyramids = [build_pyramid(Tensor(rng.standard_normal((32, 65, 87)).astype(np.float32)), 4, 4)
+                for _ in range(w_len)]
+    window_bytes = sum(level.data.nbytes for p in pyramids for level in p.levels)
+    p_init = rng.uniform(0, 340, size=(n, 2)).astype(np.float32)
+    state = WindowState(
+        positions=np.repeat(p_init[None], w_len, axis=0),
+        features=Tensor(rng.standard_normal((w_len, n, 32)).astype(np.float32)),
+        durations_us=np.full(w_len, 5_000, dtype=np.int64),
+        slice_times=np.arange(w_len, dtype=np.int64) * 5_000,
+        valid_from=np.zeros(n, dtype=np.int64),
+    )
+    with no_grad():
+        model.refiner.refine(state, pyramids, p_init)  # warm
+        _, peak, _ = traced_peak(lambda: model.refiner.refine(state, pyramids, p_init))
+    assert peak < window_bytes

@@ -177,7 +177,7 @@ class TestWindowedBackward:
 
         monkeypatch.setattr(training, "backward", measured_backward)
         model.store.zero_grad()
-        _, peak = traced_peak(measured_loss)
+        _, peak, _ = traced_peak(measured_loss)
         assert len(held) == 2
         base, at_backward = held
         assert peak <= 1.3 * (at_backward - base)
@@ -369,9 +369,9 @@ class TestTrainingLoop:
         weights, checkpoint = str(tmp_path / "weights.bin"), str(tmp_path / "checkpoint.bin")
         save_weights(model.store, weights)
         save_checkpoint(model, checkpoint, step=0)
-        _, peak = traced_peak(lambda: load_weights(model.store, weights))
+        _, peak, _ = traced_peak(lambda: load_weights(model.store, weights))
         assert peak <= 1.1 * os.path.getsize(weights)
-        _, peak = traced_peak(lambda: load_checkpoint(model, checkpoint))
+        _, peak, _ = traced_peak(lambda: load_checkpoint(model, checkpoint))
         assert peak <= 1.1 * os.path.getsize(checkpoint)
         fresh = tiny_model(seed=3)
         path = str(tmp_path / "tiny.bin")

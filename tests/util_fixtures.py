@@ -72,13 +72,17 @@ def tiny_sequence(seed=0, size=(32, 32), duration_us=250_000, frame_period_us=50
 
 
 def traced_peak(fn):
-    """Call `fn()` under tracemalloc; return its result and the peak of the
-    traced bytes above those held when it started."""
+    """Call `fn()` under tracemalloc. Returns (result, peak, held): the
+    peak of the traced bytes during the call and the bytes still held
+    after it (garbage collected, the result included), both above those
+    held when it started."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
+        peak = tracemalloc.get_traced_memory()[1] - base
+        gc.collect()
+        return result, peak, tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
