@@ -6,11 +6,13 @@ sampling of vectors and of scalar patches, activations, multi-head
 attention along a token axis, layer normalization and basic indexing.
 Every public function here has a case in the finite-difference gradient
 suite and is called by one tracker forward and backward pass; a test
-checks each.
+checks each. `_run_shares` runs the independent shares of one
+inference step on `_WORKERS` threads, for conv2d and the refiner.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +45,39 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def _tracked(t: Tensor) -> bool:
     """Whether a backward pass wants a gradient for input `t`."""
     return t.requires_grad or t._vjp is not None
+
+
+# ---------------------------------------------------------------------------
+# worker threads
+
+
+# Threads that run the independent shares of one piece of work: the CPUs
+# this process may use. conv2d's multi-band forward and the refiner's
+# attention blocks (see `refiner._AttnBlock`) split their work this many
+# ways at most; every backward runs on the calling thread alone.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _run_shares(n: int, share) -> None:
+    """Run `share(i)` for i in range(n): share 0 on the calling thread and
+    the others on n - 1 worker threads, then re-raise a failed worker's
+    error, the same exception object.
+
+    One share runs inline, with no executor. The executor is made per
+    call and joined before this returns, so no thread outlives the call
+    and none starts at import. Each worker runs in a copy of the caller's
+    context, so a caller's `np.errstate` holds in the workers too. The
+    shares must write disjoint outputs: nothing here orders them.
+    """
+    if n == 1:
+        share(0)
+        return
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, share, i) for i in range(1, n)]
+        share(0)
+        for future in futures:
+            future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +280,6 @@ def attention(qkv, heads: int, axis: int) -> Tensor:
 # one band. Each forward worker holds one band of columns.
 _BAND_BYTES = 4 << 20
 
-# Threads that share out the bands of a multi-band conv2d forward: the CPUs
-# this process may use. A one-band map and every backward run on the
-# calling thread alone.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
 # conv2d's scratch, one set per calling thread: a column buffer per worker
 # (keys 0, 1, ...) and the padded input (key "padded"), as flat bytes.
 _scratch = threading.local()
@@ -297,13 +326,13 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     55-138 ms with the scratch. The padded buffer's border is zeroed on
     every call, since an earlier conv of another shape wrote there.
 
-    A forward of more than one band runs on `_WORKERS` threads: worker i
-    lowers and multiplies bands i, i + W, ... through its own buffer,
-    and the calling thread serves share 0, then re-raises any worker's
-    error. The calling thread hands out every buffer before the pool
-    starts. Bands read the padded input and write disjoint output rows,
-    so they need no lock, and numpy releases the interpreter lock inside
-    the GEMMs, which do most of the work. The band split does not depend
+    A forward of more than one band runs on `_WORKERS` threads through
+    `_run_shares`: worker i lowers and multiplies bands i, i + W, ...
+    through its own buffer, and the calling thread serves share 0. The
+    calling thread hands out every buffer before the workers start.
+    Bands read the padded input and write disjoint output rows, so they
+    need no lock, and numpy releases the interpreter lock inside the
+    GEMMs, which do most of the work. The band split does not depend
     on the worker count, because a GEMM's bits depend on its shape: with
     OpenBLAS 0.3.31, `w @ c[:, :n]` and the first n columns of `w @ c`
     differ in the last bit for many n. The workers run exactly the GEMMs
@@ -384,14 +413,7 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
         for r0, r1 in bands[i::workers]:
             np.matmul(w_flat, columns(xp, bufs[i], r0, r1), out=out[:, r0 * wo : r1 * wo])
 
-    if workers == 1:
-        share(0)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(share, i) for i in range(1, workers)]
-            share(0)
-            for future in futures:
-                future.result()
+    _run_shares(workers, share)
     out = out.reshape(cout, ho, wo)
     out += bias.data[:, None, None]
 

@@ -118,24 +118,27 @@ def manifest_path(blob_path: str) -> str:
     return blob_path + ".json"
 
 
-def save_arrays(arrays: dict[str, np.ndarray], path: str, extra: dict | None = None) -> None:
-    """Write named arrays as blob + manifest; `extra` lands in manifest["meta"]."""
+def save_arrays(arrays, path: str, extra: dict | None = None) -> None:
+    """Write named arrays as blob + manifest; `extra` lands in manifest["meta"].
+
+    `arrays` is a dict or an iterable of (name, array) pairs. Each array
+    is written as it is converted, so a generator's arrays can be made,
+    written and dropped one at a time; a float32 array is written from
+    its own buffer without a copy.
+    """
     entries = []
     offset = 0
-    chunks = []
-    for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append(
-            {"name": name, "shape": list(data.shape), "dtype": "f32", "byte_offset": offset}
-        )
-        chunks.append(data.tobytes())
-        offset += data.nbytes
+    with open(path, "wb") as f:
+        for name, arr in arrays.items() if isinstance(arrays, dict) else arrays:
+            data = np.ascontiguousarray(arr, dtype="<f4")
+            entries.append(
+                {"name": name, "shape": list(data.shape), "dtype": "f32", "byte_offset": offset}
+            )
+            f.write(data)
+            offset += data.nbytes
     manifest = {"entries": entries}
     if extra:
         manifest["meta"] = extra
-    with open(path, "wb") as f:
-        for chunk in chunks:
-            f.write(chunk)
     with open(manifest_path(path), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -46,7 +46,8 @@ class EventStream:
         n = len(self.ts)
         if not (len(self.xs) == len(self.ys) == len(self.ps) == n):
             raise ConfigError("event column lengths differ")
-        if n and np.any(np.diff(self.ts) < 0):
+        # neighbours compared, not differenced: a difference of int64 times overflows
+        if n and np.any(self.ts[1:] < self.ts[:-1]):
             raise ConfigError("event timestamps must be non-decreasing")
 
     def __len__(self) -> int:
@@ -118,7 +119,7 @@ def load_binary_events(path: str) -> EventStream:
     return EventStream(
         records["x"].astype(np.int32),
         records["y"].astype(np.int32),
-        records["t"].astype(np.int64),
+        records["t"],  # u8 as stored, so a time past int64 is rejected, not wrapped
         ps,
         (x_ext, y_ext),
     )

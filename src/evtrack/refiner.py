@@ -11,6 +11,12 @@ new position estimate. The tokens stay (W, N, D) throughout: temporal
 blocks attend along axis 0 (the window, per track) and spatial blocks
 along axis 1 (the queries, per slice), and no tokens are transposed.
 
+At inference each block of a large window runs on every CPU: it splits
+the axis it does not attend along into parts of at least `_PART_ROWS`
+token rows and runs the whole block on each part in its own thread,
+bit-identical to one thread (see `_AttnBlock`). Small windows and every
+pass that records a graph run on the calling thread.
+
 Persistent query templates are never written here: feature deltas touch
 only the per-window working copies.
 """
@@ -22,6 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, ops
+from .autodiff.tensor import grad_enabled
 from .correlation import WindowState, correlate_batch
 from .encoders import LinearLayer
 from .errors import ConfigError, RefinementError
@@ -84,8 +91,41 @@ def make_tokens(positions, features, corr, p_init: np.ndarray, durations_us: np.
     return raw
 
 
+# Token rows that each part of a split attention block must hold; a block
+# whose parts would hold fewer runs as one part. Probe: one block of the
+# default refiner (dim 256, 4 heads, MLP ratio 4) under `no_grad`, inline
+# against two parts, OpenBLAS on one thread, on a 2-vCPU host whose second
+# vCPU is shared, two passes of median-of-5 timings. Two parts ran it at
+# 0.58-1.04x the inline speed with 36-72 rows a part, 0.86-1.23x with
+# 128-144, 1.00-1.59x with 256-576 and 0.99-2.04x with 1152-2048. So the
+# stream's 128-token windows (16 slices x 8 queries) and the 72-token
+# windows of 8 queries stay on one thread.
+_PART_ROWS = 256
+
+
 class _AttnBlock:
-    """Pre-norm multi-head self-attention + 2-layer MLP, both residual."""
+    """Pre-norm multi-head self-attention + 2-layer MLP, both residual.
+
+    A block attends along one axis of the (W, N, D) tokens, and every op
+    in it (layernorm, the qkv, proj, fc1 and fc2 linears, attention,
+    relu and the residual adds) treats the sequences along the other
+    axis independently. So at inference a block splits that other axis
+    into parts and runs the whole block on each part on its own thread
+    (`ops._run_shares`): a temporal block (axis 0) splits the queries, a
+    spatial block (axis 1) the slices. The parts are concatenated back.
+    There are at most `ops._WORKERS` parts, each of whole sequences and
+    at least `_PART_ROWS` token rows; a block that cannot make two such
+    parts runs as one. While a graph is recorded the block
+    always runs as one part, so training and its gradients take the
+    unsplit code.
+
+    The split result is the unsplit one bit for bit. Layernorm, relu and
+    the adds work row by row; attention runs one score and one value
+    GEMM per (sequence, head) in numpy's batch loop, the same GEMMs at
+    any split; and a `linear` of m >= 5 rows gives the rows of the full
+    GEMM exactly (OpenBLAS 0.3.31; only m = 1 to 4 take another kernel
+    path), which every part of `_PART_ROWS` rows satisfies.
+    """
 
     def __init__(self, store: ParamStore, name: str, dim: int, heads: int, mlp_ratio: int, rng):
         self.heads = heads
@@ -99,7 +139,25 @@ class _AttnBlock:
         self.fc2 = LinearLayer(store, f"{name}.fc2", mlp_ratio * dim, dim, rng)
 
     def __call__(self, x: Tensor, axis: int) -> Tensor:
-        """Attend along token axis `axis` of the (W, N, D) tokens."""
+        """Attend along token axis `axis` of the (W, N, D) tokens, split
+        over the other axis when no graph is recorded (see the class)."""
+        other = 1 - axis
+        extent = x.shape[other]
+        per_part = -(-_PART_ROWS // x.shape[axis])  # sequences that hold _PART_ROWS rows
+        parts = min(ops._WORKERS, extent // per_part)
+        if grad_enabled() or parts < 2:
+            return self._block(x, axis)
+        bounds = [extent * i // parts for i in range(parts + 1)]
+        outs = [None] * parts
+
+        def share(i):
+            part = (slice(None),) * other + (slice(bounds[i], bounds[i + 1]),)
+            outs[i] = self._block(ops.getitem(x, part), axis)
+
+        ops._run_shares(parts, share)
+        return ops.concat(outs, axis=other)
+
+    def _block(self, x: Tensor, axis: int) -> Tensor:
         normed = ops.layernorm(x, self.ln1_g, self.ln1_b)
         x = x + self.proj(ops.attention(self.qkv(normed), self.heads, axis))
         x = x + self.fc2(ops.relu(self.fc1(ops.layernorm(x, self.ln2_g, self.ln2_b))))

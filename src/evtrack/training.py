@@ -147,14 +147,17 @@ def check_trained_config(cfg: TrackerConfig, meta: dict, path: str) -> None:
 def save_checkpoint(model: TrackerModel, path: str, step: int) -> None:
     """Weights plus Adam moments, step count and tracker config, in the weight-file container.
 
-    A parameter without moments yet (no step taken) is saved with zero moments.
+    A parameter without moments yet (no step taken) is saved with zero
+    moments, made one parameter at a time as the file is written.
     """
-    arrays = {name: p.data for name, p in model.store.items()}
-    for name, p in model.store.items():
-        m, v = model.store.moments(name) or (np.zeros(p.data.shape, np.float32),) * 2
-        arrays[f"opt.{name}.m"] = m
-        arrays[f"opt.{name}.v"] = v
-    save_arrays(arrays, path, extra=_file_meta(model, step))
+    def arrays():
+        yield from ((name, p.data) for name, p in model.store.items())
+        for name, p in model.store.items():
+            m, v = model.store.moments(name) or (np.zeros(p.data.shape, np.float32),) * 2
+            yield f"opt.{name}.m", m
+            yield f"opt.{name}.v", v
+
+    save_arrays(arrays(), path, extra=_file_meta(model, step))
 
 
 def load_checkpoint(model: TrackerModel, path: str) -> int:

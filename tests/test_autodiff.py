@@ -242,13 +242,9 @@ def test_conv2d_worker_error_is_raised_from_conv2d(monkeypatch):
     assert raised.value is error
 
 
-def test_conv2d_one_band_starts_no_pool(monkeypatch):
+def test_conv2d_one_band_starts_no_pool(monkeypatch, no_pool):
     """A map whose columns fit one band, or any map with one worker, runs
     on the calling thread without an executor."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("conv2d started a thread pool")
-
-    monkeypatch.setattr(ops, "ThreadPoolExecutor", no_pool)
     rng = np.random.default_rng(32)
     x, wt, b, pad, ho, wo = _conv_case(rng, 3, 4, 13, 9, 3, 1)
     monkeypatch.setattr(ops, "_WORKERS", 2)

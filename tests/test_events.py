@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from evtrack.autodiff import no_grad
 from evtrack.errors import ConfigError, DegenerateWindowError, UsageError
-from evtrack.events import EventStream, build_event_stack, load_binary_events, save_binary_events
+from evtrack.events import (
+    _HEADER,
+    _RECORD_DTYPE,
+    EVENT_MAGIC,
+    EventStream,
+    build_event_stack,
+    load_binary_events,
+    save_binary_events,
+)
 from evtrack.pipeline import TrackSession, run_offline
 from oracles import event_stack_oracle
 from util_fixtures import tiny_model, tiny_sequence
@@ -217,6 +225,33 @@ def test_stream_validation():
     for geometry in ((0, 0), (-4, 8), (4, 0)):
         with pytest.raises(ConfigError, match="not positive"):
             EventStream([], [], [], [], geometry)
+
+
+def test_binary_event_time_past_int64_is_rejected(tmp_path):
+    """A stored u8 time of 2^63 does not fit int64: loading it raises
+    instead of wrapping it to a negative time."""
+    records = np.zeros(2, dtype=_RECORD_DTYPE)
+    records["t"] = [5, 2**63]
+    records["p"] = 1
+    path = str(tmp_path / "events.bin")
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(EVENT_MAGIC, 4, 4))
+        f.write(records.tobytes())
+    with pytest.raises(ConfigError, match="event t outside"):
+        load_binary_events(path)
+
+
+def test_event_times_wrapping_to_int64_min_are_out_of_order():
+    """10 then -2^63 + 5 goes back in time; their difference overflows
+    int64 to a positive number, so only a comparison sees it."""
+    with pytest.raises(ConfigError, match="non-decreasing"):
+        EventStream([0, 1], [0, 0], [10, -(2**63) + 5], [1, 1], (4, 4))
+
+
+def test_event_times_half_range_apart_are_out_of_order():
+    """2^62 + 1 then -2^62 goes back in time by more than int64 holds."""
+    with pytest.raises(ConfigError, match="non-decreasing"):
+        EventStream([0, 1], [0, 0], [2**62 + 1, -(2**62)], [1, 1], (4, 4))
 
 
 def test_held_events_checked_once(monkeypatch):

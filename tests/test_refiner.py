@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from evtrack.autodiff import ParamStore, Tensor, no_grad
+from evtrack import refiner as refiner_mod
+from evtrack.autodiff import ParamStore, Tensor, no_grad, ops
 from evtrack.correlation import WindowState, build_pyramid
 from evtrack.errors import ConfigError, RefinementError
 from evtrack.refiner import WindowRefiner, _AttnBlock, make_tokens, sincos_encode, token_len
@@ -257,3 +261,129 @@ def test_refine_holds_no_copy_of_the_pyramids():
         model.refiner.refine(state, pyramids, p_init)  # warm
         _, peak, _ = traced_peak(lambda: model.refiner.refine(state, pyramids, p_init))
     assert peak < window_bytes
+
+
+def _default_block(seed=0):
+    """One attention block of the default refiner: dim 256, 4 heads, MLP ratio 4."""
+    return _AttnBlock(ParamStore(), "block", 256, 4, 4, np.random.default_rng(seed))
+
+
+def _counting_shares(monkeypatch):
+    """Record the share count of every `ops._run_shares` call."""
+    calls = []
+    run = ops._run_shares
+
+    def counting(n, share):
+        calls.append(n)
+        run(n, share)
+
+    monkeypatch.setattr(ops, "_run_shares", counting)
+    return calls
+
+
+@pytest.mark.parametrize("window", [(9, 256), (16, 256), (16, 8), (1, 256), (16, 1)],
+                         ids=lambda w: f"{w[0]}x{w[1]}")
+@pytest.mark.parametrize("axis", [0, 1])
+def test_split_block_is_bit_identical(monkeypatch, window, axis):
+    """A block split over the axis it does not attend along gives the
+    one-part output bit for bit at 2 and 3 workers. The floor is lowered
+    to 5 rows, the fewest for which `linear` rows match the full GEMM, so
+    that the small windows split too; a one-slice window's spatial block
+    and a one-query window's temporal block have one sequence and one part."""
+    monkeypatch.setattr(refiner_mod, "_PART_ROWS", 5)
+    block = _default_block()
+    x = Tensor(np.random.default_rng(sum(window) + axis).standard_normal(
+        (*window, 256)).astype(np.float32))
+    calls = _counting_shares(monkeypatch)
+    outs = []
+    with no_grad():
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ops, "_WORKERS", workers)
+            outs.append(block(x, axis).data)
+    sequences = window[1 - axis]
+    assert calls == [min(n, sequences) for n in (2, 3) if sequences > 1]
+    assert all(np.array_equal(outs[0], out) for out in outs[1:])
+
+
+def test_block_runs_as_one_part_in_grad_mode_below_the_floor_or_on_one_worker(
+        monkeypatch, no_pool):
+    """No executor starts while a graph is recorded, for windows whose
+    parts would hold fewer than `_PART_ROWS` rows (the stream's 16 x 8,
+    8-query windows of 9 slices), or with one worker."""
+    block = _default_block()
+    rng = np.random.default_rng(3)
+    big = Tensor(rng.standard_normal((9, 256, 256)).astype(np.float32))
+    monkeypatch.setattr(ops, "_WORKERS", 2)
+    for axis in (0, 1):
+        block(big, axis)
+        with no_grad():
+            for window in ((16, 8), (9, 8), (2, 255)):
+                block(Tensor(rng.standard_normal((*window, 256)).astype(np.float32)), axis)
+    monkeypatch.setattr(ops, "_WORKERS", 1)
+    with no_grad():
+        block(big, 0)
+
+
+def test_block_worker_error_is_raised_from_the_block(monkeypatch):
+    """An error in a part that a worker thread runs comes out of the block
+    as the same exception object."""
+    monkeypatch.setattr(ops, "_WORKERS", 2)
+    error = MemoryError("part 1")
+    layernorm = ops.layernorm
+
+    def failing_layernorm(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return layernorm(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "layernorm", failing_layernorm)
+    x = Tensor(np.random.default_rng(4).standard_normal((9, 256, 256)).astype(np.float32))
+    with no_grad(), pytest.raises(MemoryError) as raised:
+        _default_block()(x, 0)
+    assert raised.value is error
+
+
+def test_run_shares_workers_keep_the_callers_errstate():
+    """Share 0 runs on the calling thread and the others on workers, each
+    in a copy of the caller's context, so a caller's `np.errstate` holds
+    on every share's thread."""
+    seen = [None] * 3
+
+    def share(i):
+        seen[i] = (threading.get_ident(), np.geterr()["invalid"])
+
+    with np.errstate(invalid="ignore"):
+        ops._run_shares(3, share)
+    caller = threading.get_ident()
+    assert [ident == caller for ident, _ in seen] == [True, False, False]
+    assert all(state == "ignore" for _, state in seen)
+
+
+def test_split_blocks_under_fast_switching(monkeypatch):
+    """Stress: 4 workers on 5-slice parts of a spatial block and 2-query
+    parts of a temporal one, with the interpreter switching threads every
+    microsecond, still give the one-worker output. The run is bounded by a
+    join timeout."""
+    monkeypatch.setattr(refiner_mod, "_PART_ROWS", 5)
+    block = _default_block()
+    x = Tensor(np.random.default_rng(5).standard_normal((20, 8, 256)).astype(np.float32))
+    with no_grad():
+        monkeypatch.setattr(ops, "_WORKERS", 1)
+        sequential = [block(x, axis).data for axis in (0, 1)]
+        monkeypatch.setattr(ops, "_WORKERS", 4)
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def run():
+                for _ in range(5):
+                    outs.append([block(x, axis).data for axis in (0, 1)])
+
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(outs) == 5
+    assert all(np.array_equal(a, b) for run in outs for a, b in zip(sequential, run))

@@ -380,6 +380,17 @@ class TestTrainingLoop:
         assert all(p.data.base is None and p.data.flags.owndata for _, p in fresh.store.items())
         assert all(fresh.store.moments(name) is None for name in fresh.store.names())
 
+    def test_checkpoint_written_one_array_at_a_time(self, tmp_path):
+        """Saving the default model's checkpoint, before any step (so every
+        moment is written as zeros), peaks below its largest array plus
+        256 KB: each array is written as it is made, not gathered first."""
+        model = pipeline.TrackerModel(pipeline.TrackerConfig(), seed=1)
+        largest = max(p.data.nbytes for _, p in model.store.items())
+        path = str(tmp_path / "checkpoint.bin")
+        _, peak, _ = traced_peak(lambda: save_checkpoint(model, path, step=0))
+        assert peak < largest + (256 << 10)
+        assert load_checkpoint(model, path) == 0
+
     @pytest.mark.parametrize("spoil, error, match", [
         pytest.param("no-moments", UsageError, "holds no optimizer state", id="no-moments"),
         pytest.param("config", ConfigError, "trained with another tracker config", id="config"),
