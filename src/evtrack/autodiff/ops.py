@@ -68,7 +68,9 @@ def _run_shares(n: int, share) -> None:
     call and joined before this returns, so no thread outlives the call
     and none starts at import. Each worker runs in a copy of the caller's
     context, so a caller's `np.errstate` holds in the workers too. The
-    shares must write disjoint outputs: nothing here orders them.
+    shares must write disjoint outputs: nothing here orders them. A
+    share may serve many pieces of work in turn (conv2d's bands, the
+    refiner's row tiles), dealt to it round-robin by the caller.
     """
     if n == 1:
         share(0)

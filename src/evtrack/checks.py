@@ -69,7 +69,10 @@ def polarity_column(values) -> np.ndarray:
 
 
 def _numbers(values, what: str) -> np.ndarray:
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except (ValueError, TypeError, OverflowError):  # ragged or unconvertible
+        raise ConfigError(f"{what} is not a column of numbers") from None
     if a.ndim != 1:
         raise UsageError(f"{what} must be a 1-D column, got shape {a.shape}")
     if a.dtype.kind not in "iuf":

@@ -18,7 +18,7 @@ from .checks import pixel_column, polarity_column, whole, whole_column
 from .errors import ConfigError, DegenerateWindowError, UsageError
 
 EVENT_MAGIC = b"FETAPEVT"
-_HEADER = struct.Struct("<8sHH4x")
+_HEADER = struct.Struct("<8sHH4x")  # magic, sensor width and height as u2
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("pad", "V3")])
 
 
@@ -73,10 +73,14 @@ def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) 
     t* = (t - t_start)/(t_end - t_start)*(bins-1); an event exactly at
     t_end gets t* = bins-1 and lands in the last bin. The written value is
     t*, and coincident events resolve by max, which is the latest event
-    in the cell because t* grows with t.
+    in the cell because t* grows with t. The window's ends and its span
+    t_end - t_start must fit int64, so that no event's offset wraps.
     """
+    t_start, t_end = whole(t_start, "event window start"), whole(t_end, "event window end")
     if t_end <= t_start:
         raise DegenerateWindowError(f"event window [{t_start}, {t_end}] has non-positive duration")
+    if t_end - t_start >= 2**63:
+        raise ConfigError(f"event window [{t_start}, {t_end}] spans more than int64 holds")
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     x_ext, y_ext = stream.geometry
@@ -92,7 +96,18 @@ def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) 
 
 
 def save_binary_events(stream: EventStream, path: str) -> None:
-    """Write the canonical 16-byte-record binary format."""
+    """Write the canonical 16-byte-record binary format.
+
+    The format stores times as u8 and the sensor extents as u2, so a
+    negative event time or an extent above 65535 is a `ConfigError`,
+    raised before the file is opened: what is written loads back.
+    """
+    if max(stream.geometry) > 0xFFFF:
+        raise ConfigError(f"sensor geometry {stream.geometry} does not fit the event file's "
+                          "16-bit extents")
+    if len(stream) and stream.ts[0] < 0:  # the times are non-decreasing
+        raise ConfigError(f"event time {stream.ts[0]} is negative; the event file stores "
+                          "unsigned times")
     records = np.zeros(len(stream), dtype=_RECORD_DTYPE)
     records["t"] = stream.ts.astype(np.uint64)
     records["x"] = stream.xs.astype(np.uint16)

@@ -295,9 +295,10 @@ class TrackSession:
             if image.dtype.kind != "f":
                 raise ConfigError(f"frame at {t} has {image.dtype} pixels; a frame holds floats "
                                   "on the [0, 1] scale that images.load_image gives")
-            image = image.astype(np.float32, copy=False)
             if not np.isfinite(image).all():
                 raise UsageError(f"frame at {t} has non-finite pixels")
+            with np.errstate(over="ignore"):  # a pixel past float32's range is inf, rejected next
+                image = image.astype(np.float32, copy=False)
             if image.size and not 0 <= image.min() <= image.max() <= 1:
                 raise ConfigError(f"frame at {t} has pixels from {image.min():g} to "
                                   f"{image.max():g}, off the [0, 1] scale that "
@@ -588,11 +589,12 @@ def _query_row(row) -> tuple[int, int, float, float]:
     """A query row (id, t_birth_us, x, y): the id and birth time must be
     whole numbers, x and y finite numbers; whether the position lies on
     the sensor is checked at the first input. Any bad row is a `UsageError`."""
-    if len(row) != 4:
-        raise UsageError(f"query row {row!r} is not (id, t_birth_us, x, y)")
     try:
-        return (whole(row[0], "id"), whole(row[1], "birth time"),
-                finite(row[2], "x"), finite(row[3], "y"))
+        qid, t_birth, x, y = row
+    except (TypeError, ValueError):
+        raise UsageError(f"query row {row!r} is not (id, t_birth_us, x, y)") from None
+    try:
+        return whole(qid, "id"), whole(t_birth, "birth time"), finite(x, "x"), finite(y, "y")
     except ConfigError as err:
         raise UsageError(f"query row {row!r}: {err}") from None
 

@@ -11,11 +11,13 @@ new position estimate. The tokens stay (W, N, D) throughout: temporal
 blocks attend along axis 0 (the window, per track) and spatial blocks
 along axis 1 (the queries, per slice), and no tokens are transposed.
 
-At inference each block of a large window runs on every CPU: it splits
-the axis it does not attend along into parts of at least `_PART_ROWS`
-token rows and runs the whole block on each part in its own thread,
-bit-identical to one thread (see `_AttnBlock`). Small windows and every
-pass that records a graph run on the calling thread.
+At inference each block of a large window runs in row tiles on every
+CPU: it splits the axis it does not attend along into tiles of at least
+`_PART_ROWS` token rows, deals them to the CPUs, and writes each tile's
+output into its rows of one output array, so no block temporary is
+larger than a tile. It is bit-identical to one call on the whole window
+(see `_AttnBlock`). Windows of fewer than two tiles and every pass that
+records a graph run the block in one call on the calling thread.
 
 Persistent query templates are never written here: feature deltas touch
 only the per-window working copies.
@@ -91,15 +93,23 @@ def make_tokens(positions, features, corr, p_init: np.ndarray, durations_us: np.
     return raw
 
 
-# Token rows that each part of a split attention block must hold; a block
-# whose parts would hold fewer runs as one part. Probe: one block of the
-# default refiner (dim 256, 4 heads, MLP ratio 4) under `no_grad`, inline
-# against two parts, OpenBLAS on one thread, on a 2-vCPU host whose second
-# vCPU is shared, two passes of median-of-5 timings. Two parts ran it at
-# 0.58-1.04x the inline speed with 36-72 rows a part, 0.86-1.23x with
-# 128-144, 1.00-1.59x with 256-576 and 0.99-2.04x with 1152-2048. So the
-# stream's 128-token windows (16 slices x 8 queries) and the 72-token
-# windows of 8 queries stay on one thread.
+# Token rows a tile of an attention block holds at least: a block cuts
+# its window into tiles of whole sequences holding `_PART_ROWS` rows or
+# more, and a window of fewer than two tiles runs in one call.
+# Floor probe: one block of the default refiner (dim 256, 4 heads, MLP
+# ratio 4) under `no_grad`, inline against two parts, OpenBLAS on one
+# thread, on a 2-vCPU host whose second vCPU is shared, two passes of
+# median-of-5 timings. Two parts ran it at 0.58-1.04x the inline speed
+# with 36-72 rows a part, 0.86-1.23x with 128-144, 1.00-1.59x with
+# 256-576 and 0.99-2.04x with 1152-2048. So the stream's 128-token
+# windows (16 slices x 8 queries) and the 72-token windows of 8 queries
+# stay in one call.
+# Tile-size probe: a warm 64x64 offline run of 256 queries (8-slice
+# windows, 2 CPUs, 5 runs a setting) took 40-49k minor page faults and
+# 110-160 ms of system time a run with window-sized block temporaries,
+# 0.1-2.4k and 12-32 ms with 256-row tiles, 7.1-8.8k and 22-45 ms with
+# 512-row tiles; 128-row tiles took as few faults as 256, at the same
+# speed. So the floor is also the tile size.
 _PART_ROWS = 256
 
 
@@ -109,22 +119,28 @@ class _AttnBlock:
     A block attends along one axis of the (W, N, D) tokens, and every op
     in it (layernorm, the qkv, proj, fc1 and fc2 linears, attention,
     relu and the residual adds) treats the sequences along the other
-    axis independently. So at inference a block splits that other axis
-    into parts and runs the whole block on each part on its own thread
-    (`ops._run_shares`): a temporal block (axis 0) splits the queries, a
-    spatial block (axis 1) the slices. The parts are concatenated back.
-    There are at most `ops._WORKERS` parts, each of whole sequences and
-    at least `_PART_ROWS` token rows; a block that cannot make two such
-    parts runs as one. While a graph is recorded the block
-    always runs as one part, so training and its gradients take the
-    unsplit code.
+    axis independently. So at inference a block runs over tiles: runs of
+    whole sequences along that other axis (queries for a temporal block,
+    axis 0; slices for a spatial one, axis 1). A tile holds at least
+    `_PART_ROWS` token rows, and there are `extent // per_part` of them,
+    `per_part` being the sequences that hold `_PART_ROWS` rows, so a tile
+    holds fewer than 2 x `per_part` sequences. The tiles are dealt
+    round-robin to `min(ops._WORKERS, tiles)` shares (`ops._run_shares`;
+    one share runs inline). Each tile reads its input as a view of the
+    tokens and copies its block output into its own rows of one (W, N,
+    D) output array, so the block's temporaries (the qkv, fc1 and relu
+    outputs among them) are one tile's per share, not the window's, and
+    nothing is split off or concatenated. The tiles do not depend on the
+    worker count. A window of fewer than two tiles, and every pass that
+    records a graph, runs the block in one call, so training and its
+    gradients take the untiled code.
 
-    The split result is the unsplit one bit for bit. Layernorm, relu and
-    the adds work row by row; attention runs one score and one value
+    The tiled result is the one-call result bit for bit. Layernorm, relu
+    and the adds work row by row; attention runs one score and one value
     GEMM per (sequence, head) in numpy's batch loop, the same GEMMs at
-    any split; and a `linear` of m >= 5 rows gives the rows of the full
+    any tiling; and a `linear` of m >= 5 rows gives the rows of the full
     GEMM exactly (OpenBLAS 0.3.31; only m = 1 to 4 take another kernel
-    path), which every part of `_PART_ROWS` rows satisfies.
+    path), which every tile of `_PART_ROWS` rows satisfies.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int, heads: int, mlp_ratio: int, rng):
@@ -139,23 +155,26 @@ class _AttnBlock:
         self.fc2 = LinearLayer(store, f"{name}.fc2", mlp_ratio * dim, dim, rng)
 
     def __call__(self, x: Tensor, axis: int) -> Tensor:
-        """Attend along token axis `axis` of the (W, N, D) tokens, split
+        """Attend along token axis `axis` of the (W, N, D) tokens, in tiles
         over the other axis when no graph is recorded (see the class)."""
         other = 1 - axis
         extent = x.shape[other]
         per_part = -(-_PART_ROWS // x.shape[axis])  # sequences that hold _PART_ROWS rows
-        parts = min(ops._WORKERS, extent // per_part)
-        if grad_enabled() or parts < 2:
+        tiles = extent // per_part
+        if grad_enabled() or tiles < 2:
             return self._block(x, axis)
-        bounds = [extent * i // parts for i in range(parts + 1)]
-        outs = [None] * parts
+        bounds = [extent * i // tiles for i in range(tiles + 1)]
+        shares = min(ops._WORKERS, tiles)
+        out = np.empty(x.shape, dtype=x.dtype)
 
-        def share(i):
-            part = (slice(None),) * other + (slice(bounds[i], bounds[i + 1]),)
-            outs[i] = self._block(ops.getitem(x, part), axis)
+        def share(s):
+            """Tiles s, s + shares, ... into their rows of `out`."""
+            for i in range(s, tiles, shares):
+                rows = (slice(None),) * other + (slice(bounds[i], bounds[i + 1]),)
+                out[rows] = self._block(Tensor(x.data[rows], dtype=x.dtype), axis).data
 
-        ops._run_shares(parts, share)
-        return ops.concat(outs, axis=other)
+        ops._run_shares(shares, share)
+        return Tensor(out, dtype=x.dtype)
 
     def _block(self, x: Tensor, axis: int) -> Tensor:
         normed = ops.layernorm(x, self.ln1_g, self.ln1_b)

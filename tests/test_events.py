@@ -86,6 +86,17 @@ def test_degenerate_window_rejected():
         build_event_stack(stream, 1000, 1000, 5)
 
 
+def test_window_span_past_int64_rejected():
+    """An event at 2^62 in [-2^62, 2^62 + 1]: the span is 2^63 + 1, so each
+    event's offset from the start would wrap in int64 and the event would
+    be dropped from an all-zero stack. The window is rejected instead; its
+    half, [0, 2^62 + 1], still stacks the event."""
+    stream = EventStream([1], [2], [2**62], [1], (4, 4))
+    with pytest.raises(ConfigError, match="spans more than int64 holds"):
+        build_event_stack(stream, -(2**62), 2**62 + 1, 2)
+    assert np.count_nonzero(build_event_stack(stream, 0, 2**62 + 1, 2)) == 1
+
+
 def test_values_bounded_and_channels_disjoint():
     rng = np.random.default_rng(2)
     stream = random_stream(rng, n=400)
@@ -213,6 +224,28 @@ def test_binary_roundtrip(tmp_path, rng):
     import os
 
     assert os.path.getsize(path) == 16 + 16 * len(stream)
+
+
+def test_saving_a_negative_event_time_is_rejected(tmp_path):
+    """The format stores u8 times, where -5 would wrap to 2^64 - 5 and the
+    file would not load back; nothing is written."""
+    path = tmp_path / "events.bin"
+    with pytest.raises(ConfigError, match="event time -5 is negative"):
+        save_binary_events(EventStream([0, 1], [0, 0], [-5, 3], [1, 1], (4, 4)), str(path))
+    assert not path.exists()
+
+
+def test_saving_an_extent_past_16_bits_is_rejected(tmp_path):
+    """The header stores the sensor extents as u2: a 70001-pixel-wide
+    sensor is a `ConfigError`, raised before the file is opened. 65535
+    still round-trips."""
+    path = tmp_path / "events.bin"
+    with pytest.raises(ConfigError, match=r"\(70001, 2\) does not fit"):
+        save_binary_events(EventStream([70000], [1], [0], [1], (70001, 2)), str(path))
+    assert not path.exists()
+    save_binary_events(EventStream([65534], [1], [0], [1], (65535, 2)), str(path))
+    back = load_binary_events(str(path))
+    assert back.geometry == (65535, 2) and back.xs.tolist() == [65534]
 
 
 def test_stream_validation():

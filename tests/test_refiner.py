@@ -281,15 +281,18 @@ def _counting_shares(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("window", [(9, 256), (16, 256), (16, 8), (1, 256), (16, 1)],
+@pytest.mark.parametrize("window", [(9, 256), (16, 256), (16, 37), (16, 8), (1, 256), (16, 1)],
                          ids=lambda w: f"{w[0]}x{w[1]}")
 @pytest.mark.parametrize("axis", [0, 1])
 def test_split_block_is_bit_identical(monkeypatch, window, axis):
-    """A block split over the axis it does not attend along gives the
-    one-part output bit for bit at 2 and 3 workers. The floor is lowered
+    """A block run in row tiles over the axis it does not attend along
+    gives the one-call output bit for bit at 1 to 4 workers, with one
+    `_run_shares` call of min(workers, tiles) shares. The floor is lowered
     to 5 rows, the fewest for which `linear` rows match the full GEMM, so
-    that the small windows split too; a one-slice window's spatial block
-    and a one-query window's temporal block have one sequence and one part."""
+    that the small windows make tiles too: uneven ones (51 tiles of 5 or 6
+    one-slice queries, 3 of 5 or 6 one-query slices) and more tiles than
+    workers. A one-slice window's spatial block and a one-query window's
+    temporal block have one sequence and run in one call."""
     monkeypatch.setattr(refiner_mod, "_PART_ROWS", 5)
     block = _default_block()
     x = Tensor(np.random.default_rng(sum(window) + axis).standard_normal(
@@ -297,19 +300,83 @@ def test_split_block_is_bit_identical(monkeypatch, window, axis):
     calls = _counting_shares(monkeypatch)
     outs = []
     with no_grad():
-        for workers in (1, 2, 3):
+        one_call = block._block(x, axis).data
+        for workers in (1, 2, 3, 4):
             monkeypatch.setattr(ops, "_WORKERS", workers)
             outs.append(block(x, axis).data)
-    sequences = window[1 - axis]
-    assert calls == [min(n, sequences) for n in (2, 3) if sequences > 1]
-    assert all(np.array_equal(outs[0], out) for out in outs[1:])
+    tiles = window[1 - axis] // -(-5 // window[axis])
+    assert calls == ([min(n, tiles) for n in (1, 2, 3, 4)] if tiles > 1 else [])
+    assert all(np.array_equal(one_call, out) for out in outs)
+
+
+@pytest.mark.parametrize("window", [(8, 256), (9, 256), (16, 40), (3, 1000)],
+                         ids=lambda w: f"{w[0]}x{w[1]}")
+@pytest.mark.parametrize("axis", [0, 1])
+def test_tiles_are_views_of_whole_sequences_above_the_floor(monkeypatch, window, axis):
+    """Each tile is a view of the tokens (nothing is split off or
+    concatenated) that holds whole sequences, at least `_PART_ROWS` rows
+    and fewer than twice the sequences that hold them; the tiles cover
+    the other axis in order, `extent // per_part` of them."""
+    block = _default_block()
+    x = Tensor(np.random.default_rng(6).standard_normal((*window, 256)).astype(np.float32))
+    seen = []
+    run_block = block._block
+
+    def recording(tile, tile_axis):
+        seen.append(tile.data)
+        return run_block(tile, tile_axis)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tokens were copied to split or join them")
+
+    monkeypatch.setattr(block, "_block", recording)
+    monkeypatch.setattr(ops, "getitem", refuse)
+    monkeypatch.setattr(ops, "concat", refuse)
+    monkeypatch.setattr(ops, "_WORKERS", 1)
+    with no_grad():
+        block(x, axis)
+    other, length = 1 - axis, window[axis]
+    per_part = -(-refiner_mod._PART_ROWS // length)
+    assert len(seen) == window[other] // per_part
+    start = 0
+    for tile in seen:
+        assert np.shares_memory(tile, x.data) and tile.shape[axis] == length
+        sequences = tile.shape[other]
+        assert sequences * length >= refiner_mod._PART_ROWS and sequences < 2 * per_part
+        rows = (slice(None),) * other + (slice(start, start + sequences),)
+        assert np.array_equal(tile, x.data[rows])
+        start += sequences
+    assert start == window[other]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_tiled_block_peak_is_bounded_by_its_tiles(monkeypatch, workers, axis):
+    """A warm no-graph default block on an (8, 256, 256) window holds its
+    output and, per share, one tile's temporaries at a time. So its traced
+    peak stays below the output's bytes plus `workers` times the traced
+    peak of the block on one 256-row tile (32 queries of 8 slices, or one
+    slice of 256 queries; the tile's output counted), plus 64 kB for the
+    shares' Python objects. In one call the window's temporaries peak at
+    about 21 MB."""
+    monkeypatch.setattr(ops, "_WORKERS", workers)
+    block = _default_block()
+    x = Tensor(np.random.default_rng(7).standard_normal((8, 256, 256)).astype(np.float32))
+    tile = Tensor(x.data[:, :32] if axis == 0 else x.data[:1])
+    with no_grad():
+        block(x, axis)  # warm
+        block._block(tile, axis)
+        _, tile_peak, _ = traced_peak(lambda: block._block(tile, axis))
+        _, peak, _ = traced_peak(lambda: block(x, axis))
+    assert peak < x.data.nbytes + workers * tile_peak + (64 << 10)
 
 
 def test_block_runs_as_one_part_in_grad_mode_below_the_floor_or_on_one_worker(
         monkeypatch, no_pool):
-    """No executor starts while a graph is recorded, for windows whose
-    parts would hold fewer than `_PART_ROWS` rows (the stream's 16 x 8,
-    8-query windows of 9 slices), or with one worker."""
+    """No executor starts while a graph is recorded, for windows that
+    hold fewer than two tiles of `_PART_ROWS` rows (the stream's 16 x 8,
+    8-query windows of 9 slices), or with one worker, which runs every
+    tile on the calling thread."""
     block = _default_block()
     rng = np.random.default_rng(3)
     big = Tensor(rng.standard_normal((9, 256, 256)).astype(np.float32))
