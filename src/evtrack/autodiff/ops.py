@@ -8,6 +8,11 @@ Every public function here has a case in the finite-difference gradient
 suite and is called by one tracker forward and backward pass; a test
 checks each. `_run_shares` runs the independent shares of one
 inference step on `_WORKERS` threads, for conv2d and the refiner.
+
+Every vjp captures the arrays it reads, plus shapes and flags computed in
+the forward, and never an input Tensor: graph nodes hold no arrays (see
+tensor.py), so a captured Tensor would keep its whole array alive for a
+shape. A test walks each op's graph and checks this.
 """
 
 from __future__ import annotations
@@ -43,8 +48,9 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _tracked(t: Tensor) -> bool:
-    """Whether a backward pass wants a gradient for input `t`."""
-    return t.requires_grad or t._vjp is not None
+    """Whether a backward pass wants a gradient for input `t`. A vjp that
+    reads this takes it as a flag from the forward, not the tensor."""
+    return t.node is not None
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +94,32 @@ def _run_shares(n: int, share) -> None:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return make_node(a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return make_node(a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    ad, bd = a.data, b.data
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return make_node(a.data * b.data, (a, b), vjp)
+    return make_node(ad * bd, (a, b), vjp)
 
 
 def abs_(a) -> Tensor:
@@ -121,12 +130,14 @@ def abs_(a) -> Tensor:
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    return make_node(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
+    x = a.data
+    return make_node(np.sin(x), (a,), lambda g: (g * np.cos(x),))
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    return make_node(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))
+    x = a.data
+    return make_node(np.cos(x), (a,), lambda g: (-g * np.sin(x),))
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +147,9 @@ def cos(a) -> Tensor:
 def sum_(a) -> Tensor:
     """Sum of every element, as a 0-d tensor."""
     a = as_tensor(a)
-    return make_node(np.asarray(a.data.sum(), dtype=a.dtype), (a,),
-                     lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),))
+    shape, dtype = a.shape, a.dtype
+    return make_node(np.asarray(a.data.sum(), dtype=dtype), (a,),
+                     lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +194,17 @@ def matmul(a, maps) -> Tensor:
     shape = maps[0].shape
     if shape[:1] != (c,) or any(m.shape != shape for m in maps):
         raise ConfigError(f"matmul maps must all be ({c}, ...), got {[m.shape for m in maps]}")
+    ad = a.data
     flat = [m.data.reshape(c, -1) for m in maps]
     out = np.empty((w_len, n, flat[0].shape[1]), dtype=np.result_type(a.dtype, maps[0].dtype))
     for i, b in enumerate(flat):
-        np.matmul(a.data[i], b, out=out[i])
+        np.matmul(ad[i], b, out=out[i])
 
     def vjp(g):
-        ga = np.empty(a.shape, dtype=g.dtype)
+        ga = np.empty(ad.shape, dtype=g.dtype)
         for i, b in enumerate(flat):
             np.matmul(g[i], b.T, out=ga[i])
-        return (ga, *(np.matmul(a.data[i].T, g[i]).reshape(shape) for i in range(w_len)))
+        return (ga, *(np.matmul(ad[i].T, g[i]).reshape(shape) for i in range(w_len)))
 
     return make_node(out, (a, *maps), vjp)
 
@@ -211,15 +224,16 @@ def linear(x, weight, bias) -> Tensor:
     d_out = weight.shape[0]
     if bias.shape != (d_out,):
         raise ConfigError(f"linear bias shape {bias.shape} != ({d_out},)")
-    x_flat = x.data.reshape(-1, x.shape[-1])
-    out = x_flat @ weight.data.T
+    x_shape, wd = x.shape, weight.data
+    x_flat = x.data.reshape(-1, x_shape[-1])
+    out = x_flat @ wd.T
     out += bias.data
 
     def vjp(g):
         g_flat = g.reshape(-1, d_out)
-        return (g_flat @ weight.data).reshape(x.shape), g_flat.T @ x_flat, g_flat.sum(axis=0)
+        return (g_flat @ wd).reshape(x_shape), g_flat.T @ x_flat, g_flat.sum(axis=0)
 
-    return make_node(out.reshape(x.shape[:-1] + (d_out,)), (x, weight, bias), vjp)
+    return make_node(out.reshape(x_shape[:-1] + (d_out,)), (x, weight, bias), vjp)
 
 
 def attention(qkv, heads: int, axis: int) -> Tensor:
@@ -268,7 +282,7 @@ def attention(qkv, heads: int, axis: int) -> Tensor:
         np.matmul(ds, k, out=dq)
         dq *= scale
         np.matmul(np.swapaxes(ds, -1, -2), q, out=dk)
-        return (dqkv.reshape(qkv.shape),)
+        return (dqkv.reshape(a0, a1, d3),)
 
     return make_node(out.reshape(a0, a1, heads * dh), (qkv,), vjp)
 
@@ -352,8 +366,9 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     one weight gradient, whose sum order fixes its bits. Its column
     buffer is made per call, not taken from the scratch: there it would
     drop the event stem's columns from a one-window training step's
-    traced peak, and `TestWindowedBackward`'s seven-window peak, which
-    did not grow, would read 1.56x that peak against a bound of 1.5x.
+    traced peak (791 -> 625 kB on the tests' tiny model), and
+    `TestWindowedBackward`'s seven-window peak, which barely moved
+    (1107 -> 1066 kB), would read 1.71x that peak against a bound of 1.5x.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xd = x.data
@@ -404,7 +419,8 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
                                    v : v + stride * wo : stride]
         return cols.reshape(kk, (r1 - r0) * wo)
 
-    w_flat = weight.data.reshape(cout, kk)
+    w_shape, w_flat = weight.shape, weight.data.reshape(cout, kk)
+    want_dx = _tracked(x)  # an encoder stem's input wants no gradient
     out = np.empty((cout, ho * wo), dtype=xd.dtype)
     xp = padded()
     workers = min(_WORKERS, len(bands))
@@ -422,7 +438,6 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     def vjp(g):
         g = g.reshape(cout, ho * wo)
         gb = g.sum(axis=1)
-        want_dx = _tracked(x)
         gw = np.empty((cout, kk), dtype=g.dtype)
         dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype) if want_dx else None
         xp, buf = padded(), np.empty(kk * rows * wo, dtype=g.dtype)
@@ -440,7 +455,7 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
                 for v in range(k):
                     dxp[:, u + stride * r0 : u + stride * r1 : stride,
                         v : v + stride * wo : stride] += dcols[:, u, v]
-        gw = gw.reshape(weight.shape)
+        gw = gw.reshape(w_shape)
         if not want_dx:
             return None, gw, gb
         return dxp[:, pad : pad + h, pad : pad + w], gw, gb
@@ -457,10 +472,11 @@ def avg_pool2(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim < 2 or x.shape[-1] < 1 or x.shape[-2] < 1:
         raise ConfigError(f"avg_pool2 needs trailing spatial dims, got {x.shape}")
-    h, w = x.shape[-2], x.shape[-1]
+    shape, dtype = x.shape, x.dtype
+    h, w = shape[-2], shape[-1]
     ho, wo = (h + 1) // 2, (w + 1) // 2
-    total = np.zeros(x.shape[:-2] + (ho, wo), dtype=x.dtype)
-    count = np.zeros((ho, wo), dtype=x.dtype)
+    total = np.zeros(shape[:-2] + (ho, wo), dtype=dtype)
+    count = np.zeros((ho, wo), dtype=dtype)
     for du in (0, 1):
         for dv in (0, 1):
             sub = x.data[..., du::2, dv::2]
@@ -470,7 +486,7 @@ def avg_pool2(x) -> Tensor:
 
     def vjp(g):
         gc = g / count
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape, dtype=dtype)
         for du in (0, 1):
             for dv in (0, 1):
                 sub = dx[..., du::2, dv::2]
@@ -483,7 +499,7 @@ def avg_pool2(x) -> Tensor:
 def upsample2_nearest(x, out_hw) -> Tensor:
     """Nearest-neighbor 2x upsampling of the trailing two axes, cropped to out_hw."""
     x = as_tensor(x)
-    h, w = x.shape[-2], x.shape[-1]
+    lead, (h, w) = x.shape[:-2], x.shape[-2:]
     ho, wo = out_hw
     if ho > 2 * h or wo > 2 * w or ho < 1 or wo < 1:
         raise ConfigError(f"upsample2_nearest cannot map {h}x{w} onto {ho}x{wo}")
@@ -491,9 +507,9 @@ def upsample2_nearest(x, out_hw) -> Tensor:
     out = np.ascontiguousarray(out)
 
     def vjp(g):
-        gp = np.zeros(x.shape[:-2] + (2 * h, 2 * w), dtype=g.dtype)
+        gp = np.zeros(lead + (2 * h, 2 * w), dtype=g.dtype)
         gp[..., :ho, :wo] = g
-        dx = gp.reshape(x.shape[:-2] + (h, 2, w, 2)).sum(axis=(-3, -1))
+        dx = gp.reshape(lead + (h, 2, w, 2)).sum(axis=(-3, -1))
         return (dx,)
 
     return make_node(out, (x,), vjp)
@@ -536,8 +552,10 @@ def bilinear_sample(fmap, points) -> Tensor:
         out += fmc[yc, xc] * valid[:, None] * wgt[:, None]
         corners.append((yc, xc, wgt * valid))
 
+    hwc, dtype = fmc.shape, fmc.dtype
+
     def vjp(g):
-        gmap = np.zeros_like(fmc)
+        gmap = np.zeros(hwc, dtype=dtype)
         for yc, xc, wgt in corners:
             np.add.at(gmap, (yc, xc), g * wgt[:, None])
         return (gmap.transpose(2, 0, 1),)
@@ -579,11 +597,12 @@ def bilinear_patch(vol, points, radius: int) -> Tensor:
     patch = np.take(vol.data, flat) * on_map
     rows = patch[:, :, :-1] * (1 - fx) + patch[:, :, 1:] * fx  # (B, 2r+2, 2r+1)
     out = rows[:, :-1] * (1 - fy) + rows[:, 1:] * fy
+    out_shape, want_dvol, want_dpts = out.shape, _tracked(vol), _tracked(points)
 
     def vjp(g):
-        g = g.reshape(out.shape)
+        g = g.reshape(out_shape)
         dvol = dpts = None
-        if _tracked(vol):
+        if want_dvol:
             grows = np.zeros(rows.shape, dtype=g.dtype)
             grows[:, :-1] = g * (1 - fy)
             grows[:, 1:] += g * fy
@@ -591,10 +610,10 @@ def bilinear_patch(vol, points, radius: int) -> Tensor:
             gpatch[:, :, :-1] = grows * (1 - fx)
             gpatch[:, :, 1:] += grows * fx
             # off-map cells all land on one extra cell past the end, then dropped
-            dflat = np.zeros(vol.size + 1, dtype=g.dtype)
-            dflat[np.where(on_map, flat, vol.size)] = gpatch
-            dvol = dflat[:-1].reshape(vol.shape)
-        if _tracked(points):
+            dflat = np.zeros(b * h * w + 1, dtype=g.dtype)
+            dflat[np.where(on_map, flat, b * h * w)] = gpatch
+            dvol = dflat[:-1].reshape(b, h, w)
+        if want_dpts:
             dcols = patch[:, :, 1:] - patch[:, :, :-1]
             d_fx = dcols[:, :-1] * (1 - fy) + dcols[:, 1:] * fy
             d_fy = rows[:, 1:] - rows[:, :-1]
@@ -619,14 +638,15 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = xhat * gamma.data
+    gd = gamma.data
+    out = xhat * gd
     out += beta.data
 
     def vjp(g):
         rows, xrows = g.reshape(-1, d), xhat.reshape(-1, d)
         dgamma = np.einsum("ni,ni->i", rows, xrows)
         dbeta = rows.sum(axis=0)
-        dx = g * gamma.data
+        dx = g * gd
         mean = np.einsum("...i->...", dx)[..., None] / d
         proj = np.einsum("...i,...i->...", dx, xhat)[..., None] / d
         dx -= mean
@@ -644,7 +664,8 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def reshape(a, shape) -> Tensor:
     """numpy's reshape: a view of `a` unless its strides rule one out."""
     a = as_tensor(a)
-    return make_node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    a_shape = a.shape
+    return make_node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a_shape),))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -682,9 +703,10 @@ def getitem(a, index) -> Tensor:
         if not basic:
             raise ConfigError(f"getitem takes basic indexes only, got {type(part).__name__}")
     out = a.data[index]
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        dx = np.zeros_like(a.data)
+        dx = np.zeros(shape, dtype=dtype)
         dx[index] = g
         return (dx,)
 

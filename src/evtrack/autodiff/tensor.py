@@ -1,10 +1,20 @@
 """Define-by-run tensors with reverse-mode differentiation.
 
-Storage is a numpy array; every primitive records its parents and a
-vector-Jacobian-product closure, so the graph is rebuilt on each forward
-pass. Reduction order is fixed (column lowering + a single GEMM per conv,
-numpy's left-to-right reductions elsewhere), which makes forward passes
-bit-deterministic for fixed inputs.
+Storage is a numpy array; every primitive records a graph node with its
+parents' nodes and a vector-Jacobian-product closure, so the graph is
+rebuilt on each forward pass. Reduction order is fixed (column lowering
++ a single GEMM per conv, numpy's left-to-right reductions elsewhere),
+which makes forward passes bit-deterministic for fixed inputs.
+
+A `Tensor` is an array and, when it is tracked, a `Node`. The graph is
+made of nodes, not tensors: a node holds its gradient, its vjp and its
+parents' nodes, never an array of its own. So an op's output lives only
+while the caller or a vjp closure holds it, and backward memory is what
+the vjps read. Each vjp captures only the arrays it reads, plus plain
+shapes and flags computed in the forward; it never captures an input
+`Tensor`, which would keep that input's array alive for a shape.
+Untracked tensors, every tensor made under `no_grad` among them, carry
+no node.
 
 `backward` releases each node it passes, so after it only leaves and
 cuts hold a `.grad`. A cut (see `cut`) splits one graph into pieces that
@@ -59,23 +69,56 @@ def no_grad():
         _state["grad"] = prev
 
 
+class Node:
+    """One graph vertex: a recorded op, or a leaf that wants a gradient.
+
+    `parents` holds one entry per op input, that input's node or None for
+    an untracked input; `vjp(g)` maps the output's gradient to one
+    gradient per input (None where an input gets none). A leaf has no
+    parents and no vjp. `grad` is the gradient gathered so far; `cut`
+    marks a boundary of the sweeps that do not start here (see `cut`).
+    """
+
+    __slots__ = ("grad", "parents", "vjp", "cut")
+
+    def __init__(self, parents=(), vjp=None):
+        self.grad = None
+        self.parents = parents
+        self.vjp = vjp
+        self.cut = False
+
+
 class Tensor:
     """Dense row-major tensor, optionally tracked for differentiation.
 
-    `data` is always a numpy float array. `grad` has the same shape; on a
-    leaf or a cut it is the gradient that `backward` sweeps have added up,
-    on any other node it is None once a sweep has passed.
+    `data` is always a numpy float array. `node` is None for an untracked
+    tensor, and the tensor's graph node otherwise: a leaf made with
+    `requires_grad=True` or an op output recorded from tracked inputs.
+    `grad` reads the node's gradient: on a leaf or a cut it is the
+    gradient that `backward` sweeps have added up, on any other node it
+    is None once a sweep has passed.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_cut")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype if dtype is not None else default_dtype())
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._vjp = None
-        self._cut = False
+        self.node = Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        """Whether a backward pass can reach this tensor: it has a node."""
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self.node is None:
+            raise UsageError("an untracked tensor holds no gradient")
+        self.node.grad = g
 
     @property
     def shape(self):
@@ -127,20 +170,15 @@ class Tensor:
 
 
 def make_node(data: np.ndarray, parents, vjp) -> Tensor:
-    """Wrap an op result, recording parents/vjp when grads are on."""
+    """Wrap an op result; record a node with the parents' nodes and `vjp`
+    when grads are on and some parent is tracked."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._parents = ()
-    out._vjp = None
-    out._cut = False
-    out.requires_grad = False
+    out.node = None
     if grad_enabled():
-        tracked = any(p.requires_grad or p._vjp is not None for p in parents)
-        if tracked:
-            out.requires_grad = any(p.requires_grad for p in parents)
-            out._parents = tuple(parents)
-            out._vjp = vjp
+        nodes = tuple(p.node for p in parents)
+        if any(n is not None for n in nodes):
+            out.node = Node(nodes, vjp)
     return out
 
 
@@ -149,21 +187,23 @@ def _spent(g):
 
 
 def cut(t: Tensor) -> bool:
-    """Make graph node `t` a boundary of the backward passes that do not start at it.
+    """Make the node of `t` a boundary of the backward passes that do not start at it.
 
-    Such a pass adds its gradient to `t.grad` and goes no further, and it
-    leaves `t` and the graph behind it in place; `backward([t, ...])`
-    later continues from the gradient gathered. Returns whether `t`
-    became a cut: a leaf, a tensor recorded under `no_grad`, a released
-    node or one that is already a cut is left as it is.
+    Such a pass adds its gradient to that node's `grad` and goes no
+    further, and it leaves the graph behind it in place;
+    `backward([t.node, ...])` later continues from the gradient gathered.
+    Returns whether `t` became a cut: a leaf, a tensor recorded under
+    `no_grad`, a released node or one that is already a cut is left as
+    it is.
     """
-    if t._vjp is None or t._vjp is _spent or t._cut:
+    node = t.node
+    if node is None or node.vjp is None or node.vjp is _spent or node.cut:
         return False
-    t._cut = True
+    node.cut = True
     return True
 
 
-def _topological_order(roots: list[Tensor]) -> list[Tensor]:
+def _topological_order(roots: list[Node]) -> list[Node]:
     """Every node reachable from `roots` without passing a cut, each once,
     parents before children."""
     order = []
@@ -174,12 +214,12 @@ def _topological_order(roots: list[Tensor]) -> list[Tensor]:
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen and not parent._cut:
+        for parent in node.parents:
+            if parent is not None and parent not in seen and not parent.cut:
                 stack.append((parent, False))
     return order
 
@@ -188,42 +228,43 @@ def backward(root) -> None:
     """Reverse-mode sweep that releases the graph as it goes.
 
     `root` is a scalar loss, which starts with gradient 1, or a list of
-    cut tensors (see `cut`), which are cuts no more and continue with the
-    gradient each has gathered. Gradients accumulate into the `.grad` of
+    cut nodes (see `cut`), which are cuts no more and continue with the
+    gradient each has gathered. Gradients accumulate into the `grad` of
     the leaves reached (parameters and inputs that require gradients) and
     of the cuts passed. A parameter the sweep does not reach keeps its
     `grad`, None before the first sweep, which `adamw_step` reads as a
-    zero gradient.
+    zero gradient. A loss that recorded no graph has nothing to sweep.
 
-    Every other node gives up its `.grad`, its vjp and its parent links
-    once its vjp has run, so memory falls as the sweep goes. Its vjp
-    becomes a stub that raises `UsageError`: a second sweep through a
-    released graph fails instead of leaving the gradients as they were.
+    Every other node gives up its `grad`, its vjp and its parent links
+    once its vjp has run, so the arrays its vjp held are freed as the
+    sweep goes. Its vjp becomes a stub that raises `UsageError`: a second
+    sweep through a released graph fails instead of leaving the
+    gradients as they were.
     """
     if isinstance(root, Tensor):
         if root.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {root.shape}")
-        root.grad = np.ones_like(root.data)
-        roots = [root]
+        if root.node is None:
+            return
+        root.node.grad = np.ones_like(root.data)
+        roots = [root.node]
     else:
         roots = list(root)
-        if not all(t._cut for t in roots):
-            raise UsageError("backward continues only from cut tensors")
-        for t in roots:
-            t._cut = False
+        if not all(isinstance(n, Node) and n.cut for n in roots):
+            raise UsageError("backward continues only from cut nodes")
+        for n in roots:
+            n.cut = False
     order = _topological_order(roots)
     while order:
         node = order.pop()
-        vjp, parents, g = node._vjp, node._parents, node.grad
+        vjp, parents, g = node.vjp, node.parents, node.grad
         if vjp is None:
             continue
-        node.grad, node._vjp, node._parents = None, _spent, ()
+        node.grad, node.vjp, node.parents = None, _spent, ()
         if g is None:
             continue
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None:
-                continue
-            if not (parent.requires_grad or parent._vjp is not None):
+            if parent is None or pg is None:
                 continue
             # accumulation always allocates, so aliasing pg is safe
             parent.grad = pg if parent.grad is None else parent.grad + pg

@@ -47,7 +47,11 @@ released (a slice leaves the window, a frame is dropped, the templates
 at `finish`) and every record that read its cuts has gone back: the
 slices that read a frame, and the templates that read their birth frame
 (or, events-only, their birth slice). The session thus holds about one
-window's graph, whatever the length of the sequence.
+window's graph, whatever the length of the sequence. A graph is made of
+nodes that hold no arrays (see `autodiff.tensor`), and a record keeps
+its cuts as nodes: a graph waiting to go back holds only the arrays its
+vjps read, not every intermediate output, and a dropped frame's
+features are freed unless a vjp reads them.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, backward, cut, no_grad, ops
+from .autodiff.tensor import Node
 from .checks import finite, whole
 from .correlation import CorrelationPyramid, WindowState, build_pyramid, check_pyramid_depth
 from .encoders import FpnEncoder, MotionGatedFusion, mean_flow
@@ -154,19 +159,21 @@ class Track:
 
 
 class _Cuts:
-    """The cuts of one held record, and which records' cuts its graph reads."""
+    """The cut nodes of one held record, and which records' cuts its graph
+    reads. It holds nodes, not tensors, so a cut's array lives only as
+    long as the record or a vjp reads it."""
 
-    __slots__ = ("tensors", "sources", "readers", "released")
+    __slots__ = ("nodes", "sources", "readers", "released")
 
     def __init__(self):
-        self.tensors: list[Tensor] = []
+        self.nodes: list[Node] = []
         self.sources: list[_Cuts] = []
         self.readers = 0  # records that read these cuts and have not gone back yet
         self.released = False
 
     def add(self, *tensors: Tensor):
         """Cut the graph tensors among `tensors` that are not cuts yet."""
-        self.tensors += [t for t in tensors if cut(t)]
+        self.nodes += [t.node for t in tensors if cut(t)]
 
     def read(self, source: _Cuts):
         """This record's graph reads the cuts of `source`."""
@@ -184,12 +191,12 @@ def _release(cuts: _Cuts):
         c = pending.pop()
         if not c.released or c.readers:
             continue
-        if c.tensors:
-            backward(c.tensors)
+        if c.nodes:
+            backward(c.nodes)
         for source in c.sources:
             source.readers -= 1
             pending.append(source)
-        c.tensors, c.sources = [], []
+        c.nodes, c.sources = [], []
 
 
 @dataclass

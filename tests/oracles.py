@@ -75,10 +75,12 @@ def correlate_oracle(feature: np.ndarray, pyramid: CorrelationPyramid, position,
 def _batched_matmul(a: Tensor, b: Tensor) -> Tensor:
     """`np.matmul` over matching leading axes, with its gradients."""
 
-    def vjp(g):
-        return np.matmul(g, np.swapaxes(b.data, -1, -2)), np.matmul(np.swapaxes(a.data, -1, -2), g)
+    ad, bd = a.data, b.data
 
-    return make_node(np.matmul(a.data, b.data), (a, b), vjp)
+    def vjp(g):
+        return np.matmul(g, np.swapaxes(bd, -1, -2)), np.matmul(np.swapaxes(ad, -1, -2), g)
+
+    return make_node(np.matmul(ad, bd), (a, b), vjp)
 
 
 def correlate_stacked_oracle(features, levels, positions, radius: int, base_scale: int) -> Tensor:

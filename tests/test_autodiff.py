@@ -1,7 +1,9 @@
 import json
 import sys
 import threading
+import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -92,9 +94,10 @@ def test_conv2d_matches_oracle(k, stride):
 
 
 def test_conv2d_node_holds_no_columns():
-    """A grad-enabled conv node holds its output, not the Cin*k*k-row columns:
-    the backward pass rebuilds those from the input. The columns live in
-    the calling thread's scratch, which a first call grows to this shape."""
+    """A grad-enabled conv keeps its output and what its vjp reads, not the
+    Cin*k*k-row columns: the backward pass rebuilds those from the input.
+    The columns live in the calling thread's scratch, which a first call
+    grows to this shape."""
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((64, 32, 32)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32), requires_grad=True)
@@ -102,7 +105,7 @@ def test_conv2d_node_holds_no_columns():
     with no_grad():
         ops.conv2d(x, w, b, pad=1)
     out, _, held = traced_peak(lambda: ops.conv2d(x, w, b, pad=1))
-    assert out._vjp is not None
+    assert out.node.vjp is not None
     assert held < 4 * x.data.nbytes
 
 
@@ -182,7 +185,7 @@ def test_conv2d_banded_gradients_within_1e6_of_one_band(monkeypatch):
     for rows in (ho, 4):
         _band_rows(monkeypatch, rows, 16, 3, wo, 4)
         out = ops.conv2d(Tensor(x, requires_grad=True), Tensor(wt), Tensor(b), pad=pad)
-        results.append((out.data, *out._vjp(g)))
+        results.append((out.data, *out.node.vjp(g)))
     (out1, dx1, gw1, gb1), (outb, dxb, gwb, gbb) = results
     assert np.array_equal(out1, outb) and np.array_equal(gb1, gbb)
     for one, banded in ((dx1, dxb), (gw1, gwb)):
@@ -215,7 +218,7 @@ def test_conv2d_worker_bands_are_bit_identical(monkeypatch, workers, k, stride):
         monkeypatch.setattr(np, "matmul", matmul)
         assert (len({thread for thread, _ in calls}) > 1) == (n > 1)
         gemms.append(sorted(shape for _, shape in calls))
-        results.append((out.data, *out._vjp(g)))
+        results.append((out.data, *out.node.vjp(g)))
     assert gemms[0] == gemms[1] and len(gemms[0]) == -(-ho // 3)
     for one, many in zip(*results):
         assert np.array_equal(one, many)
@@ -287,7 +290,7 @@ def _conv_run(case, stride, g):
     x, wt, b, pad, _, _ = case
     out = ops.conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True), Tensor(b),
                      stride=stride, pad=pad)
-    return (out.data, *out._vjp(g)[:2])
+    return (out.data, *out.node.vjp(g)[:2])
 
 
 def _scratch_buffers() -> dict:
@@ -373,7 +376,7 @@ def test_conv2d_stem_peak_is_bounded_by_the_band(monkeypatch):
     padded = 10 * 266 * 352 * 4
     out, forward_peak, _ = traced_peak(lambda: ops.conv2d(x, w, b, stride=2, pad=3))
     g = np.ones_like(out.data)
-    grads, backward_peak, _ = traced_peak(lambda: out._vjp(g))
+    grads, backward_peak, _ = traced_peak(lambda: out.node.vjp(g))
     assert out.shape == (32, 130, 173) and grads[0].shape == x.shape
     assert forward_peak < out.data.nbytes + padded + ops._WORKERS * ops._BAND_BYTES
     assert backward_peak < 2 * padded + 2 * ops._BAND_BYTES
@@ -515,7 +518,7 @@ def test_conv2d_skips_input_gradient_it_does_not_need():
     g = rng.standard_normal((4, 5, 4)).astype(np.float32)
     grads = []
     for x_needs in (True, False):
-        grads.append(ops.conv2d(Tensor(x, requires_grad=x_needs), w, b, stride=2, pad=3)._vjp(g))
+        grads.append(ops.conv2d(Tensor(x, requires_grad=x_needs), w, b, stride=2, pad=3).node.vjp(g))
     assert grads[0][0].shape == x.shape and grads[1][0] is None
     assert np.array_equal(grads[0][1], grads[1][1]) and np.array_equal(grads[0][2], grads[1][2])
 
@@ -556,7 +559,7 @@ def test_second_backward_through_a_released_graph_raises():
     loss = ops.sum_(hidden * hidden)
     backward(loss)
     assert np.array_equal(x.grad, [8.0, 0.0, 24.0])
-    assert hidden.grad is None and hidden._parents == () and loss.grad is None
+    assert hidden.grad is None and hidden.node.parents == () and loss.grad is None
     with pytest.raises(UsageError, match="already released"):
         backward(loss)
     with pytest.raises(UsageError, match="already released"):
@@ -578,7 +581,7 @@ def test_backward_stops_at_a_cut_and_continues_from_it():
             backward(ops.sum_(shared * a))
             assert x.grad is None and shared.grad is not None
             backward(ops.sum_(ops.cos(shared) * b))
-            backward([shared])
+            backward([shared.node])
         else:
             backward(ops.sum_(shared * a) + ops.sum_(ops.cos(shared) * b))
         return x.grad, a.grad, b.grad
@@ -586,8 +589,8 @@ def test_backward_stops_at_a_cut_and_continues_from_it():
     with precision("f64"):
         for got, want in zip(grads(True), grads(False)):
             assert np.allclose(got, want, rtol=1e-12, atol=0)
-    with pytest.raises(UsageError, match="cut tensors"):
-        backward([Tensor(np.ones(2)) * Tensor(np.ones(2), requires_grad=True)])
+    with pytest.raises(UsageError, match="cut nodes"):
+        backward([(Tensor(np.ones(2)) * Tensor(np.ones(2), requires_grad=True)).node])
 
 
 def test_unreached_param_steps_as_zero_gradient():
@@ -615,7 +618,33 @@ def test_no_grad_suppresses_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
         y = ops.sum_(x * 2.0)
-    assert y._vjp is None and y._parents == ()
+    assert y.node is None
+
+
+def test_graph_holds_only_what_its_vjps_read():
+    """A recorded graph keeps an op's output only while the caller or a vjp
+    reads it. relu's vjp reads its own output, linear's its input and
+    weight, add's and sum_'s only shapes: so the pre-activation and the
+    residual sum are freed once the caller drops them, while the graph
+    lives, and backward gives the gradients of a graph that kept them."""
+    rng = np.random.default_rng(21)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in ((5, 4), (3, 4), (3,), (5, 3))]
+
+    def grads(drop):
+        x, w, b, y = (Tensor(a, requires_grad=True) for a in arrays)
+        pre = ops.linear(x, w, b)
+        total = ops.relu(pre) + y
+        loss = ops.sum_(total)
+        if drop:
+            refs = [weakref.ref(pre.data), weakref.ref(total.data)]
+            del pre, total
+            assert all(r() is None for r in refs)
+            assert loss.node.vjp is not None and loss.node.parents
+        backward(loss)
+        return [t.grad for t in (x, w, b, y)]
+
+    for got, want in zip(grads(True), grads(False)):
+        assert np.array_equal(got, want)
 
 
 def test_forward_determinism():
@@ -1129,6 +1158,46 @@ def _spy_public_ops(monkeypatch):
         monkeypatch.setattr(ops, name, spy)
     assert len(public) > 20
     return public, called
+
+
+def _captured(vjp):
+    """Every value a vjp's closure holds, through the closures of the
+    functions and the items of the lists, tuples and dicts among them."""
+    values, stack = {}, [vjp]
+    while stack:
+        value = stack.pop()
+        if id(value) in values:
+            continue
+        values[id(value)] = value
+        if isinstance(value, types.FunctionType):
+            stack += [cell.cell_contents for cell in value.__closure__ or ()]
+        elif isinstance(value, (list, tuple)):
+            stack += value
+        elif isinstance(value, dict):
+            stack += value.values()
+    return list(values.values())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_vjp_captures_a_tensor(name):
+    """No vjp of any node a finite-difference case records holds a Tensor,
+    so a graph keeps only the arrays its vjps read (see autodiff/tensor.py)
+    and an op added later must keep to that too."""
+    build, _ = CASES[name]
+    rng = np.random.default_rng(0)
+    with precision("f64"):
+        out = build(rng, tensors=[Tensor(a, requires_grad=True) for a in build(rng, make_arrays=True)])
+    seen, stack = set(), [out.node]
+    while stack:
+        node = stack.pop()
+        if node is None or node in seen:
+            continue
+        seen.add(node)
+        stack += node.parents
+        if node.vjp is not None:
+            held = [type(v).__name__ for v in _captured(node.vjp) if isinstance(v, Tensor)]
+            assert held == [], f"{name}: a vjp captures {held}"
+    assert any(node.vjp is not None for node in seen)
 
 
 def test_every_op_has_a_finite_difference_case(monkeypatch):

@@ -345,9 +345,9 @@ class TestStreaming:
             assert session._window and held
             return held
 
-        assert all(t._parents == () and not t.requires_grad for t in held_tensors(False))
+        assert all(t.node is None for t in held_tensors(False))
         # training keeps the graph of the slices in the window
-        assert any(t._parents for t in held_tensors(True))
+        assert any(t.node is not None and t.node.parents for t in held_tensors(True))
 
     def test_frames_dropped_once_no_slice_or_birth_reads_them(self):
         # slices every 25 ms; two frames fall between the slices at 25 and 50 ms

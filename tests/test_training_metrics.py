@@ -159,8 +159,18 @@ class TestWindowedBackward:
         assert peak(seven) <= 1.5 * peak(one)
 
     def test_one_window_peaks_near_what_its_forward_holds(self, monkeypatch):
-        """Forward plus backward of one window peaks at most 1.3x what the
-        forward holds when its loss goes back."""
+        """Forward plus backward of one window peaks at most at what the
+        forward holds when its loss goes back, plus what a backward makes:
+        one gradient per parameter and the largest conv backward's columns,
+        the event stem's Cin*7*7 x (16x16 outputs), which conv2d rebuilds
+        per call. The peak is the first slice release's stem backward.
+
+        This was a ratio, at most 1.3x what the forward holds, while graph
+        nodes held their tensors: 1014 kB against 874 kB held (1.16x, so
+        1135 kB allowed). With nodes holding only what vjps read, the
+        forward holds 554 kB and the peak is 791 kB (1.43x): the stem's
+        201 kB of columns did not shrink with what is held. The sum below
+        allows 963 kB."""
         seq, n_slices = _seq(75_000)
         assert n_slices == 4
         model = tiny_model(seed=0, randomize_heads=True)
@@ -180,7 +190,10 @@ class TestWindowedBackward:
         _, peak, _ = traced_peak(measured_loss)
         assert len(held) == 2
         base, at_backward = held
-        assert peak <= 1.3 * (at_backward - base)
+        grads = sum(p.data.nbytes for _, p in model.store.items())
+        stem = model.event_encoder.stem.weight.data
+        columns = stem[0].nbytes * 16 * 16  # a 32x32 sensor, stride 2
+        assert peak <= (at_backward - base) + grads + columns
 
 
 class TestLrSchedule:
