@@ -3,7 +3,8 @@
 Exactly the operations the tracking pipeline needs: elementwise
 arithmetic, sums, matmul/linear, conv2d, pooling/upsampling, bilinear
 sampling of vectors and of scalar patches, activations, multi-head
-attention along a token axis, layer normalization and basic indexing.
+attention along a token axis, layer normalization, reshapes, basic
+indexing and one join, `concat`, which broadcasts parts of extent 1.
 Every public function here has a case in the finite-difference gradient
 suite and is called by one tracker forward and backward pass; a test
 checks each. `_run_shares` runs the independent shares of one
@@ -73,7 +74,8 @@ def _run_shares(n: int, share) -> None:
     One share runs inline, with no executor. The executor is made per
     call and joined before this returns, so no thread outlives the call
     and none starts at import. Each worker runs in a copy of the caller's
-    context, so a caller's `np.errstate` holds in the workers too. The
+    context, so the caller's `np.errstate` and its autodiff modes
+    (`no_grad`, `precision`; see tensor.py) hold in the workers too. The
     shares must write disjoint outputs: nothing here orders them. A
     share may serve many pieces of work in turn (conv2d's bands, the
     refiner's row tiles), dealt to it round-robin by the caller.
@@ -669,23 +671,31 @@ def reshape(a, shape) -> Tensor:
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
+    """Join same-rank parts along `axis`, each written once into one output.
+
+    Off `axis`, a part of extent 1 fills every row and gets numpy's sum
+    over them as its gradient; a tensor passed as k parts gets its k
+    slices added one by one, in part order. Unjoinable shapes raise
+    `ConfigError`."""
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    shapes = [t.shape for t in tensors]
+    if len({len(s) for s in shapes}) != 1 or not -len(shapes[0]) <= axis < len(shapes[0]):
+        raise ConfigError(f"concat cannot join {shapes} along axis {axis}")
+    axis %= len(shapes[0])
+    bounds = np.cumsum([0] + [s[axis] for s in shapes]).tolist()
+    try:
+        out_shape = np.broadcast_shapes(*(s[:axis] + (bounds[-1],) + s[axis + 1:] for s in shapes))
+    except ValueError:
+        raise ConfigError(f"concat cannot join {shapes} along axis {axis}") from None
+    out = np.empty(out_shape, dtype=np.result_type(*(t.dtype for t in tensors)))
+    slots = [(slice(None),) * axis + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
+    for t, slot in zip(tensors, slots):
+        out[slot] = t.data
+    wanted = [_tracked(t) for t in tensors]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
-
-    return make_node(out, tuple(tensors), vjp)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.moveaxis(g, axis, 0))
+        return tuple(np.ascontiguousarray(_unbroadcast(g[slot], shape)) if want else None
+                     for want, shape, slot in zip(wanted, shapes, slots))
 
     return make_node(out, tuple(tensors), vjp)
 

@@ -8,6 +8,7 @@ written next to the blob at `<path>.json`.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -149,27 +150,62 @@ def save_weights(store: ParamStore, path: str, extra: dict | None = None) -> Non
     save_arrays({name: p.data for name, p in store.items()}, path, extra=extra)
 
 
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_manifest(mpath: str) -> tuple[list, dict]:
+    """The entries and meta dict of a weight manifest, each entry checked
+    to be {name: str, shape: [counts], dtype: "f32", byte_offset: count}
+    under a name of its own."""
+    try:
+        with open(mpath) as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"weight manifest {mpath} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):
+        raise ConfigError(f"weight manifest {mpath} holds no list of entries")
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigError(f"weight manifest {mpath}: meta is not an object")
+    names = set()
+    for entry in manifest["entries"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and entry["name"] not in names and entry.get("dtype", "f32") == "f32"
+                and isinstance(entry.get("shape"), list)
+                and all(map(_count, [*entry["shape"], entry.get("byte_offset")]))):
+            raise ConfigError(f"weight manifest {mpath}: entry {entry!r} is not a new name, "
+                              "a shape of counts, dtype f32 and a byte_offset count")
+        names.add(entry["name"])
+    return manifest["entries"], meta
+
+
 def read_weight_file(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Load a blob + manifest pair into {name: float32 array} and its meta dict.
 
     Each array is read from the file straight into its own buffer, so the
-    arrays take the blob's size and no more.
+    arrays take the blob's size and no more. A manifest that does not
+    hold what `save_arrays` writes, or an entry past the blob's end,
+    raises a `ConfigError` that names the file.
     """
     mpath = manifest_path(path)
     if not os.path.exists(path) or not os.path.exists(mpath):
         raise ConfigError(f"weight file or manifest missing: {path}")
-    with open(mpath) as f:
-        manifest = json.load(f)
+    entries, meta = _read_manifest(mpath)
+    size = os.path.getsize(path)
     arrays = {}
     with open(path, "rb") as f:
-        for entry in manifest["entries"]:
-            arr = np.empty(tuple(entry["shape"]), dtype="<f4")
-            f.seek(entry["byte_offset"])
+        for entry in entries:
+            shape, offset = tuple(entry["shape"]), entry["byte_offset"]
+            short = f"weight file {path} is shorter than its manifest (entry {entry['name']!r})"
+            if offset + 4 * math.prod(shape) > size:  # checked before the array is allocated
+                raise ConfigError(short)
+            arr = np.empty(shape, dtype="<f4")
+            f.seek(offset)
             if f.readinto(arr) != arr.nbytes:
-                raise ConfigError(f"weight file {path} is shorter than its manifest "
-                                  f"(entry {entry['name']!r})")
+                raise ConfigError(short)
             arrays[entry["name"]] = arr.astype(np.float32, copy=False)
-    return arrays, manifest.get("meta", {})
+    return arrays, meta
 
 
 def load_weights(store: ParamStore, path: str) -> dict:

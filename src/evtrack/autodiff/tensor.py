@@ -25,6 +25,7 @@ further graph will read a tensor can free everything behind it then.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
@@ -32,41 +33,45 @@ from ..errors import UsageError
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
-# Global modes: compute dtype (f32 for training/inference, f64 for gradient
-# checks) and gradient recording.
-_state = {"dtype": np.float32, "grad": True}
+# Modes: the compute dtype (f32 for training and inference, f64 for
+# gradient checks) and whether ops record a graph. Each is a context
+# variable, so `no_grad` and `precision` hold in the context that entered
+# them and nowhere else: a session tracking on one thread leaves another
+# thread's training step recording. A thread starts with the defaults,
+# and `ops._run_shares` runs its workers in a copy of the caller's context,
+# so its shares keep the caller's modes.
+_DTYPE = contextvars.ContextVar("evtrack_dtype", default=np.float32)
+_GRAD = contextvars.ContextVar("evtrack_grad", default=True)
 
 
 def default_dtype():
-    return _state["dtype"]
+    return _DTYPE.get()
 
 
 def grad_enabled() -> bool:
-    return _state["grad"]
+    return _GRAD.get()
 
 
 @contextlib.contextmanager
+def _setting(var: contextvars.ContextVar, value):
+    """Set `var` to `value` in the current context for the `with` block."""
+    token = var.set(value)
+    try:
+        yield
+    finally:
+        var.reset(token)
+
+
 def precision(kind: str):
     """Temporarily switch the default dtype ("f32" or "f64")."""
     if kind not in _DTYPES:
         raise UsageError(f"unknown precision {kind!r}; expected 'f32' or 'f64'")
-    prev = _state["dtype"]
-    _state["dtype"] = _DTYPES[kind]
-    try:
-        yield
-    finally:
-        _state["dtype"] = prev
+    return _setting(_DTYPE, _DTYPES[kind])
 
 
-@contextlib.contextmanager
 def no_grad():
     """Disable graph recording (inference mode)."""
-    prev = _state["grad"]
-    _state["grad"] = False
-    try:
-        yield
-    finally:
-        _state["grad"] = prev
+    return _setting(_GRAD, False)
 
 
 class Node:

@@ -11,20 +11,23 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _read_token(f) -> bytes:
-    # skips whitespace and '#' comments between header tokens
+def _read_number(f, path: str) -> int:
+    """The next header token, a whole number; skips whitespace and '#'
+    comments between header tokens."""
     token = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise ConfigError("unexpected end of netpbm header")
+            raise ConfigError(f"{path}: unexpected end of netpbm header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = f.read(1)
             continue
         if ch.isspace():
+            if token.isdigit():
+                return int(token)
             if token:
-                return token
+                raise ConfigError(f"{path}: netpbm header field {token!r} is not a whole number")
             continue
         token += ch
 
@@ -34,9 +37,9 @@ def load_image(path: str) -> np.ndarray:
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise ConfigError(f"{path}: unsupported netpbm magic {magic!r}")
-        width = int(_read_token(f))
-        height = int(_read_token(f))
-        maxval = int(_read_token(f))
+        width = _read_number(f, path)
+        height = _read_number(f, path)
+        maxval = _read_number(f, path)
         if maxval != 255:
             raise ConfigError(f"{path}: only 8-bit netpbm supported, maxval={maxval}")
         channels = 1 if magic == b"P5" else 3

@@ -51,13 +51,12 @@ def feature_age(pred_samples, gt: GtTrack, delta_px: float) -> float:
     return good / len(gt.samples)
 
 
-def expected_feature_age(ages, tracked) -> float:
-    """Mean age over all initialized queries; untracked queries count as 0."""
+def expected_feature_age(ages) -> float:
+    """Mean age over all initialized queries; a lost query's age is 0."""
     ages = list(ages)
-    tracked = list(tracked)
     if not ages:
         raise MetricError("expected_feature_age over an empty query set")
-    return float(np.mean([a if flag else 0.0 for a, flag in zip(ages, tracked)]))
+    return float(np.mean(ages))
 
 
 @dataclass
@@ -96,5 +95,5 @@ def evaluate_tracks(pred: dict[int, list], gt_tracks: list[GtTrack], delta_px: f
         per_track.append({"id": gt.id, "age": age, "tracked": age > 0.0})
     survivors = [a for a in ages if a > 0.0]
     fa_avg = float(np.mean(survivors)) if survivors else 0.0
-    efa_avg = expected_feature_age(ages, [a > 0.0 for a in ages])
+    efa_avg = expected_feature_age(ages)
     return MetricReport(sequence, delta_px, per_track, fa_avg, efa_avg)

@@ -99,7 +99,7 @@ class TrackerConfig:
     time_wavelength: float = 1_000_000.0  # µs
     # ablation toggles
     accumulate_mode: str = "since_frame"  # or "fixed"
-    fixed_window_us: int = 0  # 0 -> dt_track_us
+    fixed_window_us: int = 0  # "fixed" mode only; 0 -> dt_track_us
     time_embed: bool = True
     use_frames: bool = True
     use_events: bool = True
@@ -128,6 +128,9 @@ class TrackerConfig:
             )
         if self.accumulate_mode not in ("since_frame", "fixed"):
             raise ConfigError(f"unknown accumulate_mode {self.accumulate_mode!r}")
+        if self.fixed_window_us and self.accumulate_mode != "fixed":
+            raise ConfigError(f"fixed_window_us={self.fixed_window_us} needs accumulate_mode "
+                              f"'fixed', got {self.accumulate_mode!r}, which ignores it")
         if not (self.use_frames or self.use_events):
             raise ConfigError("at least one of use_frames/use_events must be set")
 
@@ -240,6 +243,15 @@ class TrackSession:
     is called with a `WindowRun` after each refinement; the session then
     records a graph and back-propagates it piece by piece, as the module
     docstring describes.
+
+    Threads: sessions on different threads are independent. Each holds
+    its own state, and the autodiff modes (`no_grad`, `precision`) hold
+    in the context that sets them: its thread and the shares that thread
+    runs through `ops._run_shares`. So one thread tracking under `no_grad`
+    leaves another thread's training step recording. A model's parameters
+    and their `.grad` are shared by every session on it: a model trains
+    on one thread at a time, and an optimizer step changes the weights in
+    place under every session that reads them.
     """
 
     def __init__(self, model: TrackerModel, query_rows, on_window=None):
@@ -549,10 +561,8 @@ class TrackSession:
         refined = [s for s in self._window if s.position is not None]
         n_fresh = len(self._window) - len(refined)
         last = refined[-1].position if refined else self.p_init
-        fresh = ops.stack([self._template_matrix()] * n_fresh, axis=0)
-        features = fresh
-        if refined:
-            features = ops.concat([np.stack([s.feature for s in refined]), fresh], axis=0)
+        template = self._template_matrix().reshape((1, len(self.query_ids), self.cfg.channels))
+        features = ops.concat([s.feature[None] for s in refined] + [template] * n_fresh, axis=0)
         return WindowState(
             positions=np.stack([s.position for s in refined] + [last] * n_fresh).astype(np.float32),
             features=features,

@@ -66,26 +66,24 @@ def sincos_encode(values, freqs: int, wavelength: float) -> Tensor:
     values = ops.as_tensor(values)
     omg = _omegas(freqs, wavelength)
     angles = values.reshape(values.shape + (1,)) * omg
-    enc = ops.stack([ops.sin(angles), ops.cos(angles)], axis=-1)
+    enc = ops.concat([f(angles).reshape(angles.shape + (1,)) for f in (ops.sin, ops.cos)], axis=-1)
     return enc.reshape(values.shape[:-1] + (values.shape[-1] * 2 * freqs,))
 
 
 def make_tokens(positions, features, corr, p_init: np.ndarray, durations_us: np.ndarray,
                 cfg: TrackerConfig) -> Tensor:
     """Assemble raw (W, N, token_len(cfg)) tokens for one window."""
-    w_len, n, _ = positions.shape
+    w_len = positions.shape[0]
     disp = positions - ops.getitem(positions, slice(0, 1))
     disp_enc = sincos_encode(disp, cfg.freqs, cfg.pos_wavelength)
 
-    init_enc = sincos_encode(Tensor(p_init.astype(np.float32)), cfg.freqs, cfg.pos_wavelength)
-    init_enc = ops.stack([init_enc] * w_len, axis=0)
+    init_enc = sincos_encode(Tensor(p_init.astype(np.float32)[None]), cfg.freqs, cfg.pos_wavelength)
 
     if cfg.time_embed:
-        dur = Tensor(durations_us.astype(np.float32).reshape(w_len, 1))
+        dur = Tensor(durations_us.astype(np.float32).reshape(w_len, 1, 1))
         dur_enc = sincos_encode(dur, cfg.freqs, cfg.time_wavelength)
     else:
-        dur_enc = Tensor(np.zeros((w_len, 2 * cfg.freqs), dtype=np.float32))
-    dur_enc = ops.stack([dur_enc] * n, axis=1)
+        dur_enc = Tensor(np.zeros((w_len, 1, 2 * cfg.freqs), dtype=np.float32))
 
     raw = ops.concat([disp, features, corr, disp_enc, init_enc, dur_enc], axis=-1)
     if raw.shape[-1] != token_len(cfg):

@@ -282,16 +282,27 @@ def generate_dataset(out_dir: str, seed: int, n_scenes: int, size=(64, 64),
 
 
 def load_sequence(seq_dir: str):
-    """Read one sequence directory back: (manifest, frames, events, gt, queries)."""
+    """Read one sequence directory back: (manifest, frames, events, gt, queries).
+
+    The manifest must be a JSON object with `dt_track_us` and with
+    `frame_times_us`, a list of whole times; anything else is a
+    `ConfigError` that names the file."""
     from .events import load_binary_events
     from .images import load_image
 
-    with open(os.path.join(seq_dir, "manifest.json")) as f:
-        manifest = json.load(f)
+    path = os.path.join(seq_dir, "manifest.json")
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"sequence manifest {path} is not JSON: {exc}") from None
+    if not (isinstance(manifest, dict) and "dt_track_us" in manifest
+            and isinstance(manifest.get("frame_times_us"), list)):
+        raise ConfigError(f"sequence manifest {path} needs dt_track_us and a frame_times_us list")
     frames = []
     for t in manifest["frame_times_us"]:
-        img = load_image(os.path.join(seq_dir, "frames", f"frame_{t:010d}.pgm"))
-        frames.append((int(t), img))
+        t = whole(t, f"{path} frame time")
+        frames.append((t, load_image(os.path.join(seq_dir, "frames", f"frame_{t:010d}.pgm"))))
     events = load_binary_events(os.path.join(seq_dir, "events.bin"))
     gt = load_tracks_csv(os.path.join(seq_dir, "gt_tracks.csv"))
     queries = load_queries_csv(os.path.join(seq_dir, "queries.csv"))

@@ -25,6 +25,7 @@ from .autodiff.params import (
     save_arrays,
     save_weights,
 )
+from .checks import whole
 from .errors import ConfigError, TrainingError, UsageError
 from .pipeline import TrackerConfig, TrackerModel, run_offline
 
@@ -135,6 +136,8 @@ def _file_meta(model: TrackerModel, step: int) -> dict:
 def check_trained_config(cfg: TrackerConfig, meta: dict, path: str) -> None:
     """Reject a weight file whose recorded tracker config differs from `cfg`."""
     trained = meta.get("tracker", {})
+    if not isinstance(trained, dict):
+        raise ConfigError(f"{path} records its tracker config as a {type(trained).__name__}")
     differ = sorted(k for k, v in dataclasses.asdict(cfg).items()
                     if k in trained and trained[k] != v)
     if differ:
@@ -178,11 +181,14 @@ def load_checkpoint(model: TrackerModel, path: str) -> int:
         raise UsageError(f"{path} holds no optimizer state; resume from a checkpoint.bin")
     for key in ("opt.{}.m", "opt.{}.v"):
         check_weights(store, arrays, path, key)
+    step = whole(meta.get("step", 0), f"{path} step")
+    if step < 0:
+        raise ConfigError(f"{path} step {step} is negative")
     assign_weights(store, arrays, path)
     for name in names:
         store.load_state(name, arrays[f"opt.{name}.m"], arrays[f"opt.{name}.v"])
-    store.step = int(meta.get("step", 0))
-    return store.step
+    store.step = step
+    return step
 
 
 def train(model: TrackerModel, sequences: list, cfg: TrainConfig, out_dir: str,

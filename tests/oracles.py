@@ -90,7 +90,7 @@ def correlate_stacked_oracle(features, levels, positions, radius: int, base_scal
     w_len, n, c = features.shape
     pieces = []
     for level, maps in enumerate(levels):
-        stack = ops.stack(maps, axis=0)
+        stack = ops.concat([m.reshape((1,) + m.shape) for m in maps], axis=0)
         h, w = stack.shape[-2], stack.shape[-1]
         vol = _batched_matmul(features, stack.reshape((w_len, c, h * w)))
         pts = (positions * (1.0 / float(base_scale * 2**level))).reshape((w_len * n, 2))

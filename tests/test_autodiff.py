@@ -20,6 +20,7 @@ from evtrack.autodiff import (
     precision,
     save_weights,
 )
+from evtrack.autodiff.tensor import default_dtype, grad_enabled
 from evtrack.correlation import correlate_batch
 from evtrack.encoders import MotionGatedFusion
 from evtrack.errors import ConfigError, TrainingError, UsageError
@@ -614,11 +615,90 @@ def test_unreached_param_steps_as_zero_gradient():
         assert np.array_equal(implicit, explicit)
 
 
+def test_concat_broadcasts_parts_of_extent_one_and_rejects_the_rest():
+    """A part of extent 1 off the join axis fills every row there, and its
+    gradient is the sum over those rows; an untracked part gets none."""
+    a = Tensor(np.arange(6.0).reshape(2, 3, 1), requires_grad=True)
+    b = Tensor(np.array([[[10.0], [20.0], [30.0]]]), requires_grad=True)  # (1, 3, 1)
+    c = np.ones((2, 1, 2), dtype=np.float32)
+    out = ops.concat([a, b, c], axis=-1)
+    want = np.concatenate([a.data, np.broadcast_to(b.data, (2, 3, 1)), np.broadcast_to(c, (2, 3, 2))],
+                          axis=-1)
+    assert out.dtype == np.float32 and np.array_equal(out.data, want)
+    g = np.arange(24.0, dtype=np.float32).reshape(2, 3, 4)
+    ga, gb, gc = out.node.vjp(g)
+    assert np.array_equal(ga, g[..., :1]) and gc is None
+    assert np.array_equal(gb, g[..., 1:2].sum(axis=0, keepdims=True))
+    for parts, axis in [([], 0), ([np.ones(())], 0), ([np.ones(2), np.ones((2, 1))], 0),
+                        ([np.ones((2, 3)), np.ones((3, 3))], 1), ([np.ones((2, 3))], 2)]:
+        with pytest.raises(ConfigError, match="concat"):
+            ops.concat(parts, axis)
+
+
 def test_no_grad_suppresses_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
         y = ops.sum_(x * 2.0)
     assert y.node is None
+
+
+def _tiny_step_grads():
+    """Parameter gradients of one `sequence_loss` of the tiny tracker."""
+    frames, events, queries, gt_by_id, _, _ = tiny_sequence(seed=0, duration_us=150_000)
+    model = tiny_model(seed=0, randomize_heads=True)
+    sequence_loss(model, frames, events, queries, gt_by_id, 0.8)
+    return [p.grad for _, p in model.store.items()]
+
+
+@pytest.mark.parametrize("mode", [no_grad, lambda: precision("f64")], ids=["no_grad", "f64"])
+def test_a_mode_held_on_another_thread_leaves_training_alone(mode):
+    """A thread that holds `no_grad()` or `precision("f64")` open while the
+    main thread trains changes nothing there: a mode holds in the context
+    that entered it, so the gradients are a solo run's, bit for bit."""
+    solo = _tiny_step_grads()
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with mode():
+            entered.set()
+            release.wait(timeout=60)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    try:
+        assert entered.wait(timeout=60)
+        beside = _tiny_step_grads()
+    finally:
+        release.set()
+        holder.join(timeout=60)
+    assert not holder.is_alive()
+    assert any(g is not None for g in solo)
+    assert len(beside) == len(solo)
+    for got, want in zip(beside, solo):
+        assert (got is None) == (want is None)
+        assert want is None or (got.dtype == want.dtype and np.array_equal(got, want))
+
+
+def test_shares_keep_the_callers_modes_and_new_threads_the_defaults():
+    """`ops._run_shares` runs every share in the caller's context, so all
+    shares see its `no_grad` and `precision`; a thread started under them
+    sees the defaults, and so does the caller after the `with` block."""
+    seen = {}
+
+    def modes():
+        return grad_enabled(), default_dtype()
+
+    def share(i):
+        seen[i] = modes()
+
+    with no_grad(), precision("f64"):
+        ops._run_shares(3, share)
+        plain = threading.Thread(target=lambda: seen.update(plain=modes()), daemon=True)
+        plain.start()
+        plain.join(timeout=60)
+    assert not plain.is_alive()
+    assert [seen[i] for i in range(3)] == [(False, np.float64)] * 3
+    assert seen["plain"] == modes() == (True, np.float32)
 
 
 def test_graph_holds_only_what_its_vjps_read():
@@ -1039,7 +1119,7 @@ def _build_fusion_shared(rng, tensors=None, make_arrays=False):
     first, branch = fusion(tensors[0], tensors[1], 0.0)
     second, _ = fusion(tensors[0], tensors[2], 3.0, branch)
     w = np.arange(80, dtype=np.float64).reshape(2, 2, 4, 5) / 80.0
-    return ops.mul(ops.stack([first, second], axis=0), w)
+    return ops.mul(ops.concat([first.reshape((1, 2, 4, 5)), second.reshape((1, 2, 4, 5))], axis=0), w)
 
 
 @case("avg_pool2", 1)
@@ -1121,12 +1201,15 @@ def _build_concat(rng, tensors=None, make_arrays=False):
     return ops.mul(ops.concat(tensors, axis=1), w)
 
 
-@case("stack", 2)
-def _build_stack(rng, tensors=None, make_arrays=False):
+@case("concat_broadcast", 3)
+def _build_concat_broadcast(rng, tensors=None, make_arrays=False):
+    """A (1, 3, 2) part fills all four rows and a (4, 1, 1) part all three
+    queries; each one's gradient is the sum over the rows it filled."""
     if make_arrays:
-        return [rng.standard_normal((3, 2)), rng.standard_normal((3, 2))]
-    w = np.arange(12, dtype=np.float64).reshape(2, 3, 2)
-    return ops.mul(ops.stack(tensors, axis=0), w)
+        return [rng.standard_normal((4, 3, 2)), rng.standard_normal((1, 3, 2)),
+                rng.standard_normal((4, 1, 1))]
+    w = np.arange(60, dtype=np.float64).reshape(4, 3, 5) / 60.0
+    return ops.mul(ops.concat(tensors, axis=-1), w)
 
 
 @case("getitem", 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import zlib
@@ -66,6 +67,10 @@ class TestConfig:
             load_config(None, {"dt_track_us": "0"})
         with pytest.raises(ConfigError, match="accumulate_mode"):
             load_config(None, {"accumulate_mode": "bogus"})
+        with pytest.raises(ConfigError, match="fixed_window_us=5000 needs accumulate_mode 'fixed'"):
+            TrackerConfig(fixed_window_us=5000)
+        assert TrackerConfig(accumulate_mode="fixed").event_window_us() == 5000  # dt_track_us
+        assert TrackerConfig(accumulate_mode="fixed", fixed_window_us=7000).event_window_us() == 7000
         with pytest.raises(ConfigError, match="use_frames/use_events"):
             load_config(None, {"use_frames": "false", "use_events": "false"})
         with pytest.raises(ConfigError, match="speed_min"):
@@ -118,6 +123,7 @@ class TestConfig:
         ("heads", "3"), ("mlp_ratio", "0"), ("freqs", "0"), ("radius", "-1"),
         ("fixed_window_us", "-5"), ("pairs", "-1"), ("pos_wavelength", "0"),
         ("pos_wavelength", "nan"), ("time_wavelength", "-1"),
+        ("fixed_window_us", "5000"),  # the default since_frame mode would ignore it
     ])
     def test_bad_tracker_value_rejected_at_load(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -312,3 +318,45 @@ class TestCli:
         assert main(["gen-synth", "--out", str(tmp_path / "x"), "--scenes", "1",
                      "--set", "bogus=1"]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    def _track_fails_naming(self, capsys, path, args):
+        """`evtrack track args` exits 1 with one `error:` line that names `path`."""
+        assert main(["track", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and str(path) in captured.err
+        assert captured.err.strip().count("\n") == 0 and captured.out == ""
+
+    @pytest.mark.parametrize("text", [
+        "{",
+        '{"meta": {}}',
+        '{"entries": [{"name": "w", "shape": [-2], "byte_offset": 0}]}',
+        '{"entries": [{"name": "w", "shape": [2], "byte_offset": 1.5}]}',
+        '{"entries": [{"name": "w", "shape": [2], "dtype": "f64", "byte_offset": 0}]}',
+        '{"entries": [{"name": "w", "shape": [1], "byte_offset": 0},'
+        ' {"name": "w", "shape": [1], "byte_offset": 4}]}',
+    ], ids=["not-json", "no-entries", "negative-shape", "fractional-offset", "f64", "repeated-name"])
+    def test_track_rejects_a_bad_weight_manifest(self, pipeline_dirs, tiny_cli_args, tmp_path,
+                                                 capsys, text):
+        _, data, weights = pipeline_dirs
+        seq = os.path.join(data, "seq_000")
+        bad = tmp_path / "w.bin"
+        shutil.copyfile(weights, bad)
+        (tmp_path / "w.bin.json").write_text(text)
+        self._track_fails_naming(capsys, f"{bad}.json", [
+            "--data", seq, "--weights", str(bad), "--queries", os.path.join(seq, "queries.csv"),
+            "--out", str(tmp_path / "t.csv"), *tiny_cli_args])
+
+    @pytest.mark.parametrize("name, text", [
+        ("manifest.json", "{"),
+        ("manifest.json", '{"dt_track_us": 25000}'),
+        ("frames/frame_0000000000.pgm", "P5\n48 forty-eight\n255\n"),
+    ], ids=["manifest-not-json", "no-frame-times", "netpbm-word"])
+    def test_track_rejects_a_bad_sequence_file(self, pipeline_dirs, tiny_cli_args, tmp_path,
+                                               capsys, name, text):
+        _, data, weights = pipeline_dirs
+        seq = tmp_path / "seq"
+        shutil.copytree(os.path.join(data, "seq_000"), seq)
+        (seq / name).write_text(text)
+        self._track_fails_naming(capsys, seq / name, [
+            "--data", str(seq), "--weights", weights, "--queries", str(seq / "queries.csv"),
+            "--out", str(tmp_path / "t.csv"), *tiny_cli_args])

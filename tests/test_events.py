@@ -37,7 +37,7 @@ def random_stream(rng, x_ext=12, y_ext=9, n=None, t_max=10_000):
     )
 
 
-def stack_of(stream, t_start, t_end, bins):
+def checked_stack(stream, t_start, t_end, bins):
     """build_event_stack's output, checked bit for bit against the oracle."""
     stack = build_event_stack(stream, t_start, t_end, bins)
     x_ext, y_ext = stream.geometry
@@ -48,7 +48,7 @@ def stack_of(stream, t_start, t_end, bins):
 
 def test_empty_stream_gives_zeros():
     stream = EventStream([], [], [], [], (8, 6))
-    stack = stack_of(stream, 0, 1000, 5)
+    stack = checked_stack(stream, 0, 1000, 5)
     assert stack.shape == (10, 6, 8)
     assert not stack.any()
 
@@ -56,7 +56,7 @@ def test_empty_stream_gives_zeros():
 def test_single_event_hand_case():
     # t* = 500/1000 * 4 = 2.0 -> positive channel, bin 2
     stream = stream_of([(3, 4, 500, 1)], (8, 8))
-    stack = stack_of(stream, 0, 1000, 5)
+    stack = checked_stack(stream, 0, 1000, 5)
     expected = np.zeros((10, 8, 8), dtype=np.float32)
     expected[2, 4, 3] = 2.0  # (channel, y, x)
     assert np.array_equal(stack, expected)
@@ -64,19 +64,19 @@ def test_single_event_hand_case():
 
 def test_same_bin_max_wins():
     stream = stream_of([(3, 4, 500, 1), (3, 4, 700, 1)], (8, 8))
-    stack = stack_of(stream, 0, 1000, 5)
+    stack = checked_stack(stream, 0, 1000, 5)
     assert stack[2, 4, 3] == np.float32(2.8)
 
 
 def test_event_at_window_end_lands_in_last_bin():
     stream = stream_of([(1, 1, 1000, -1)], (4, 4))
-    stack = stack_of(stream, 0, 1000, 5)
+    stack = checked_stack(stream, 0, 1000, 5)
     assert stack[5 + 4, 1, 1] == np.float32(4.0)
 
 
 def test_events_outside_window_ignored():
     stream = stream_of([(0, 0, 50, 1), (1, 1, 5000, 1)], (4, 4))
-    stack = stack_of(stream, 100, 1000, 3)
+    stack = checked_stack(stream, 100, 1000, 3)
     assert not stack.any()
 
 
@@ -100,7 +100,7 @@ def test_window_span_past_int64_rejected():
 def test_values_bounded_and_channels_disjoint():
     rng = np.random.default_rng(2)
     stream = random_stream(rng, n=400)
-    stack = stack_of(stream, 0, 10_000, 5)
+    stack = checked_stack(stream, 0, 10_000, 5)
     assert stack.min() >= 0.0
     assert stack.max() <= 4.0
 
@@ -108,7 +108,7 @@ def test_values_bounded_and_channels_disjoint():
     # positive half identical to the mixed-stream result
     pos = stream.ps > 0
     only_pos = EventStream(stream.xs[pos], stream.ys[pos], stream.ts[pos], stream.ps[pos], stream.geometry)
-    stack_pos = stack_of(only_pos, 0, 10_000, 5)
+    stack_pos = checked_stack(only_pos, 0, 10_000, 5)
     assert not stack_pos[5:].any()
     assert np.array_equal(stack_pos[:5], stack[:5])
 
@@ -119,7 +119,7 @@ def test_oracle_equivalence_randomized():
         stream = random_stream(rng)
         bins = int(rng.choice([1, 3, 5]))
         t_hi = int(rng.integers(500, 10_000))
-        stack_of(stream, 0, t_hi, bins)
+        checked_stack(stream, 0, t_hi, bins)
 
 
 def test_oracle_bit_identity_repeated_pixels():
@@ -130,7 +130,7 @@ def test_oracle_bit_identity_repeated_pixels():
         stream = random_stream(rng, x_ext=3, y_ext=2, n=int(rng.integers(1, 150)), t_max=2_000)
         t_lo = int(rng.integers(0, 1_000))
         t_hi = t_lo + int(rng.integers(1, 1_500))
-        stack_of(stream, t_lo, t_hi, int(rng.integers(1, 6)))
+        checked_stack(stream, t_lo, t_hi, int(rng.integers(1, 6)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -139,21 +139,21 @@ def test_oracle_bit_identity_repeated_pixels():
                 max_size=40))
 def test_permutation_invariance(raw):
     events = sorted(raw, key=lambda e: e[2])
-    base = stack_of(stream_of(events, (8, 6)), 0, 1000, 4)
+    base = checked_stack(stream_of(events, (8, 6)), 0, 1000, 4)
     rng = np.random.default_rng(0)
     perm = list(rng.permutation(len(events)))
     # permuted arrival order has to re-sort timestamps to stay a valid
     # stream, but the max-reduction result is identical either way
     shuffled = sorted((events[i] for i in perm), key=lambda e: e[2])
-    again = stack_of(stream_of(shuffled, (8, 6)), 0, 1000, 4)
+    again = checked_stack(stream_of(shuffled, (8, 6)), 0, 1000, 4)
     assert np.array_equal(base, again)
 
 
 def test_temporal_monotonicity():
     stream = stream_of([(2, 2, 400, 1)], (6, 6))
-    before = stack_of(stream, 0, 1000, 5)[:5, 2, 2].copy()
+    before = checked_stack(stream, 0, 1000, 5)[:5, 2, 2].copy()
     later = stream_of([(2, 2, 400, 1), (2, 2, 900, 1)], (6, 6))
-    after = stack_of(later, 0, 1000, 5)[:5, 2, 2]
+    after = checked_stack(later, 0, 1000, 5)[:5, 2, 2]
     assert np.all(after >= before)
 
 

@@ -117,6 +117,37 @@ def test_make_tokens_window_start_displacement(rng):
     assert np.allclose(raw.data[0, :, :2], 0.0)
 
 
+def _sincos(values, freqs, wavelength):
+    """numpy `sincos_encode`: sin and cos of each angle, interleaved."""
+    angles = values[..., None] * refiner_mod._omegas(freqs, wavelength)
+    return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(values.shape[:-1] + (-1,))
+
+
+@pytest.mark.parametrize("time_embed", [True, False])
+def test_make_tokens_is_the_broadcast_join_of_its_parts(rng, time_embed):
+    """The tokens are, bit for bit, `np.concatenate` of their six parts,
+    with the initial-position encoding broadcast over the slices and the
+    duration encoding over the queries."""
+    _, _, state = _window_fixture(rng)
+    cfg = tiny_tracker_config(iterations=3, time_embed=time_embed)
+    w_len, n, _ = state.positions.shape
+    pos = state.positions + rng.standard_normal(state.positions.shape).astype(np.float32)
+    corr = rng.standard_normal((w_len, n, _corr_len(cfg))).astype(np.float32)
+    p_init = state.positions[0]
+    raw = make_tokens(Tensor(pos), state.features, Tensor(corr), p_init, state.durations_us, cfg)
+    disp = pos - pos[:1]
+    dur_enc = np.zeros((w_len, 2 * cfg.freqs), dtype=np.float32)
+    if time_embed:
+        dur_enc = _sincos(state.durations_us.astype(np.float32)[:, None], cfg.freqs,
+                          cfg.time_wavelength)
+    init_enc = _sincos(p_init, cfg.freqs, cfg.pos_wavelength)
+    parts = [disp, state.features.data, corr, _sincos(disp, cfg.freqs, cfg.pos_wavelength),
+             np.broadcast_to(init_enc, (w_len,) + init_enc.shape),
+             np.broadcast_to(dur_enc[:, None], (w_len, n, dur_enc.shape[-1]))]
+    assert raw.dtype == np.float32
+    assert np.array_equal(raw.data, np.concatenate(parts, axis=-1))
+
+
 def test_time_embed_toggle_changes_only_duration_slice(rng):
     cfg, _, state = _window_fixture(rng)
     assert cfg.time_embed

@@ -276,17 +276,17 @@ class TestFeatureAge:
 
 class TestExpectedFeatureAge:
     def test_hand_case(self):
-        assert expected_feature_age([0.8, 0.0], [True, False]) == pytest.approx(0.4)
+        assert expected_feature_age([0.8, 0.0]) == pytest.approx(0.4)
 
     def test_all_perfect(self):
-        assert expected_feature_age([1.0, 1.0, 1.0], [True] * 3) == 1.0
+        assert expected_feature_age([1.0, 1.0, 1.0]) == 1.0
 
     def test_all_lost(self):
-        assert expected_feature_age([0.0, 0.0], [False, False]) == 0.0
+        assert expected_feature_age([0.0, 0.0]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
-            expected_feature_age([], [])
+            expected_feature_age([])
 
 
 class TestEvaluateTracks:
@@ -409,12 +409,16 @@ class TestTrainingLoop:
         pytest.param("config", ConfigError, "trained with another tracker config", id="config"),
         pytest.param("last-shape", ConfigError, "shape mismatch", id="last-shape"),
         pytest.param("last-moment-shape", ConfigError, "shape mismatch", id="last-moment-shape"),
+        pytest.param("step", ConfigError, "step 'seven' is not a whole number", id="step"),
+        pytest.param("negative-step", ConfigError, "step -2 is negative", id="negative-step"),
+        pytest.param("tracker-list", ConfigError, "tracker config as a list", id="tracker-list"),
     ])
     def test_rejected_checkpoint_changes_nothing(self, tmp_path, spoil, error, match):
         """A checkpoint rejected for missing optimizer state, another
-        tracker config, or a bad shape in the last parameter or its moment
-        leaves every parameter array, every moment and the step count as
-        they were: the same objects, not copies."""
+        tracker config, a bad shape in the last parameter or its moment, or
+        a recorded step or tracker config of the wrong type leaves every
+        parameter array, every moment and the step count as they were: the
+        same objects, not copies."""
         model = tiny_model(seed=0)
         path = str(tmp_path / "checkpoint.bin")
         save_checkpoint(tiny_model(seed=1), path, step=3)
@@ -422,14 +426,18 @@ class TestTrainingLoop:
         before = {name: (p.data, *model.store.moments(name)) for name, p in model.store.items()}
         arrays, meta = read_weight_file(path)
         last = model.store.names()[-1]
+        meta["step"] = 7
         if spoil == "no-moments":
             arrays = {k: a for k, a in arrays.items() if not k.startswith("opt.")}
         elif spoil == "config":
             meta["tracker"]["dt_track_us"] += 1
+        elif spoil in ("step", "negative-step"):
+            meta["step"] = "seven" if spoil == "step" else -2
+        elif spoil == "tracker-list":
+            meta["tracker"] = list(meta["tracker"])
         else:
             key = last if spoil == "last-shape" else f"opt.{last}.v"
             arrays[key] = np.zeros((*arrays[key].shape, 2), dtype=np.float32)
-        meta["step"] = 7
         save_arrays(arrays, path, extra=meta)
         with pytest.raises(error, match=match):
             load_checkpoint(model, path)
