@@ -298,6 +298,22 @@ def attention(qkv, heads: int, axis: int) -> Tensor:
 # one band. Each forward worker holds one band of columns.
 _BAND_BYTES = 4 << 20
 
+# OpenBLAS 0.3.31 runs an sgemm of M·N·K <= this many products in its
+# small-matrix kernel, the only one in which an output column's bits depend
+# on the column count N. Above it, `w @ c[:, idx]` is `(w @ c)[:, idx]` bit
+# for bit (tests/test_autodiff.py pins this for the tracker's convs); dgemm
+# keeps no such rule, so conv2d's sparse forward is float32 only.
+_SMALL_GEMM = 10**6
+
+# conv2d multiplies only its active output columns when at most this share
+# of them is active. In a probe on the 346x260 tracker's conv shapes with
+# random sparse inputs, on 1 and 2 workers, the sparse forward took as long
+# as the dense one at 45-55% active columns for the 7x7 stem, 50-75% for
+# the 3x3 convs and 13-30% for the 1x1 convs. 1/4 is below the first two;
+# a 1x1 conv, at a tenth of a 3x3's cost, loses at most a quarter of its
+# time between its crossover and 1/4.
+_SPARSE_SHARE = 0.25
+
 # conv2d's scratch, one set per calling thread: a column buffer per worker
 # (keys 0, 1, ...) and the padded input (key "padded"), as flat bytes.
 _scratch = threading.local()
@@ -317,6 +333,40 @@ def _scratch_array(key, shape, dtype) -> np.ndarray:
     return held[key][:nbytes].view(dtype).reshape(shape)
 
 
+def _active_columns(xd, k, stride, pad, ho, wo, n_min):
+    """The flat indices of conv2d's active output columns, those whose
+    padded input patch holds a nonzero (NaN counts, -0.0 does not), or None
+    when more than `_SPARSE_SHARE` of them are active. A set that is not
+    empty but holds fewer than `n_min` columns is topped up with inactive
+    ones.
+
+    Cheapest test first: a strided sample of about 1024 input values that
+    is denser than `_SPARSE_SHARE` rejects the input. Otherwise each padded
+    pixel is marked where any channel is nonzero, and a column is active
+    where its k x k window holds a mark: k strided ORs down the rows, then
+    k across, all on boolean maps of the input's extent.
+    """
+    flat = xd.reshape(-1)
+    sample = flat[:: max(1, flat.size // 1024)]
+    if np.count_nonzero(sample) > _SPARSE_SHARE * sample.size:
+        return None
+    h, w = xd.shape[1:]
+    marks = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
+    np.any(xd, axis=0, out=marks[pad : pad + h, pad : pad + w])
+    down = marks[: stride * ho : stride].copy()
+    for u in range(1, k):
+        down |= marks[u : u + stride * ho : stride]
+    reached = down[:, : stride * wo : stride].copy()
+    for v in range(1, k):
+        reached |= down[:, v : v + stride * wo : stride]
+    active = np.flatnonzero(reached)
+    if active.size > _SPARSE_SHARE * reached.size:
+        return None
+    if 0 < active.size < n_min:
+        active = np.concatenate([active, np.flatnonzero(~reached)[: n_min - active.size]])
+    return active
+
+
 def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding, lowered and multiplied one
     band of output rows at a time.
@@ -332,6 +382,29 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     band of columns per worker, not the whole matrix: a 346x260 event
     stem's would be 44 MB.
 
+    An input that is mostly zeros, like an event stack, takes a sparse
+    forward: only the active output columns, those whose padded input
+    patch holds a nonzero, are lowered and multiplied, and every other
+    column is exactly the bias. The bits are the dense forward's: with
+    finite weights an all-zero column of any GEMM is +0, and above
+    `_SMALL_GEMM` products a column's bits do not depend on the columns
+    that share its GEMM. So the sparse forward runs only when
+    - input and weight are float32 (dgemm keeps no such rule);
+    - k >= stride: a 1x1 stride-2 conv reads a quarter of its input, and
+      the gate, which reads all of it, cost more than its GEMM;
+    - every dense band's GEMM and every sparse chunk exceeds the bound;
+    - `_active_columns` finds at most `_SPARSE_SHARE` of the columns
+      active (a sample of the input first, then the exact set);
+    - and, checked last and only then, every weight is finite, since
+      w @ 0 is NaN otherwise.
+    The active columns go through bufs[0], with their int64 tap indices
+    and their product, in chunks of as many as it holds. The chunks have
+    one length, the last ending at the set's end, and a set shorter than
+    the fewest columns above the bound is topped up with inactive ones.
+    The sparse forward runs on the calling thread, with no pool, and the
+    backward pass is the same for both. At 346x260 (seed 1) 1.6% of the
+    event stem's columns are active.
+
     Scratch: the column buffers and the padded input (the input itself
     when pad is 0) belong to the calling thread, kept between calls in
     `_scratch` and grown to the largest conv it has run. They hold at
@@ -342,7 +415,10 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     346x260 offline run of 8 slices (2 CPUs) took 96k minor faults and
     117-161 ms of system time with fresh buffers, 18-33k faults and
     55-138 ms with the scratch. The padded buffer's border is zeroed on
-    every call, since an earlier conv of another shape wrote there.
+    every call, since an earlier conv of another shape wrote there. Both
+    forwards allocate the output before they take the scratch: taking the
+    scratch first raised a 346x260 offline run's peak RSS by 4 MB on 2
+    CPUs, at the same traced peak.
 
     A forward of more than one band runs on `_WORKERS` threads through
     `_run_shares`: worker i lowers and multiplies bands i, i + W, ...
@@ -351,11 +427,12 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
     Bands read the padded input and write disjoint output rows, so they
     need no lock, and numpy releases the interpreter lock inside the
     GEMMs, which do most of the work. The band split does not depend
-    on the worker count, because a GEMM's bits depend on its shape: with
-    OpenBLAS 0.3.31, `w @ c[:, :n]` and the first n columns of `w @ c`
-    differ in the last bit for many n. The workers run exactly the GEMMs
-    one worker would, so the output is bit-identical at any worker
-    count. A one-band map runs on the calling thread with no pool.
+    on the worker count: a band GEMM of at most `_SMALL_GEMM` products
+    runs in OpenBLAS's small-matrix kernel, whose bits depend on the
+    band's width, so a split by workers would change small maps' outputs.
+    The workers run exactly the GEMMs one worker would, so the output is
+    bit-identical at any worker count. A one-band map runs on the calling
+    thread with no pool.
 
     The backward pass keeps no columns either. Band by band, in order on
     the calling thread, it rebuilds them from the input, padded in the
@@ -423,17 +500,44 @@ def conv2d(x, weight, bias, stride: int = 1, pad: int = 0) -> Tensor:
 
     w_shape, w_flat = weight.shape, weight.data.reshape(cout, kk)
     want_dx = _tracked(x)  # an encoder stem's input wants no gradient
-    out = np.empty((cout, ho * wo), dtype=xd.dtype)
+    n_min = _SMALL_GEMM // (cout * kk) + 1  # the fewest columns above the bound
+    chunk = kk * rows * wo // (2 * k * k + kk + cout)  # sparse columns bufs[0] holds
+    active = None
+    if (xd.dtype == w_flat.dtype == np.float32 and k >= stride
+            and min(chunk, (ho - (n_bands - 1) * rows) * wo) >= n_min):
+        active = _active_columns(xd, k, stride, pad, ho, wo, n_min)
+        if active is not None and not np.isfinite(w_flat).all():
+            active = None  # w @ 0 is NaN there, so every column is multiplied
+    # the output before the scratch, for the peak RSS (see "Scratch" above)
+    out = (np.empty if active is None else np.zeros)((cout, ho * wo), dtype=xd.dtype)
     xp = padded()
     workers = min(_WORKERS, len(bands))
     bufs = [_scratch_array(i, kk * rows * wo, xd.dtype) for i in range(workers)]
+    if active is None:
+        def share(i):
+            """Bands i, i + workers, ... into their rows of `out`, through bufs[i]."""
+            for r0, r1 in bands[i::workers]:
+                np.matmul(w_flat, columns(xp, bufs[i], r0, r1), out=out[:, r0 * wo : r1 * wo])
 
-    def share(i):
-        """Bands i, i + workers, ... into their rows of `out`, through bufs[i]."""
-        for r0, r1 in bands[i::workers]:
-            np.matmul(w_flat, columns(xp, bufs[i], r0, r1), out=out[:, r0 * wo : r1 * wo])
-
-    _run_shares(workers, share)
+        _run_shares(workers, share)
+    else:
+        xp_flat, wp, n = xp.reshape(cin, -1), xp.shape[2], active.size
+        for lo in range(0, n, chunk):
+            part = active[max(0, min(lo, n - chunk)) : lo + chunk]  # the last ends at n
+            m = part.size
+            taps = bufs[0][: 2 * k * k * m].view(np.int64).reshape(k * k, m)
+            cols = bufs[0][2 * k * k * m : (2 * k * k + kk) * m].reshape(kk, m)
+            prod = bufs[0][(2 * k * k + kk) * m : (2 * k * k + kk + cout) * m].reshape(cout, m)
+            # column j's patch starts at stride * (j + (j // Wo) * (Wp - Wo)) of
+            # the flat padded input; tap (u, v) reads u * Wp + v past that
+            np.floor_divide(part, wo, out=taps[0])
+            taps[0] *= wp - wo
+            taps[0] += part
+            taps[0] *= stride
+            for t in range(1, k * k):
+                np.add(taps[0], (t // k) * wp + t % k, out=taps[t])
+            np.take(xp_flat, taps, axis=1, out=cols.reshape(cin, k * k, m), mode="clip")
+            out[:, part] = np.matmul(w_flat, cols, out=prod)
     out = out.reshape(cout, ho, wo)
     out += bias.data[:, None, None]
 

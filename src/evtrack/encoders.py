@@ -145,11 +145,11 @@ class MotionGatedFusion:
         the same f_image is reused. With use_frames=False the fused map
         depends on events only and the branch is None.
         """
+        if use_frames and f_image.shape != f_event.shape:
+            raise ConfigError(f"fusion shape mismatch: image {f_image.shape}, event {f_event.shape}")
         f_e = ops.relu(self.conv_event(f_event))
         if not use_frames:
             return ops.relu(self.conv_mix(f_e)), None
-        if f_image.shape != f_event.shape:
-            raise ConfigError(f"fusion shape mismatch: image {f_image.shape}, event {f_event.shape}")
         if branch is None:
             f_i = ops.relu(self.conv_image(f_image))
             branch = (f_i, self.image_skip(f_i))

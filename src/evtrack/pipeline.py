@@ -517,7 +517,9 @@ class TrackSession:
             raw = build_event_stack(EventStream.join(self._chunks), t_ev0, t_slice, bins)
             raw *= np.float32(1 / max(1, bins - 1))
         else:
-            # a slice coinciding with its frame accumulates no events yet
+            # a slice coinciding with its frame accumulates no events yet;
+            # conv2d multiplies no column of this zero stack (nor, while the
+            # encoder's biases are zero, of most maps after it)
             x_ext, y_ext = self._sensor
             raw = np.zeros((2 * bins, y_ext, x_ext), dtype=np.float32)
         return self.model.event_encoder(Tensor(raw))

@@ -24,6 +24,7 @@ from evtrack.autodiff.tensor import default_dtype, grad_enabled
 from evtrack.correlation import correlate_batch
 from evtrack.encoders import MotionGatedFusion
 from evtrack.errors import ConfigError, TrainingError, UsageError
+from evtrack.pipeline import TrackerConfig, TrackerModel
 from evtrack.training import sequence_loss
 from fd_oracle import assert_grads_close, numerical_grad
 from oracles import attention_oracle, conv2d_oracle, offsets_grid
@@ -381,6 +382,217 @@ def test_conv2d_stem_peak_is_bounded_by_the_band(monkeypatch):
     assert out.shape == (32, 130, 173) and grads[0].shape == x.shape
     assert forward_peak < out.data.nbytes + padded + ops._WORKERS * ops._BAND_BYTES
     assert backward_peak < 2 * padded + 2 * ops._BAND_BYTES
+
+
+def test_gemm_columns_keep_their_bits_above_the_small_matrix_bound():
+    """The rule conv2d's sparse forward rests on: for every (M, K) =
+    (Cout, Cin*k*k) of the default tracker's convs, once M*n*K exceeds
+    `_SMALL_GEMM` (OpenBLAS 0.3.31's small-matrix kernel), the float32
+    GEMM of any n columns of c gives those columns of the GEMM of all of
+    c, bit for bit."""
+    rng = np.random.default_rng(40)
+    store = TrackerModel(TrackerConfig(), seed=0).store
+    pairs = sorted({(t.shape[0], t.data[0].size) for _, t in store.items() if t.ndim == 4})
+    assert (32, 490) in pairs and (128, 1152) in pairs  # the event stem, a 3x3 at 128
+    for m, k in pairs:
+        n_min = ops._SMALL_GEMM // (m * k) + 1
+        w = rng.standard_normal((m, k)).astype(np.float32)
+        c = rng.standard_normal((k, max(3 * n_min, 1200))).astype(np.float32)
+        full = w @ c
+        for n in (n_min, n_min + 1, n_min + 7, *rng.integers(n_min, c.shape[1], 3)):
+            idx = np.sort(rng.choice(c.shape[1], n, replace=False))
+            assert np.array_equal(w @ np.ascontiguousarray(c[:, idx]), full[:, idx]), (m, k, n)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit patterns: tells -0.0 from 0.0 and compares NaNs."""
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def _sparse_case(rng, k, stride, fill):
+    """A k//2-padded conv of 32 to 32 channels on an input that is zero but
+    for `fill`: 64x64 in bands of 8 output rows, or 128x128 in bands of 32
+    for k = 1, whose columns are shorter. Every GEMM, dense or sparse,
+    exceeds the small-matrix bound. Bias 1 is -0.0."""
+    size, rows = (128, 32) if k == 1 else (64, 8)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 32, 32, size, size, k, stride)
+    b[1] = -0.0
+    x[...] = 0
+    if fill == "negative_zero":
+        x[rng.random(x.shape) < 0.3] = -0.0
+    if fill in ("events", "negative_zero", "nonfinite"):
+        n = 12  # about 14% of the columns of a 7x7 stride-1 conv
+        at = rng.integers(0, 32, n), rng.integers(0, size, n), rng.integers(0, size, n)
+        x[at] = rng.standard_normal(n)
+    if fill == "corners":
+        x[[0, 5, 17, 31], [0, 0, -1, -1], [0, -1, 0, -1]] = [1.5, -2.0, 0.25, 3.0]
+    if fill == "nonfinite":
+        x[3, 10, 20], x[7, 40, 50] = np.nan, np.inf
+    return x, wt, b, pad, ho, wo, rows
+
+
+def _gate_spy(monkeypatch) -> list:
+    """Record what each call of conv2d's sparsity gate returns."""
+    seen, gate = [], ops._active_columns
+
+    def spy(*args):
+        seen.append(gate(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ops, "_active_columns", spy)
+    return seen
+
+
+def _dense_conv(monkeypatch, *args, **kwargs):
+    """conv2d with its gate refusing the sparse forward."""
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_active_columns", lambda *gate_args: None)
+        return ops.conv2d(*args, **kwargs)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("fill", ["events", "corners", "zero", "negative_zero", "nonfinite"])
+def test_conv2d_sparse_forward_is_bit_identical(monkeypatch, no_pool, k, stride, fill):
+    """Multiplying only the active columns gives the dense forward's bits
+    at 1, 2 and 3 workers, on the calling thread: for events, for single
+    events at the corners (whose columns read the zero halo), for an
+    all-zero input (only the bias), for -0.0 inputs (inactive) and for
+    NaN and inf (active). A 1x1 conv of stride 2 reads a quarter of its
+    input, so it never asks the gate (and runs its bands on the workers)."""
+    rng = np.random.default_rng(500 + 10 * k + stride)
+    x, wt, b, pad, ho, wo, rows = _sparse_case(rng, k, stride, fill)
+    _band_rows(monkeypatch, rows, 32, k, wo, 4)
+    monkeypatch.setattr(ops, "_WORKERS", 1)
+    dense = _dense_conv(monkeypatch, Tensor(x), Tensor(wt), Tensor(b), stride=stride, pad=pad).data
+    seen = _gate_spy(monkeypatch)
+    for workers in (1, 2, 3) if k >= stride else (1,):
+        monkeypatch.setattr(ops, "_WORKERS", workers)
+        sparse = ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, pad=pad).data
+        assert _same_bits(sparse, dense)
+    if k < stride:
+        assert seen == []
+    else:
+        assert len(seen) == 3 and all(s is not None and 0 < s.size < ho * wo or fill == "zero"
+                                      and s.size == 0 for s in seen)
+
+
+def test_conv2d_short_active_set_is_topped_up_to_the_bound(monkeypatch):
+    """A 4x4 patch of events reaches 5x5 columns of a 10-channel 7x7
+    stride-2 stem, and a 32-row sgemm of 25 such columns runs in the
+    small-matrix kernel, whose bits differ from the dense band's. The
+    active set is topped up with inactive columns to the fewest above the
+    bound, and the output keeps the dense bits."""
+    rng = np.random.default_rng(54)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 10, 32, 64, 64, 7, 2)
+    x[:, :28], x[:, 32:], x[:, :, :28], x[:, :, 32:] = 0, 0, 0, 0
+    seen = _gate_spy(monkeypatch)
+    sparse = ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=2, pad=pad).data
+    n_min = ops._SMALL_GEMM // (32 * 490) + 1
+    dense = _dense_conv(monkeypatch, Tensor(x), Tensor(wt), Tensor(b), stride=2, pad=pad).data
+    assert seen[0].size == n_min
+    assert np.count_nonzero(np.any(sparse != b[:, None, None], axis=0)) == 25
+    assert _same_bits(sparse, dense)
+
+
+def test_conv2d_sparse_chunks_all_exceed_the_bound(monkeypatch):
+    """A set longer than one chunk of bufs[0] is cut into chunks of equal
+    length, the last one ending at the set's end: a 5-column remainder
+    would run in the small-matrix kernel. The gate here hands over inactive
+    columns first and the 25 that a 4x4 patch of events reaches last."""
+    rng = np.random.default_rng(55)
+    x, wt, b, pad, ho, wo = _conv_case(rng, 10, 32, 64, 64, 7, 2)
+    x[:, :28], x[:, 32:], x[:, :, :28], x[:, :, 32:] = 0, 0, 0, 0
+    _band_rows(monkeypatch, 8, 10, 7, wo, 4)
+    chunk = 490 * 8 * wo // (2 * 49 + 490 + 32)
+    gate = ops._active_columns
+
+    def long_set(*args):
+        active = gate(*args)[:25]
+        filler = np.setdiff1d(np.arange(ho * wo), active)[: chunk + 5 - active.size]
+        return np.concatenate([filler, active])
+
+    dense = _dense_conv(monkeypatch, Tensor(x), Tensor(wt), Tensor(b), stride=2, pad=pad).data
+    monkeypatch.setattr(ops, "_active_columns", long_set)
+    assert _same_bits(ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=2, pad=pad).data, dense)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_conv2d_non_finite_weight_takes_the_dense_forward(monkeypatch, bad):
+    """w @ 0 is NaN for a NaN or infinite weight, so a sparse input must
+    still multiply every column: the output channel of that weight is NaN
+    everywhere, as the dense forward makes it."""
+    rng = np.random.default_rng(51)
+    x, wt, b, pad, ho, wo, rows = _sparse_case(rng, 3, 1, "events")
+    wt[2, 0, 1, 1] = bad
+    _band_rows(monkeypatch, rows, 32, 3, wo, 4)
+    seen = _gate_spy(monkeypatch)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        out = ops.conv2d(Tensor(x), Tensor(wt), Tensor(b), pad=pad).data
+        dense = _dense_conv(monkeypatch, Tensor(x), Tensor(wt), Tensor(b), pad=pad).data
+    assert seen[0] is not None  # the input alone would go sparse
+    assert np.isnan(out[2]).all() and np.isfinite(np.delete(out, 2, axis=0)).all()
+    assert _same_bits(out, dense)
+
+
+def test_conv2d_sparse_forward_gradients_match_finite_differences(monkeypatch):
+    """In graph mode a sparse input takes the sparse forward, perturbed or
+    not. dx and dw from the backward match central differences of that
+    float32 forward, which is linear in each: at inputs that hold events,
+    at zeros beside them (whose perturbation activates new columns), at
+    zeros far from any event and at weights."""
+    rng = np.random.default_rng(52)
+    x, wt, b, pad, ho, wo, rows = _sparse_case(rng, 3, 2, "events")
+    _band_rows(monkeypatch, rows, 32, 3, wo, 4)
+    r = rng.standard_normal((32, ho, wo)).astype(np.float32)
+    seen = _gate_spy(monkeypatch)
+    ts = [Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True), Tensor(b)]
+    backward(ops.sum_(ops.mul(ops.conv2d(*ts, stride=2, pad=pad), r)))
+
+    def loss(xa, wa):
+        out = ops.conv2d(Tensor(xa), Tensor(wa), Tensor(b), stride=2, pad=pad).data
+        return float((out.astype(np.float64) * r).sum())
+
+    h = np.float32(0.5)
+    events = np.argwhere(x != 0)
+    beside = np.clip(events + [0, 1, 1], 0, 63)
+    far = rng.integers(0, [32, 64, 64], (8, 3))
+    for i in map(tuple, np.concatenate([events, beside, far])):
+        plus, minus = x.copy(), x.copy()
+        plus[i] += h
+        minus[i] -= h
+        numeric = (loss(plus, wt) - loss(minus, wt)) / (2 * h)
+        assert abs(ts[0].grad[i] - numeric) <= 1e-3 * max(1.0, abs(numeric)), i
+    for i in map(tuple, rng.integers(0, [32, 32, 3, 3], (12, 4))):
+        plus, minus = wt.copy(), wt.copy()
+        plus[i] += h
+        minus[i] -= h
+        numeric = (loss(x, plus) - loss(x, minus)) / (2 * h)
+        assert abs(ts[1].grad[i] - numeric) <= 1e-3 * max(1.0, abs(numeric)), i
+    assert seen and all(s is not None for s in seen)
+
+
+def test_conv2d_sparse_stem_peaks_no_higher_than_dense(monkeypatch):
+    """A 346x260 event stem with 20 events, on 2 workers as on 2 CPUs:
+    the sparse forward builds its tap indices, columns and product in the
+    scratch's first column buffer, so with a warm scratch it peaks no
+    higher than the dense forward of the same input."""
+    monkeypatch.setattr(ops, "_WORKERS", 2)
+    rng = np.random.default_rng(53)
+    x = np.zeros((10, 260, 346), dtype=np.float32)
+    x[rng.integers(0, 10, 20), rng.integers(0, 260, 20), rng.integers(0, 346, 20)] = 1.0
+    args = (Tensor(x), Tensor((rng.standard_normal((32, 10, 7, 7)) / 7).astype(np.float32)),
+            Tensor(np.zeros(32, dtype=np.float32)))
+    seen = _gate_spy(monkeypatch)
+    with no_grad():
+        for _ in range(2):  # warm the scratch
+            ops.conv2d(*args, stride=2, pad=3)
+            _dense_conv(monkeypatch, *args, stride=2, pad=3)
+        sparse, sparse_peak, _ = traced_peak(lambda: ops.conv2d(*args, stride=2, pad=3))
+        dense, dense_peak, _ = traced_peak(lambda: _dense_conv(monkeypatch, *args, stride=2, pad=3))
+    assert seen[-1] is not None and seen[-1].size < 0.02 * 130 * 173
+    assert np.array_equal(sparse.data, dense.data)
+    assert sparse_peak <= dense_peak
 
 
 def test_linear_examples():

@@ -121,6 +121,14 @@ class TestFusion:
         with pytest.raises(ConfigError):
             self.fusion(self.f_i, Tensor(np.zeros((16, 4, 4), dtype=np.float32)), 0.0)
 
+    def test_mismatch_is_raised_before_any_conv(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("conv2d ran before the shape check")
+
+        monkeypatch.setattr(ops, "conv2d", refuse)
+        with pytest.raises(ConfigError, match="fusion shape mismatch"):
+            self.fusion(self.f_i, Tensor(np.zeros((16, 4, 4), dtype=np.float32)), 0.0)
+
     def test_events_only_ignores_frames(self):
         base, branch = self.fusion(self.f_i, self.f_e, 0.0, use_frames=False)
         other, _ = self.fusion(self.f_i + 5.0, self.f_e, 0.0, use_frames=False)
