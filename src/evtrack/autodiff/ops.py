@@ -170,8 +170,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    y = y.astype(a.dtype)
+    e = np.exp(-np.abs(x))  # in (0, 1], so neither branch overflows
+    y = (np.where(x >= 0, 1, e) / (1 + e)).astype(a.dtype)
     return make_node(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 

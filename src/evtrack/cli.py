@@ -61,20 +61,7 @@ def cmd_gen_synth(args) -> str:
     cfg = _config(args, extra)
     if args.translate_only:
         cfg.translate_only = True
-    generate_dataset(
-        args.out,
-        seed=cfg.train.seed,
-        n_scenes=cfg.scenes,
-        size=(cfg.synth_width, cfg.synth_height),
-        n_sprites=cfg.sprites,
-        duration_us=cfg.duration_us,
-        frame_period_us=cfg.frame_period_us,
-        dt_track_us=cfg.tracker.dt_track_us,
-        theta=cfg.theta,
-        dt_sim_us=cfg.dt_sim_us,
-        translate_only=cfg.translate_only,
-        speed_range=(cfg.speed_min, cfg.speed_max),
-    )
+    generate_dataset(args.out, cfg)
     return f"gen-synth ok scenes={cfg.scenes} seed={cfg.train.seed} out={args.out}"
 
 

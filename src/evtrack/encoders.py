@@ -136,19 +136,19 @@ class MotionGatedFusion:
         """Image-branch weight in (0, 1) for a given previous mean flow."""
         return ops.sigmoid(self.gate(Tensor(np.array([dp_prev], dtype=np.float32))))
 
-    def __call__(self, f_image, f_event, dp_prev: float, branch=None,
-                 use_frames: bool = True) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
+    def __call__(self, f_image, f_event, dp_prev: float,
+                 branch=None) -> tuple[Tensor, tuple[Tensor, Tensor] | None]:
         """Fuse two (C,h,w) feature maps of identical shape into one.
 
         Returns (fused, branch). `branch` is the image branch (f_i, skip)
         of f_image: None computes it, a branch an earlier call returned for
-        the same f_image is reused. With use_frames=False the fused map
-        depends on events only and the branch is None.
+        the same f_image is reused. With f_image None (the events-only
+        ablation) the fused map depends on events only and the branch is None.
         """
-        if use_frames and f_image.shape != f_event.shape:
+        if f_image is not None and f_image.shape != f_event.shape:
             raise ConfigError(f"fusion shape mismatch: image {f_image.shape}, event {f_event.shape}")
         f_e = ops.relu(self.conv_event(f_event))
-        if not use_frames:
+        if f_image is None:
             return ops.relu(self.conv_mix(f_e)), None
         if branch is None:
             f_i = ops.relu(self.conv_image(f_image))

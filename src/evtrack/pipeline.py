@@ -6,6 +6,13 @@ refine as soon as they fill, and each slice is emitted exactly once. The
 offline entry point feeds a whole sequence through the same path, so
 offline and incremental runs are identical by construction.
 
+Slice grid: every ablation slices at the first frame's time and then every
+`dt_track_us`. A slice reads the latest frame at or before it, and the
+events since that frame (`since_frame` mode) or over the last
+`dt_track_us` (`fixed` mode). Frames-only slices read no event value, but
+event times still move the watermark, so they are emitted as the input
+passes them, like the others.
+
 Rolling window: the session holds the slices it has not emitted yet,
 oldest first, and refines them once there are W. A refinement stores each
 slice's position and (detached) working feature, then emits and drops the
@@ -24,7 +31,7 @@ Held input: each event batch is checked once, on arrival, and kept as a
 chunk; a slice stacks the chunks held, joined unchecked. After each slice the
 session drops what no later slice or template can read: event chunks that
 end before the next slice's earliest event time (its frame in
-`since_frame` mode, `t_slice - event_window_us()` in `fixed` mode), and
+`since_frame` mode, `t_slice - dt_track_us` in `fixed` mode), and
 frame records before the next slice's frame, none of which an unborn
 query is born at. A frame record holds the image, its features and
 fusion's image branch, each computed once per frame. A window slice
@@ -87,7 +94,7 @@ class TrackerConfig:
     channels: int = 128  # feature channels C
     radius: int = 3  # correlation offsets in [-r, r]
     levels: int = 4  # correlation pyramid levels
-    dt_track_us: int = 5000  # slice period
+    dt_track_us: int = 5000  # slice period, in every ablation
     frame_channels: int = 1
     # refiner
     dim: int = 256
@@ -98,8 +105,7 @@ class TrackerConfig:
     pos_wavelength: float = 512.0  # px, coarsest encoding period
     time_wavelength: float = 1_000_000.0  # µs
     # ablation toggles
-    accumulate_mode: str = "since_frame"  # or "fixed"
-    fixed_window_us: int = 0  # "fixed" mode only; 0 -> dt_track_us
+    accumulate_mode: str = "since_frame"  # events since the slice's frame; "fixed": over dt_track_us
     time_embed: bool = True
     use_frames: bool = True
     use_events: bool = True
@@ -109,8 +115,7 @@ class TrackerConfig:
             raise ConfigError(f"downsample must be 4 or 8, got {self.downsample}")
         for name, low in (("bins", 1), ("iterations", 1), ("channels", 1), ("levels", 1),
                           ("frame_channels", 1), ("dim", 1), ("heads", 1), ("mlp_ratio", 1),
-                          ("freqs", 1), ("dt_track_us", 1), ("radius", 0), ("pairs", 0),
-                          ("fixed_window_us", 0)):
+                          ("freqs", 1), ("dt_track_us", 1), ("radius", 0), ("pairs", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("pos_wavelength", "time_wavelength"):
@@ -128,14 +133,8 @@ class TrackerConfig:
             )
         if self.accumulate_mode not in ("since_frame", "fixed"):
             raise ConfigError(f"unknown accumulate_mode {self.accumulate_mode!r}")
-        if self.fixed_window_us and self.accumulate_mode != "fixed":
-            raise ConfigError(f"fixed_window_us={self.fixed_window_us} needs accumulate_mode "
-                              f"'fixed', got {self.accumulate_mode!r}, which ignores it")
         if not (self.use_frames or self.use_events):
             raise ConfigError("at least one of use_frames/use_events must be set")
-
-    def event_window_us(self) -> int:
-        return self.fixed_window_us if self.fixed_window_us > 0 else self.dt_track_us
 
 
 class TrackerModel:
@@ -428,9 +427,6 @@ class TrackSession:
             if not self._frames:
                 return None
             self._next_slice_t = next(iter(self._frames))
-        if not self.cfg.use_events:
-            # frames-only ablation: the slice grid is the frame times
-            return next((t for t in self._frames if t >= self._next_slice_t), None)
         return self._next_slice_t
 
     def _drop_unread(self):
@@ -451,7 +447,7 @@ class TrackSession:
         """Earliest event time the slice at t_slice reads; t_frame is its frame."""
         if self.cfg.accumulate_mode == "since_frame":
             return t_frame
-        return t_slice - self.cfg.event_window_us()
+        return t_slice - self.cfg.dt_track_us
 
     def _pump(self, flush: bool):
         emitted = []
@@ -465,7 +461,7 @@ class TrackSession:
             elif t_slice >= self._watermark:
                 break
             self._process_slice(t_slice)
-            self._next_slice_t = t_slice + (self.cfg.dt_track_us if self.cfg.use_events else 1)
+            self._next_slice_t = t_slice + self.cfg.dt_track_us
             self._drop_unread()
             if len(self._window) == self.cfg.window:
                 emitted += self._refine_and_emit(final=False)
@@ -479,7 +475,6 @@ class TrackSession:
             raise UsageError(f"no frame at or before slice time {t_slice}")
 
         t_ev0 = self._events_from(t_slice, t_frame)
-        duration = max(0, t_slice - t_ev0)
         frame = self._frames[t_frame]
         cuts = _Cuts()
         if cfg.use_frames:
@@ -488,18 +483,16 @@ class TrackSession:
         if cfg.use_events:
             f_event = self._event_features(t_ev0, t_slice)
             f_image = self._frame_features(t_frame) if cfg.use_frames else None
-            fused, branch = self.model.fusion(
-                f_image, f_event, self._dp_prev, frame.branch, use_frames=cfg.use_frames)
+            fused, branch = self.model.fusion(f_image, f_event, self._dp_prev, frame.branch)
             if cfg.use_frames and frame.branch is None:
                 frame.branch = branch
                 frame.cuts.add(*branch)
-        else:
+        else:  # frames-only: every slice reads its frame's features, and no event value
             fused = self._frame_features(t_frame)
-            duration = 0
 
         pyramid = build_pyramid(fused, cfg.levels, cfg.downsample)
         cuts.add(*pyramid.levels)  # frames-only, level 0 is already the frame's cut
-        self._window.append(_Slice(idx, t_slice, duration, pyramid, cuts))
+        self._window.append(_Slice(idx, t_slice, max(0, t_slice - t_ev0), pyramid, cuts))
         self._n_slices += 1
 
         n_born = int(np.searchsorted(self.t_birth, t_slice, side="right"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .events import EventStream, save_binary_events
 from .images import save_image
 from .metrics import GtTrack
 from .pipeline import load_queries_csv, load_tracks_csv, save_tracks_csv
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass
@@ -263,20 +267,18 @@ def write_sequence(out_dir: str, scene: SynthScene, frame_period_us: int,
     return manifest
 
 
-def generate_dataset(out_dir: str, seed: int, n_scenes: int, size=(64, 64),
-                     n_sprites: int = 2, duration_us: int = 600_000,
-                     frame_period_us: int = 100_000, dt_track_us: int = 25_000,
-                     theta: float = 0.2, dt_sim_us: int = 1000,
-                     translate_only: bool = False,
-                     speed_range: tuple[float, float] = (25.0, 55.0)) -> list[str]:
-    """Write n_scenes sequence directories under out_dir; returns their paths."""
+def generate_dataset(out_dir: str, cfg: RunConfig) -> list[str]:
+    """Write cfg.scenes sequence directories under out_dir, scene i from
+    seed cfg.train.seed + i; returns their paths."""
     paths = []
-    for i in range(n_scenes):
-        scene = make_scene(seed + i, size=size, n_sprites=n_sprites,
-                           duration_us=duration_us, translate_only=translate_only,
-                           speed_range=speed_range)
+    for i in range(cfg.scenes):
+        scene = make_scene(cfg.train.seed + i, size=(cfg.synth_width, cfg.synth_height),
+                           n_sprites=cfg.sprites, duration_us=cfg.duration_us,
+                           translate_only=cfg.translate_only,
+                           speed_range=(cfg.speed_min, cfg.speed_max))
         seq_dir = os.path.join(out_dir, f"seq_{i:03d}")
-        write_sequence(seq_dir, scene, frame_period_us, dt_track_us, theta, dt_sim_us)
+        write_sequence(seq_dir, scene, cfg.frame_period_us, cfg.tracker.dt_track_us, cfg.theta,
+                       cfg.dt_sim_us)
         paths.append(seq_dir)
     return paths
 

@@ -134,12 +134,17 @@ def _file_meta(model: TrackerModel, step: int) -> dict:
 
 
 def check_trained_config(cfg: TrackerConfig, meta: dict, path: str) -> None:
-    """Reject a weight file whose recorded tracker config differs from `cfg`."""
+    """Reject a weight file whose recorded tracker config differs from `cfg`,
+    or records a key that `TrackerConfig` no longer has."""
     trained = meta.get("tracker", {})
     if not isinstance(trained, dict):
         raise ConfigError(f"{path} records its tracker config as a {type(trained).__name__}")
-    differ = sorted(k for k, v in dataclasses.asdict(cfg).items()
-                    if k in trained and trained[k] != v)
+    now = dataclasses.asdict(cfg)
+    removed = sorted(set(trained) - set(now))
+    if removed:
+        raise ConfigError(f"{path} was trained with tracker keys this tracker does not have: "
+                          + ", ".join(f"{k}={trained[k]!r}" for k in removed))
+    differ = sorted(k for k, v in now.items() if k in trained and trained[k] != v)
     if differ:
         raise ConfigError(
             f"{path} was trained with another tracker config: "

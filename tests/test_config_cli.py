@@ -67,10 +67,6 @@ class TestConfig:
             load_config(None, {"dt_track_us": "0"})
         with pytest.raises(ConfigError, match="accumulate_mode"):
             load_config(None, {"accumulate_mode": "bogus"})
-        with pytest.raises(ConfigError, match="fixed_window_us=5000 needs accumulate_mode 'fixed'"):
-            TrackerConfig(fixed_window_us=5000)
-        assert TrackerConfig(accumulate_mode="fixed").event_window_us() == 5000  # dt_track_us
-        assert TrackerConfig(accumulate_mode="fixed", fixed_window_us=7000).event_window_us() == 7000
         with pytest.raises(ConfigError, match="use_frames/use_events"):
             load_config(None, {"use_frames": "false", "use_events": "false"})
         with pytest.raises(ConfigError, match="speed_min"):
@@ -121,13 +117,18 @@ class TestConfig:
         ("downsample", "2"), ("bins", "0"), ("iterations", "0"), ("channels", "0"),
         ("levels", "0"), ("frame_channels", "0"), ("dim", "0"), ("heads", "0"),
         ("heads", "3"), ("mlp_ratio", "0"), ("freqs", "0"), ("radius", "-1"),
-        ("fixed_window_us", "-5"), ("pairs", "-1"), ("pos_wavelength", "0"),
+        ("pairs", "-1"), ("pos_wavelength", "0"),
         ("pos_wavelength", "nan"), ("time_wavelength", "-1"),
-        ("fixed_window_us", "5000"),  # the default since_frame mode would ignore it
     ])
     def test_bad_tracker_value_rejected_at_load(self, key, value):
         with pytest.raises(ConfigError, match=key):
             load_config(None, {key: value})
+
+    @pytest.mark.parametrize("value", ["-5", "5000"])
+    def test_fixed_window_key_is_unknown(self, value):
+        """`fixed` mode reads the last dt_track_us of events; no key sets another window."""
+        with pytest.raises(ConfigError, match="unknown config key 'fixed_window_us'"):
+            load_config(None, {"fixed_window_us": value, "accumulate_mode": "fixed"})
 
     def test_t_step_parses_as_int(self):
         assert parse_config_text("t_step = 4") == {"t_step": 4}

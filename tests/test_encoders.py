@@ -130,10 +130,14 @@ class TestFusion:
             self.fusion(self.f_i, Tensor(np.zeros((16, 4, 4), dtype=np.float32)), 0.0)
 
     def test_events_only_ignores_frames(self):
-        base, branch = self.fusion(self.f_i, self.f_e, 0.0, use_frames=False)
-        other, _ = self.fusion(self.f_i + 5.0, self.f_e, 0.0, use_frames=False)
+        """No image map selects the events-only mix: no image branch and no gate."""
+        self.fusion.gate.weight.data[...] = 1.0
+        base, branch = self.fusion(None, self.f_e, 0.0)
+        other, _ = self.fusion(None, self.f_e, 10.0)
         assert np.array_equal(base.data, other.data)
         assert branch is None
+        fused, _ = self.fusion(self.f_i, self.f_e, 0.0)
+        assert not np.array_equal(base.data, fused.data)
 
     def test_reused_branch_is_bit_identical(self):
         other_e = Tensor(np.random.default_rng(2).random((16, 8, 8)).astype(np.float32))

@@ -7,6 +7,7 @@ from evtrack.autodiff import no_grad
 from evtrack.autodiff.tensor import grad_enabled
 from evtrack.errors import ConfigError, OrderingError, UsageError
 from evtrack.events import EventStream
+from evtrack.metrics import evaluate_tracks
 from evtrack.pipeline import (
     Track,
     TrackerConfig,
@@ -717,6 +718,8 @@ class TestAblations:
         {"use_events": False},
     ])
     def test_ablation_runs_and_differs(self, seq, flag):
+        """Every ablation emits on the full tracker's slice grid: the same
+        (id, t) samples, at other positions."""
         frames, events, queries, _, _, slice_times = seq
         full = tiny_model(seed=0, randomize_heads=True)
         with no_grad():
@@ -724,30 +727,39 @@ class TestAblations:
         ablated = tiny_model(seed=0, randomize_heads=True, **flag)
         with no_grad():
             ab_tracks, _ = run_offline(ablated, frames, events, queries)
-        assert all(len(t.samples) > 0 for t in ab_tracks)
         base_flat = [(t.id, s) for t in base_tracks for s in t.samples]
         ab_flat = [(t.id, s) for t in ab_tracks for s in t.samples]
+        assert sorted((i, s[0]) for i, s in ab_flat) == sorted((i, s[0]) for i, s in base_flat)
+        assert len(base_flat) == len(queries) * len(slice_times)
         assert base_flat != ab_flat
 
-    def test_frames_only_rate_is_frame_rate(self, seq):
-        frames, events, queries, _, _, _ = seq
-        model = tiny_model(seed=0, use_events=False)
+    def test_frames_only_tracks_between_frames(self):
+        """Frames-only samples every ground-truth slice, not just the
+        frame times, so its EFA measures the model and not the grid: an
+        untrained model (the identity) holds a slow sprite within 50 px."""
+        frames, events, queries, _, gtt, slice_times = tiny_sequence(seed=0)
         with no_grad():
-            tracks, session = run_offline(model, frames, events, queries)
-        assert session._n_slices == len(frames)
-        assert [t for t, _, _ in tracks[0].samples] == [t for t, _ in frames]
+            tracks, _ = run_offline(tiny_model(seed=0, use_events=False), frames, events, queries)
+        report = evaluate_tracks({t.id: t.samples for t in tracks}, gtt, 50.0)
+        assert report.efa_avg > 1 / len(slice_times)
 
     def test_frames_only_ignores_events(self, seq):
+        """Frames-only reads event times, which move the watermark, but no
+        event value: scrambled positions and polarities give the same tracks."""
         frames, events, queries, _, _, _ = seq
         model = tiny_model(seed=0, randomize_heads=True, use_events=False)
         calls = []
         model.event_encoder = lambda *a, **k: calls.append("event_encoder")
         model.fusion = lambda *a, **k: calls.append("fusion")
-        empty = EventStream([], [], [], [], events.geometry)
+        rng = np.random.default_rng(0)
+        (w, h), n = events.geometry, len(events)
+        scrambled = EventStream(rng.integers(0, w, n), rng.integers(0, h, n), events.ts,
+                                rng.choice([-1, 1], n), events.geometry)
+        assert not np.array_equal(scrambled.xs, events.xs)
         with no_grad():
             real, _ = run_offline(model, frames, events, queries)
-            none, _ = run_offline(model, frames, empty, queries)
-        assert [t.samples for t in real] == [t.samples for t in none]
+            other, _ = run_offline(model, frames, scrambled, queries)
+        assert [t.samples for t in real] == [t.samples for t in other]
         assert calls == []
 
 

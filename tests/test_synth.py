@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from evtrack.config import load_config
 from evtrack.errors import ConfigError
 from evtrack.synth import (
     SynthScene,
@@ -170,10 +171,15 @@ def test_track_truncation_at_canvas_exit():
     assert len(tracks[0].samples) == 3
 
 
+def _synth_config(**overrides):
+    """48x48 scenes with 50 ms frames and 25 ms slices."""
+    return load_config(None, {"synth_width": 48, "synth_height": 48, "frame_period_us": 50_000,
+                              "dt_track_us": 25_000, **overrides})
+
+
 def test_dataset_roundtrip(tmp_path):
     out = str(tmp_path / "ds")
-    paths = generate_dataset(out, seed=5, n_scenes=2, size=(48, 48), duration_us=200_000,
-                             frame_period_us=50_000, dt_track_us=25_000)
+    paths = generate_dataset(out, _synth_config(seed=5, scenes=2, duration_us=200_000))
     assert len(paths) == 2
     manifest, frames, events, gt, queries = load_sequence(paths[0])
     assert manifest["width"] == 48 and manifest["height"] == 48
@@ -189,8 +195,7 @@ def test_dataset_determinism(tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
     for out in (a, b):
-        generate_dataset(out, seed=9, n_scenes=1, size=(48, 48), duration_us=150_000,
-                         frame_period_us=50_000, dt_track_us=25_000)
+        generate_dataset(out, _synth_config(seed=9, scenes=1, duration_us=150_000))
     for name in ("events.bin", "gt_tracks.csv", "queries.csv", "manifest.json"):
         with open(f"{a}/seq_000/{name}", "rb") as fa, open(f"{b}/seq_000/{name}", "rb") as fb:
             assert fa.read() == fb.read(), name

@@ -120,7 +120,7 @@ class TestWindowedBackward:
                                       {"accumulate_mode": "fixed"}])
     def test_gradients_match_one_whole_sequence_backward(self, mode, monkeypatch):
         seq, n_slices = _seq(375_000)
-        assert n_slices == 16  # 7 windows of 4 slices, 2 apart; frames-only, 3
+        assert n_slices == 16  # 7 windows of 4 slices, 2 apart
         for precision_kind, bound in (("f32", 1e-5), ("f64", 1e-12)):
             with precision(precision_kind):
                 got = _step_grads(tiny_model(seed=0, randomize_heads=True, **mode), seq)
@@ -407,6 +407,8 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("spoil, error, match", [
         pytest.param("no-moments", UsageError, "holds no optimizer state", id="no-moments"),
         pytest.param("config", ConfigError, "trained with another tracker config", id="config"),
+        pytest.param("removed-key", ConfigError, "tracker keys this tracker does not have: "
+                     "fixed_window_us=7000", id="removed-key"),
         pytest.param("last-shape", ConfigError, "shape mismatch", id="last-shape"),
         pytest.param("last-moment-shape", ConfigError, "shape mismatch", id="last-moment-shape"),
         pytest.param("step", ConfigError, "step 'seven' is not a whole number", id="step"),
@@ -415,7 +417,7 @@ class TestTrainingLoop:
     ])
     def test_rejected_checkpoint_changes_nothing(self, tmp_path, spoil, error, match):
         """A checkpoint rejected for missing optimizer state, another
-        tracker config, a bad shape in the last parameter or its moment, or
+        tracker config, a tracker key that no longer exists, a bad shape in the last parameter or its moment, or
         a recorded step or tracker config of the wrong type leaves every
         parameter array, every moment and the step count as they were: the
         same objects, not copies."""
@@ -431,6 +433,8 @@ class TestTrainingLoop:
             arrays = {k: a for k, a in arrays.items() if not k.startswith("opt.")}
         elif spoil == "config":
             meta["tracker"]["dt_track_us"] += 1
+        elif spoil == "removed-key":  # an event window of its own, which no tracker reads now
+            meta["tracker"]["fixed_window_us"] = 7000
         elif spoil in ("step", "negative-step"):
             meta["step"] = "seven" if spoil == "step" else -2
         elif spoil == "tracker-list":
