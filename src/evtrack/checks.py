@@ -10,6 +10,7 @@ are checked by their minimum and maximum only, with no extra pass.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,17 +33,46 @@ def whole(value, what: str) -> int:
     return n
 
 
-def finite(value, what: str) -> float:
-    """`value` as a float: a finite real number, not a bool or a string."""
+def real(value, what: str) -> float:
+    """`value` as a float: a real number, not a bool or a string."""
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise ConfigError(f"{what} {value!r} is not a number")
     try:
-        x = float(value)
+        return float(value)
     except OverflowError:  # an int past the float range
-        x = math.inf
+        return math.inf
+
+
+def finite(value, what: str) -> float:
+    """`value` as a float: a finite real number, not a bool or a string."""
+    x = real(value, what)
     if not math.isfinite(x):
         raise ConfigError(f"{what} {value!r} is not finite")
     return x
+
+
+def config_fields(config) -> None:
+    """Check each field of a config dataclass against its annotation, and
+    store numbers in the package's own type. `int` takes an int or numpy
+    integer that fits int64; `float` a real number (each float field's
+    range check then requires it finite); `bool` a bool; `str` a str; a
+    nested config an instance of its default's class; and `X | None`
+    also None. A bool is not a number here. A mismatch is a `ConfigError`
+    that names the field."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        kind = f.type.removesuffix(" | None")  # the config modules defer annotations to strings
+        if value is None and kind != f.type:
+            continue
+        if kind == "float":
+            setattr(config, f.name, real(value, f.name))
+            continue
+        expected = {"int": (int, np.integer), "bool": bool, "str": str}.get(kind, f.default_factory)
+        if not isinstance(value, expected) or (kind == "int" and isinstance(value, bool)):
+            raise ConfigError(f"{f.name} must be {'an' if kind == 'int' else 'a'} {kind}, "
+                              f"got {value!r}")
+        if kind == "int":
+            setattr(config, f.name, whole(value, f.name))
 
 
 def whole_column(values, what: str) -> np.ndarray:

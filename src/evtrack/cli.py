@@ -58,9 +58,9 @@ def cmd_gen_synth(args) -> str:
         if len(size) != 2:
             raise ConfigError(f"--size expects WxH, got {args.size!r}")
         extra.update(synth_width=size[0], synth_height=size[1])
-    cfg = _config(args, extra)
     if args.translate_only:
-        cfg.translate_only = True
+        extra["translate_only"] = "true"
+    cfg = _config(args, extra)
     generate_dataset(args.out, cfg)
     return f"gen-synth ok scenes={cfg.scenes} seed={cfg.train.seed} out={args.out}"
 

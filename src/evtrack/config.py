@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import config_fields
 from .errors import ConfigError
 from .pipeline import TrackerConfig
 from .training import TrainConfig
@@ -43,6 +44,7 @@ class RunConfig:
     speed_max: float = 55.0
 
     def __post_init__(self):
+        config_fields(self)
         for name, low in (("scenes", 1), ("synth_width", 1), ("synth_height", 1), ("sprites", 1),
                           ("duration_us", 1), ("frame_period_us", 1), ("dt_sim_us", 1)):
             if getattr(self, name) < low:

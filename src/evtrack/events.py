@@ -54,14 +54,26 @@ class EventStream:
         return len(self.ts)
 
     @classmethod
+    def _unchecked(cls, columns, geometry: tuple[int, int]) -> EventStream:
+        """A stream of (xs, ys, ts, ps) columns cut or joined from checked ones."""
+        out = cls.__new__(cls)
+        out.xs, out.ys, out.ts, out.ps = columns
+        out.geometry = geometry
+        return out
+
+    @classmethod
     def join(cls, streams: list[EventStream]) -> EventStream:
         """Concatenate checked streams of one geometry that follow one
         another in time, without checking their events again."""
-        out = cls.__new__(cls)
-        for k in ("xs", "ys", "ts", "ps"):
-            setattr(out, k, np.concatenate([getattr(s, k) for s in streams]))
-        out.geometry = streams[0].geometry
-        return out
+        return cls._unchecked([np.concatenate([getattr(s, k) for s in streams])
+                               for k in ("xs", "ys", "ts", "ps")], streams[0].geometry)
+
+    def split(self, times) -> list[EventStream]:
+        """Cut before each of the sorted `times`: len(times) + 1 views of
+        this checked stream, not checked again."""
+        bounds = [0, *np.searchsorted(self.ts, times, side="left").tolist(), len(self)]
+        return [self._unchecked([c[lo:hi] for c in (self.xs, self.ys, self.ts, self.ps)],
+                                self.geometry) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def build_event_stack(stream: EventStream, t_start: int, t_end: int, bins: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 The session is streaming-first: frames and event batches arrive in time
 order, slices are produced once the input watermark passes them, windows
 refine as soon as they fill, and each slice is emitted exactly once. The
-offline entry point feeds a whole sequence through the same path, so
-offline and incremental runs are identical by construction.
+offline entry point, `run_offline`, feeds a whole sequence through
+`advance` alone, so offline and incremental runs are identical by
+construction.
 
 Slice grid: every ablation slices at the first frame's time and then every
 `dt_track_us`. A slice reads the latest frame at or before it, and the
@@ -34,14 +35,15 @@ end before the next slice's earliest event time (its frame in
 `since_frame` mode, `t_slice - dt_track_us` in `fixed` mode), and
 frame records before the next slice's frame, none of which an unborn
 query is born at. A frame record holds the image, its features and
-fusion's image branch, each computed once per frame. A window slice
-holds its pyramid, and a refinement correlates against the W slices'
-levels where they are, so each pyramid is the only copy of it. The
-window's pyramids are the largest state held: 3.9 MB a slice at 346x260
-with 128 channels and 4 levels. A slice's event stack is scaled in
-place and dropped once the event encoder has read it. Emitted samples
-go back to the caller and are not kept. Held state thus depends on the
-accumulation window, not on how long the stream has run.
+fusion's image branch (frames-only: the pyramid its slices share), each
+computed once per frame. A window slice holds its pyramid, and a
+refinement correlates against the W slices' levels where they are, so
+each pyramid is the only copy of it. The window's pyramids are the
+largest state held: 3.9 MB a slice at 346x260 with 128 channels and 4
+levels. A slice's event stack is scaled in place and dropped once the
+event encoder has read it. Emitted samples go back to the caller and
+are not kept. Held state thus depends on the accumulation window, not on
+how long the stream has run.
 
 Training: forward passes record a graph only when the caller passes an
 `on_window` hook, which gets each refinement's snapshots and must
@@ -72,7 +74,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, cut, no_grad, ops
 from .autodiff.tensor import Node
-from .checks import finite, whole
+from .checks import config_fields, finite, whole
 from .correlation import CorrelationPyramid, WindowState, build_pyramid, check_pyramid_depth
 from .encoders import FpnEncoder, MotionGatedFusion, mean_flow
 from .errors import ConfigError, OrderingError, UsageError
@@ -111,6 +113,7 @@ class TrackerConfig:
     use_events: bool = True
 
     def __post_init__(self):
+        config_fields(self)
         if self.downsample not in (4, 8):
             raise ConfigError(f"downsample must be 4 or 8, got {self.downsample}")
         for name, low in (("bins", 1), ("iterations", 1), ("channels", 1), ("levels", 1),
@@ -208,6 +211,7 @@ class _Frame:
     image: np.ndarray
     features: Tensor | None = None  # frame-encoder output, computed on first use
     branch: tuple[Tensor, Tensor] | None = None  # fusion's image branch, likewise
+    pyramid: CorrelationPyramid | None = None  # frames-only: its slices' pyramid, likewise
     cuts: _Cuts = field(default_factory=_Cuts)
 
 
@@ -288,20 +292,17 @@ class TrackSession:
     # ------------------------------------------------------------------ input
 
     def advance(self, frame=None, events=None):
-        """Feed the next frame (t_us, image) or event batch; returns new samples.
+        """Feed the next frame (t_us, image), event batch, or both; returns new samples.
 
-        An image is (C, H, W) floats on the [0, 1] scale, read as float32:
-        integer pixels are rejected, not read as 0-255, and so is a float
-        pixel off that scale. float16 and float64 frames are cast."""
+        A frame and a batch in one call are taken frame first. An image
+        is (C, H, W) floats on the [0, 1] scale, read as float32: integer
+        pixels are rejected, not read as 0-255, and so is a float pixel
+        off that scale. float16 and float64 frames are cast."""
         if self._finished:
             raise UsageError("session already finished")
         last_slice = self._window[-1].t_slice if self._window else None
         if frame is not None:
-            try:
-                t, image = frame
-            except (TypeError, ValueError):
-                raise UsageError(f"frame {type(frame).__name__} is not a (t_us, image) pair") from None
-            t = whole(t, "frame time")
+            t, image = _frame_pair(frame)
             last_frame = next(reversed(self._frames), None)
             if last_frame is not None and t < last_frame:
                 raise OrderingError(f"frame at {t} after frame at {last_frame}")
@@ -325,6 +326,8 @@ class TrackSession:
             if self.cfg.use_frames:
                 self._check_births_between(last_frame, t)
             self._frames[t] = _Frame(image)
+            if self._next_slice_t is None:  # every slice grid starts at the first frame
+                self._next_slice_t = t
             self._watermark = t if self._watermark is None else max(self._watermark, t)
         if events is not None:
             batch = _event_batch(events)
@@ -422,13 +425,6 @@ class TrackSession:
         i = bisect.bisect_right(times, t) - 1
         return times[i] if i >= 0 else None
 
-    def _next_slice_time(self) -> int | None:
-        if self._next_slice_t is None:
-            if not self._frames:
-                return None
-            self._next_slice_t = next(iter(self._frames))
-        return self._next_slice_t
-
     def _drop_unread(self):
         """Drop the frames and event chunks that no later slice or template can read.
 
@@ -451,15 +447,9 @@ class TrackSession:
 
     def _pump(self, flush: bool):
         emitted = []
-        while True:
-            t_slice = self._next_slice_time()
-            if t_slice is None or self._watermark is None:
-                break
-            if flush:
-                if t_slice > self._watermark:
-                    break
-            elif t_slice >= self._watermark:
-                break
+        while (t_slice := self._next_slice_t) is not None:
+            if t_slice > self._watermark or (t_slice == self._watermark and not flush):
+                break  # until the flush, events at the watermark may still arrive
             self._process_slice(t_slice)
             self._next_slice_t = t_slice + self.cfg.dt_track_us
             self._drop_unread()
@@ -487,18 +477,21 @@ class TrackSession:
             if cfg.use_frames and frame.branch is None:
                 frame.branch = branch
                 frame.cuts.add(*branch)
-        else:  # frames-only: every slice reads its frame's features, and no event value
-            fused = self._frame_features(t_frame)
-
-        pyramid = build_pyramid(fused, cfg.levels, cfg.downsample)
-        cuts.add(*pyramid.levels)  # frames-only, level 0 is already the frame's cut
+            pyramid = build_pyramid(fused, cfg.levels, cfg.downsample)
+            cuts.add(*pyramid.levels)
+        else:  # frames-only: a frame's slices share its pyramid, and read no event value
+            if frame.pyramid is None:
+                frame.pyramid = build_pyramid(self._frame_features(t_frame), cfg.levels,
+                                              cfg.downsample)
+                frame.cuts.add(*frame.pyramid.levels)  # level 0, the features, is a cut already
+            pyramid = frame.pyramid
         self._window.append(_Slice(idx, t_slice, max(0, t_slice - t_ev0), pyramid, cuts))
         self._n_slices += 1
 
         n_born = int(np.searchsorted(self.t_birth, t_slice, side="right"))
         if n_born > self._n_born:
             self._valid_from[self._n_born:n_born] = idx
-            self._sample_templates(n_born, fused, cuts)
+            self._sample_templates(n_born, pyramid.levels[0], cuts)
 
     def _event_features(self, t_ev0: int, t_slice: int) -> Tensor:
         """Event-encoder features of the events in [t_ev0, t_slice].
@@ -621,37 +614,39 @@ def _event_batch(events) -> EventStream:
     return EventStream(*events)
 
 
-def run_offline(model: TrackerModel, frames, events: EventStream, query_rows, on_window=None):
-    """Track a whole sequence: feed inputs in merged time order, then flush.
+def _frame_pair(frame) -> tuple[int, object]:
+    """A frame (t_us, image) with a whole-number time; `advance` checks the image."""
+    try:
+        t, image = frame
+    except (TypeError, ValueError):
+        raise UsageError(f"frame {type(frame).__name__} is not a (t_us, image) pair") from None
+    return whole(t, "frame time"), image
 
-    `frames` is a list of (t_us, image) pairs and `on_window` goes to the
-    `TrackSession`. Returns (tracks, session); the tracks are built from
-    the samples `advance` and `finish` return, one per query in the
-    session's order.
+
+def run_offline(model: TrackerModel, frames, events, query_rows, on_window=None):
+    """Track a whole sequence through `TrackSession.advance` alone, then flush.
+
+    `frames` holds (t_us, image) pairs in any order. `events` is an
+    `EventStream` or the (xs, ys, ts, ps, (width, height)) to build one,
+    as `advance` takes it, and is checked once. Each frame goes into one
+    `advance` call with the events before it, and a last call takes the
+    rest. `on_window` goes to the session. Returns (tracks, session): one
+    track per query, in the session's order.
     """
     session = TrackSession(model, query_rows, on_window=on_window)
-    frames = sorted(frames, key=lambda p: p[0])
+    if not np.iterable(frames):
+        raise UsageError(f"frames {type(frames).__name__} is not a list of (t_us, image) pairs")
+    frames = sorted(map(_frame_pair, frames), key=lambda p: p[0])
+    batches = _event_batch(events).split([t for t, _ in frames])
     emitted = []
-    cursor = 0
-    for t_frame, image in frames:
-        hi = int(np.searchsorted(events.ts, t_frame, side="left"))
-        if hi > cursor:
-            emitted += session.advance(events=_slice_stream(events, cursor, hi))
-            cursor = hi
-        emitted += session.advance(frame=(t_frame, image))
-    if cursor < len(events):
-        emitted += session.advance(events=_slice_stream(events, cursor, len(events)))
+    for frame, batch in zip(frames, batches):
+        emitted += session.advance(frame=frame, events=batch)
+    emitted += session.advance(events=batches[-1])
     emitted += session.finish()
     tracks = {qid: Track(qid) for qid in session.query_ids}
     for qid, *sample in emitted:
         tracks[qid].samples.append(tuple(sample))
     return list(tracks.values()), session
-
-
-def _slice_stream(events: EventStream, lo: int, hi: int) -> EventStream:
-    return EventStream(
-        events.xs[lo:hi], events.ys[lo:hi], events.ts[lo:hi], events.ps[lo:hi], events.geometry
-    )
 
 
 def save_tracks_csv(tracks, path: str) -> None:

@@ -25,7 +25,7 @@ from .autodiff.params import (
     save_arrays,
     save_weights,
 )
-from .checks import whole
+from .checks import config_fields, whole
 from .errors import ConfigError, TrainingError, UsageError
 from .pipeline import TrackerConfig, TrackerModel, run_offline
 
@@ -79,8 +79,9 @@ class TrainConfig:
     checkpoint_every: int = 500
 
     def __post_init__(self):
+        config_fields(self)
         if not (0.0 < self.gamma <= 1.0):
-            raise UsageError(f"gamma must be in (0, 1], got {self.gamma}")
+            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
         for name in ("steps", "warmup_steps", "checkpoint_every", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -3,6 +3,8 @@ import pytest
 
 from evtrack.autodiff import ops
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def rng():

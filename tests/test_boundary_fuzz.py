@@ -61,6 +61,12 @@ FIELDS = {
 }
 CASES = st.one_of([st.tuples(st.just(name), strategy) for name, strategy in FIELDS.items()])
 
+# Every warning fails the test, except the deprecations that libcst's import
+# raises when hypothesis's pytest plugin loads it to write a patch for a
+# failing example: raised as errors inside the plugin's report hook, they
+# would stop the whole run with INTERNALERROR and hide the failing example.
+EVERY_WARNING_FAILS = ("error", "ignore::DeprecationWarning:libcst")
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -133,7 +139,7 @@ def _make_session(model, field, value):
     assert session.p_init.tolist() == [[np.float32(row[2]), np.float32(row[3])]]
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings(*EVERY_WARNING_FAILS)
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=CASES)
 @example(case=("frame.pixel", 7.0))
@@ -152,3 +158,28 @@ def test_one_malformed_field_is_kept_exactly_or_rejected(model, case):
     field, value = case
     kind = field.split(".")[0]
     {"frame": _feed_frame, "events": _feed_events, "query": _make_session}[kind](model, field, value)
+
+
+def test_a_failing_example_is_reported_and_the_run_goes_on(pytester):
+    """Under the fuzz test's warning filters, a hypothesis test that fails
+    (here by a warning of its own) prints its failing example, and the
+    tests after it run."""
+    pytester.makepyfile(f"""
+        import warnings
+
+        import pytest
+        from hypothesis import given, strategies as st
+
+        @pytest.mark.filterwarnings(*{EVERY_WARNING_FAILS!r})
+        @given(st.integers())
+        def test_fails(n):
+            if n >= 5:
+                warnings.warn("n is 5 or more", DeprecationWarning)
+
+        def test_passes():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1, passed=1)
+    result.stdout.fnmatch_lines(["*Falsifying example: test_fails(*", "*n=5*"])
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()

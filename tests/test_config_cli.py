@@ -9,9 +9,10 @@ import zlib
 import numpy as np
 import pytest
 
+from evtrack import cli
 from evtrack.cli import main
 from evtrack.config import RunConfig, load_config, parse_config_text
-from evtrack.errors import ConfigError, UsageError
+from evtrack.errors import ConfigError
 from evtrack.pipeline import TrackerConfig, load_tracks_csv
 from evtrack.training import TrainConfig
 
@@ -71,7 +72,7 @@ class TestConfig:
             load_config(None, {"use_frames": "false", "use_events": "false"})
         with pytest.raises(ConfigError, match="speed_min"):
             load_config(None, {"speed_min": "60", "speed_max": "50"})
-        with pytest.raises(UsageError, match="gamma"):
+        with pytest.raises(ConfigError, match="gamma"):
             load_config(None, {"gamma": "0"})
 
     @pytest.mark.parametrize("key, value", [("lr", "-1"), ("lr", "nan"), ("lr", "inf"),
@@ -134,6 +135,38 @@ class TestConfig:
         assert parse_config_text("t_step = 4") == {"t_step": 4}
         with pytest.raises(ConfigError):
             parse_config_text("t_step = half")
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: TrackerConfig(bins=2.5), "bins must be an int, got 2.5", id="int-float"),
+        pytest.param(lambda: TrainConfig(steps=True), "steps must be an int, got True", id="int-bool"),
+        pytest.param(lambda: RunConfig(scenes="3"), "scenes must be an int, got '3'", id="int-str"),
+        pytest.param(lambda: TrackerConfig(t_step=2.0), "t_step must be an int", id="int-or-none"),
+        pytest.param(lambda: TrainConfig(lr="1e-3"), "lr '1e-3' is not a number", id="float-str"),
+        pytest.param(lambda: RunConfig(theta=True), "theta True is not a number", id="float-bool"),
+        pytest.param(lambda: TrackerConfig(use_frames="no"), "use_frames must be a bool, got 'no'",
+                     id="bool-str"),
+        pytest.param(lambda: RunConfig(translate_only=1), "translate_only must be a bool, got 1",
+                     id="bool-int"),
+        pytest.param(lambda: TrackerConfig(accumulate_mode=0), "accumulate_mode must be a str",
+                     id="str"),
+        pytest.param(lambda: RunConfig(tracker={"bins": 2}), "tracker must be a TrackerConfig",
+                     id="nested"),
+        pytest.param(lambda: load_config(None, {"bins": 2.5}), "bins must be an int",
+                     id="load-config-value"),
+    ])
+    def test_wrong_type_rejected_where_the_config_is_built(self, make, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            make()
+
+    def test_numbers_are_stored_in_their_field_types(self):
+        """A numpy integer is stored as an int and a float field holds a
+        float; None stays where the field takes it."""
+        cfg = load_config(None, {"bins": np.int64(3), "theta": 1, "lr": np.float32(0.5),
+                                 "t_step": None, "window": np.uint8(6)})
+        assert type(cfg.tracker.bins) is int and cfg.tracker.bins == 3
+        assert type(cfg.theta) is float and cfg.theta == 1.0
+        assert type(cfg.train.lr) is float and cfg.train.lr == 0.5
+        assert cfg.tracker.t_step == 3
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +315,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bins must be >= 1")
         assert captured.err.strip().count("\n") == 0 and captured.out == ""
+
+    def test_translate_only_flag_yields_to_set(self, tmp_path, monkeypatch):
+        """A flag beats the config file, and --set beats both."""
+        seen = []
+        monkeypatch.setattr(cli, "generate_dataset", lambda out, cfg: seen.append(cfg))
+        out = str(tmp_path / "ds")
+        assert main(["gen-synth", "--out", out, "--translate-only"]) == 0
+        assert main(["gen-synth", "--out", out, "--translate-only",
+                     "--set", "translate_only=false"]) == 0
+        assert [cfg.translate_only for cfg in seen] == [True, False]
 
     def test_gen_synth_reads_the_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

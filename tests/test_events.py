@@ -290,7 +290,8 @@ def test_event_times_half_range_apart_are_out_of_order():
 def test_held_events_checked_once(monkeypatch):
     """A batch is checked when it arrives; the slices it completes stack the
     join of the held chunks, which equals their checked concatenation and
-    builds no EventStream."""
+    builds no EventStream. `run_offline` checks its stream once: the
+    batches it feeds are cuts of it, built unchecked."""
     frames, events, queries, _, _, _ = tiny_sequence(seed=3)
     bounds = [0, *np.searchsorted(events.ts, [60_000, 140_000]), len(events)]
     chunks = [EventStream(events.xs[lo:hi], events.ys[lo:hi], events.ts[lo:hi],
@@ -320,4 +321,17 @@ def test_held_events_checked_once(monkeypatch):
             n_slices = session._n_slices
             session.advance(events=chunk)
             assert session._n_slices > n_slices
+        assert built == []
+        run_offline(tiny_model(), frames, events, queries)
     assert built == []
+
+
+def test_split_cuts_before_each_time():
+    stream = EventStream([0, 1, 2, 3], [0, 0, 0, 0], [5, 10, 10, 20], [1, -1, 1, -1], (4, 1))
+    cuts = stream.split([0, 10, 15, 30])
+    assert [c.ts.tolist() for c in cuts] == [[], [5], [10, 10], [20], []]
+    assert [c.xs.tolist() for c in cuts] == [[], [0], [1, 2], [3], []]
+    assert [c.ps.tolist() for c in cuts] == [[], [1], [-1, 1], [-1], []]
+    for c in cuts:
+        assert c.geometry == (4, 1) and c.xs.dtype == np.int32 and c.ts.dtype == np.int64
+    assert [c.ts.tolist() for c in stream.split([])] == [[5, 10, 10, 20]]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtrack import pipeline
 from evtrack.autodiff import no_grad
 from evtrack.autodiff.tensor import grad_enabled
 from evtrack.errors import ConfigError, OrderingError, UsageError
@@ -18,6 +19,7 @@ from evtrack.pipeline import (
     run_offline,
     save_tracks_csv,
 )
+from evtrack.training import sequence_loss
 from util_fixtures import scramble_heads, tiny_model, tiny_sequence, traced_peak
 
 
@@ -107,6 +109,63 @@ class TestOffline:
         assert lengths == [4, 4, 3]
         for track in tracks:
             assert len(track.samples) == 7
+
+
+class TestOneInputPath:
+    """`run_offline` reaches the session through `advance` alone: it takes
+    every event batch `advance` takes and rejects what `advance` rejects,
+    and it feeds each frame with the events before it in one call."""
+
+    def test_event_columns_track_as_the_stream(self, seq):
+        frames, events, queries, _, _, _ = seq
+        model = tiny_model(seed=0, randomize_heads=True)
+        with no_grad():
+            want, _ = run_offline(model, frames, events, queries)
+            got, _ = run_offline(model, frames, (events.xs, events.ys, events.ts, events.ps,
+                                                 events.geometry), queries)
+        assert [t.id for t in got] == [t.id for t in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(np.array(a.samples), np.array(b.samples))
+
+    @pytest.mark.parametrize("make", [lambda ev: None, lambda ev: (ev.xs, ev.ys, ev.ts, ev.ps)],
+                             ids=["none", "four-items"])
+    def test_bad_events_rejected_as_advance_rejects_them(self, seq, make):
+        """`advance` reads None as no batch; as the whole sequence's
+        events it is rejected by the conversion `advance` applies."""
+        frames, events, queries, _, _, _ = seq
+        with pytest.raises(UsageError, match="an event batch is an EventStream or") as direct:
+            pipeline._event_batch(make(events))
+        with pytest.raises(UsageError) as offline:
+            run_offline(tiny_model(seed=0), frames, make(events), queries)
+        assert str(offline.value) == str(direct.value)
+
+    @pytest.mark.parametrize("make, match", [
+        pytest.param(lambda frames: None, r"frames NoneType is not a list of \(t_us, image\) pairs",
+                     id="none"),
+        pytest.param(lambda frames: [frames[0], 5], r"frame int is not a \(t_us, image\) pair",
+                     id="int"),
+        pytest.param(lambda frames: [(*frames[0], frames[0][1])],
+                     r"frame tuple is not a \(t_us, image\) pair", id="three-items"),
+    ])
+    def test_bad_frames_rejected(self, seq, make, match):
+        frames, events, queries, _, _, _ = seq
+        with pytest.raises(UsageError, match=match):
+            run_offline(tiny_model(seed=0), make(frames), events, queries)
+
+    def test_one_advance_call_per_frame_and_one_after(self, seq, monkeypatch):
+        """Training on k frames makes k + 1 `advance` calls: each frame
+        with the events before it, then the events after the last frame."""
+        frames, events, queries, gt_by_id, _, _ = seq
+        calls = []
+        advance = TrackSession.advance
+
+        def counting(self, frame=None, events=None):
+            calls.append((frame is not None, events is not None))
+            return advance(self, frame=frame, events=events)
+
+        monkeypatch.setattr(TrackSession, "advance", counting)
+        sequence_loss(tiny_model(seed=0), frames, events, queries, gt_by_id, 0.8)
+        assert calls == [(True, True)] * len(frames) + [(False, True)]
 
 
 class TestStreaming:
@@ -742,6 +801,20 @@ class TestAblations:
             tracks, _ = run_offline(tiny_model(seed=0, use_events=False), frames, events, queries)
         report = evaluate_tracks({t.id: t.samples for t in tracks}, gtt, 50.0)
         assert report.efa_avg > 1 / len(slice_times)
+
+    def test_frames_only_builds_one_pyramid_per_frame_read(self, seq, monkeypatch):
+        """The slices of one frame share its pyramid: two or three slices
+        read each frame here, and each frame's pyramid is built once."""
+        frames, events, queries, _, _, slice_times = seq
+        built = []
+        build = pipeline.build_pyramid
+        monkeypatch.setattr(pipeline, "build_pyramid",
+                            lambda fused, *args: built.append(fused) or build(fused, *args))
+        with no_grad():
+            run_offline(tiny_model(seed=0, use_events=False), frames, events, queries)
+        frame_times = [t for t, _ in frames]
+        read = {max(t for t in frame_times if t <= ts) for ts in slice_times}
+        assert len(built) == len(read) == 6 < len(slice_times)
 
     def test_frames_only_ignores_events(self, seq):
         """Frames-only reads event times, which move the watermark, but no

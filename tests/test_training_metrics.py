@@ -56,7 +56,7 @@ class TestWindowLoss:
         with pytest.raises(UsageError):
             window_loss([Tensor(np.zeros((2, 2, 2)))], np.zeros((3, 2, 2)),
                         np.ones((2, 2)), 0.8)
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigError, match="gamma"):
             TrainConfig(gamma=0.0)
 
     def test_gradient_matches_finite_differences(self):
