@@ -5,8 +5,9 @@ map frames and event stacks to (C, H/S, W/S) feature grids. Fusion blends
 the two feature maps with a scalar gate driven by the mean flow magnitude
 of the previous slice, plus a 1x1-projected image skip path so frame
 texture survives any gate value. The image branch depends on the frame
-only, so fusion returns it with the fused map and takes it back on the
-next slice that reads the same frame.
+only, so fusion returns it with the fused map; `pipeline.slice_forward`
+hands it back, and the session keeps it with the frame and passes it in
+for every later slice that reads the same frame.
 """
 
 from __future__ import annotations

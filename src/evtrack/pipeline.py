@@ -28,15 +28,24 @@ of the rows and `_valid_from` is non-decreasing. Their templates are one
 (P, C) block per birth group, the rows born at one frame (events-only: at
 one slice), each read by one bilinear sample.
 
-Held input: each event batch is checked once, on arrival, and kept as a
-chunk; a slice stacks the chunks held, joined unchecked. After each slice the
-session drops what no later slice or template can read: event chunks that
-end before the next slice's earliest event time (its frame in
-`since_frame` mode, `t_slice - dt_track_us` in `fixed` mode), and
-frame records before the next slice's frame, none of which an unborn
-query is born at. A frame record holds the image, its features and
-fusion's image branch (frames-only: the pyramid its slices share), each
-computed once per frame. A window slice holds its pyramid, and a
+Forward: the model runs in two functions, one per input rate.
+`frame_forward` encodes a frame (frames-only: and builds the pyramid its
+slices share). `slice_forward` encodes a slice's event stack, fuses it
+with its frame's features and builds the slice's pyramid. The session
+only schedules them, holds what they return and cuts it (see Training).
+
+Held input: a call's frame and event batch are both checked before
+either is held, so a rejected call changes nothing. Each event batch is
+checked once, on arrival, and kept as a chunk; a slice stacks the chunks
+held, joined unchecked. After each slice the session drops what no later
+slice or template can read: event chunks that end before the next
+slice's earliest event time (its frame in `since_frame` mode,
+`t_slice - dt_track_us` in `fixed` mode), and frame records before the
+next slice's frame, none of which an unborn query is born at. A frame
+record holds the image; the first slice or template that reads it adds
+its features (frames-only: and its pyramid), and its first fused slice
+adds fusion's image branch, which later slices pass back to fusion. Each
+part is made once per frame. A window slice holds its pyramid, and a
 refinement correlates against the W slices' levels where they are, so
 each pyramid is the only copy of it. The window's pyramids are the
 largest state held: 3.9 MB a slice at 346x260 with 128 channels and 4
@@ -49,9 +58,10 @@ Training: forward passes record a graph only when the caller passes an
 `on_window` hook, which gets each refinement's snapshots and must
 back-propagate that window's loss before it returns. Windows share only
 the tensors they read from held records: each slice's pyramid levels,
-each frame's features and image branch, and the templates. Those are
-cuts (`autodiff.cut`), so a window's backward stops at them and they
-gather its gradient. A record's own graph goes back once the record is
+each frame's features, pyramid levels and image branch, and the
+templates. Those are cuts (`autodiff.cut`), each made where its record
+gets the tensor, so a window's backward stops at them and they gather
+its gradient. A record's own graph goes back once the record is
 released (a slice leaves the window, a frame is dropped, the templates
 at `finish`) and every record that read its cuts has gone back: the
 slices that read a frame, and the templates that read their birth frame
@@ -155,6 +165,23 @@ class TrackerModel:
         self.refiner = WindowRefiner(self.store, "refiner", cfg, rng)
 
 
+def frame_forward(model: TrackerModel, image: np.ndarray):
+    """A (C, H, W) frame's features and, frames-only, the pyramid its slices share."""
+    cfg = model.cfg
+    features = model.frame_encoder(Tensor(image))
+    return features, None if cfg.use_events else build_pyramid(features, cfg.levels, cfg.downsample)
+
+
+def slice_forward(model: TrackerModel, stack: np.ndarray, features, branch, dp_prev: float):
+    """The slice-rate forward of an event stack, fused with its frame's `features`
+    (None without frames): (pyramid, branch), where `branch` is fusion's image
+    branch of `features`, made when None is passed. The stack is dropped once encoded."""
+    f_event = model.event_encoder(Tensor(stack))
+    del stack
+    fused, branch = model.fusion(features, f_event, dp_prev, branch)
+    return build_pyramid(fused, model.cfg.levels, model.cfg.downsample), branch
+
+
 @dataclass
 class Track:
     """Emitted samples for one query: (t_us, x, y), strictly increasing t."""
@@ -206,12 +233,12 @@ def _release(cuts: _Cuts):
 
 @dataclass
 class _Frame:
-    """One frame the session still holds."""
+    """One frame the session still holds, filled in by the records that read it."""
 
     image: np.ndarray
-    features: Tensor | None = None  # frame-encoder output, computed on first use
-    branch: tuple[Tensor, Tensor] | None = None  # fusion's image branch, likewise
-    pyramid: CorrelationPyramid | None = None  # frames-only: its slices' pyramid, likewise
+    features: Tensor | None = None  # frame-encoder output
+    pyramid: CorrelationPyramid | None = None  # frames-only: its slices' pyramid
+    branch: tuple[Tensor, Tensor] | None = None  # fusion's image branch
     cuts: _Cuts = field(default_factory=_Cuts)
 
 
@@ -255,6 +282,13 @@ class TrackSession:
     and their `.grad` are shared by every session on it: a model trains
     on one thread at a time, and an optimizer step changes the weights in
     place under every session that reads them.
+
+    Failure: a call whose input is rejected raises an `EvtrackError` and
+    changes nothing. An exception that escapes while accepted input is
+    processed (an `on_window` hook that raises, a `KeyboardInterrupt`)
+    leaves the held state partial and is not rolled back: the session is
+    failed, and every later `advance` or `finish` raises a `UsageError`
+    whose `__cause__` is that first exception.
     """
 
     def __init__(self, model: TrackerModel, query_rows, on_window=None):
@@ -288,67 +322,57 @@ class TrackSession:
         self._window: list[_Slice] = []  # slices not emitted yet, oldest first
         self._dp_prev = 0.0  # mean flow of the last refinement: fusion's gate input
         self._finished = False
+        self._failed: BaseException | None = None  # what escaped a pump or finish
 
     # ------------------------------------------------------------------ input
 
     def advance(self, frame=None, events=None):
         """Feed the next frame (t_us, image), event batch, or both; returns new samples.
 
-        A frame and a batch in one call are taken frame first. An image
-        is (C, H, W) floats on the [0, 1] scale, read as float32: integer
-        pixels are rejected, not read as 0-255, and so is a float pixel
-        off that scale. float16 and float64 frames are cast."""
+        A frame and a batch in one call are taken frame first, and both or
+        neither: each is checked before either is held. An image is
+        (C, H, W) floats on the [0, 1] scale, read as float32: integer
+        pixels are rejected, not read as 0-255, and so is a float pixel off
+        that scale. float16 and float64 frames are cast."""
+        self._check_failed()
         if self._finished:
             raise UsageError("session already finished")
         last_slice = self._window[-1].t_slice if self._window else None
+        last_frame = next(reversed(self._frames), None)
+        sensor = self._sensor
         if frame is not None:
-            t, image = _frame_pair(frame)
-            last_frame = next(reversed(self._frames), None)
-            if last_frame is not None and t < last_frame:
-                raise OrderingError(f"frame at {t} after frame at {last_frame}")
-            if t == last_frame:
-                raise OrderingError(f"second frame at {t}")
-            if last_slice is not None and t <= last_slice:
-                raise OrderingError(f"frame at {t} arrived after slices past it were processed")
-            image = np.asarray(image)
-            if image.dtype.kind != "f":
-                raise ConfigError(f"frame at {t} has {image.dtype} pixels; a frame holds floats "
-                                  "on the [0, 1] scale that images.load_image gives")
-            if not np.isfinite(image).all():
-                raise UsageError(f"frame at {t} has non-finite pixels")
-            with np.errstate(over="ignore"):  # a pixel past float32's range is inf, rejected next
-                image = image.astype(np.float32, copy=False)
-            if image.size and not 0 <= image.min() <= image.max() <= 1:
-                raise ConfigError(f"frame at {t} has pixels from {image.min():g} to "
-                                  f"{image.max():g}, off the [0, 1] scale that "
-                                  "images.load_image gives")
-            self._check_frame_shape(image.shape)
+            t, image = self._checked_frame(frame, last_frame, last_slice)
+            sensor = self._checked_sensor(sensor, (image.shape[2], image.shape[1]), "frame")
             if self.cfg.use_frames:
                 self._check_births_between(last_frame, t)
-            self._frames[t] = _Frame(image)
-            if self._next_slice_t is None:  # every slice grid starts at the first frame
-                self._next_slice_t = t
-            self._watermark = t if self._watermark is None else max(self._watermark, t)
         if events is not None:
             batch = _event_batch(events)
-            self._fix_sensor(batch.geometry, "event batch")
+            sensor = self._checked_sensor(sensor, batch.geometry, "event batch")
             if len(batch):
-                t0, t1 = int(batch.ts[0]), int(batch.ts[-1])
+                t0 = int(batch.ts[0])
                 if self._last_event_t is not None and t0 < self._last_event_t:
                     raise OrderingError(f"event batch starts at {t0} before {self._last_event_t}")
                 if last_slice is not None and t0 <= last_slice:
                     raise OrderingError("events arrived for already-processed slices")
-                self._chunks.append(batch)
-                self._last_event_t = t1
-                self._watermark = t1 if self._watermark is None else max(self._watermark, t1)
-        with self._grad_mode():
+        self._sensor = sensor  # every check passed: hold the input
+        if frame is not None:
+            self._frames[t] = _Frame(image)
+            if self._next_slice_t is None:  # every slice grid starts at the first frame
+                self._next_slice_t = t
+            self._watermark = t if self._watermark is None else max(self._watermark, t)
+        if events is not None and len(batch):
+            self._chunks.append(batch)
+            self._last_event_t = t1 = int(batch.ts[-1])
+            self._watermark = t1 if self._watermark is None else max(self._watermark, t1)
+        with self._running():
             return self._pump(flush=False)
 
     def finish(self):
         """Flush remaining slices, refine any trailing partial window, emit all."""
+        self._check_failed()
         if self._finished:
             return []
-        with self._grad_mode():
+        with self._running():
             emitted = self._pump(flush=True)
             if self._window and self._window[-1].position is None:
                 emitted += self._refine_and_emit(final=True)
@@ -361,9 +385,21 @@ class TrackSession:
 
     # -------------------------------------------------------------- internals
 
-    def _grad_mode(self):
-        """Record a graph only when a hook takes the windows for training."""
-        return contextlib.nullcontext() if self.on_window is not None else no_grad()
+    def _check_failed(self):
+        if self._failed is not None:
+            raise UsageError(f"session failed: an earlier call raised {self._failed!r}, "
+                             "and what it holds is partial") from self._failed
+
+    @contextlib.contextmanager
+    def _running(self):
+        """Record a graph only when a hook takes the windows for training.
+        Any exception that escapes fails the session: it is not rolled back."""
+        try:
+            with contextlib.nullcontext() if self.on_window is not None else no_grad():
+                yield
+        except BaseException as err:
+            self._failed = err
+            raise
 
     def _reject_queries(self, bad: np.ndarray, what: str):
         if bad.any():
@@ -371,12 +407,34 @@ class TrackSession:
             x, y = self.p_init[n]
             raise UsageError(f"query {self.query_ids[n]} at ({x:g}, {y:g}) {what}")
 
-    def _check_frame_shape(self, shape: tuple[int, ...]):
+    def _checked_frame(self, frame, last_frame: int | None,
+                       last_slice: int | None) -> tuple[int, np.ndarray]:
+        """The time and float32 (C, H, W) image of a frame that may follow
+        the held input; whether it fits the sensor is checked next."""
+        t, image = _frame_pair(frame)
+        if last_frame is not None and t < last_frame:
+            raise OrderingError(f"frame at {t} after frame at {last_frame}")
+        if t == last_frame:
+            raise OrderingError(f"second frame at {t}")
+        if last_slice is not None and t <= last_slice:
+            raise OrderingError(f"frame at {t} arrived after slices past it were processed")
+        image = np.asarray(image)
+        if image.dtype.kind != "f":
+            raise ConfigError(f"frame at {t} has {image.dtype} pixels; a frame holds floats "
+                              "on the [0, 1] scale that images.load_image gives")
+        if not np.isfinite(image).all():
+            raise UsageError(f"frame at {t} has non-finite pixels")
+        with np.errstate(over="ignore"):  # a pixel past float32's range is inf, rejected next
+            image = image.astype(np.float32, copy=False)
+        if image.size and not 0 <= image.min() <= image.max() <= 1:
+            raise ConfigError(f"frame at {t} has pixels from {image.min():g} to "
+                              f"{image.max():g}, off the [0, 1] scale that "
+                              "images.load_image gives")
         c = self.cfg.frame_channels
-        if len(shape) != 3 or shape[0] != c:
+        if image.ndim != 3 or image.shape[0] != c:
             w, h = self._sensor or ("W", "H")
-            raise ConfigError(f"frame has shape {shape}, expected ({c}, {h}, {w})")
-        self._fix_sensor((shape[2], shape[1]), "frame")
+            raise ConfigError(f"frame has shape {image.shape}, expected ({c}, {h}, {w})")
+        return t, image
 
     def _check_births_between(self, last_frame: int | None, t: int):
         """Templates come from the frame at a query's birth, so a birth
@@ -390,14 +448,16 @@ class TrackSession:
                 f"query {self.query_ids[n]} born at {int(self.t_birth[n])}, which is not a frame time"
             )
 
-    def _fix_sensor(self, size: tuple[int, int], what: str):
-        """The first frame or event batch fixes the sensor (W, H); later ones must match.
+    def _checked_sensor(self, sensor: tuple[int, int] | None, size: tuple[int, int],
+                        what: str) -> tuple[int, int]:
+        """The sensor (W, H) once an input of `size` is held: the first frame
+        or event batch fixes it, and later ones must match.
 
         The sensor must span the feature stride S both ways, and its
         (ceil(H/S), ceil(W/S)) feature map must hold the pyramid.
         """
         w, h = size
-        if self._sensor is None:
+        if sensor is None:
             s = self.cfg.downsample
             if min(w, h) < s:
                 raise ConfigError(f"the {w}x{h} sensor of the first {what} is smaller "
@@ -406,18 +466,10 @@ class TrackSession:
             x, y = self.p_init[:, 0], self.p_init[:, 1]
             self._reject_queries((x < 0) | (x >= w) | (y < 0) | (y >= h),
                                  f"lies outside the {w}x{h} sensor")
-            self._sensor = size
-        elif size != self._sensor:
-            raise ConfigError(
-                f"{what} is {w}x{h}, but the sensor is {self._sensor[0]}x{self._sensor[1]}"
-            )
-
-    def _frame_features(self, t_frame: int) -> Tensor:
-        frame = self._frames[t_frame]
-        if frame.features is None:
-            frame.features = self.model.frame_encoder(Tensor(frame.image))
-            frame.cuts.add(frame.features)
-        return frame.features
+            return size
+        if size != sensor:
+            raise ConfigError(f"{what} is {w}x{h}, but the sensor is {sensor[0]}x{sensor[1]}")
+        return sensor
 
     def _frame_before(self, t: int) -> int | None:
         """Time of the latest frame at or before t."""
@@ -458,33 +510,18 @@ class TrackSession:
         return emitted
 
     def _process_slice(self, t_slice: int):
-        cfg = self.cfg
         idx = self._n_slices
-        t_frame = self._frame_before(t_slice)
-        if t_frame is None:
-            raise UsageError(f"no frame at or before slice time {t_slice}")
-
+        t_frame = self._frame_before(t_slice)  # the grid starts at the first frame
         t_ev0 = self._events_from(t_slice, t_frame)
-        frame = self._frames[t_frame]
         cuts = _Cuts()
-        if cfg.use_frames:
-            cuts.read(frame.cuts)
-
-        if cfg.use_events:
-            f_event = self._event_features(t_ev0, t_slice)
-            f_image = self._frame_features(t_frame) if cfg.use_frames else None
-            fused, branch = self.model.fusion(f_image, f_event, self._dp_prev, frame.branch)
-            if cfg.use_frames and frame.branch is None:
-                frame.branch = branch
-                frame.cuts.add(*branch)
-            pyramid = build_pyramid(fused, cfg.levels, cfg.downsample)
-            cuts.add(*pyramid.levels)
+        frame = self._read_frame(t_frame, cuts)
+        if self.cfg.use_events:
+            pyramid, frame.branch = slice_forward(self.model, self._event_stack(t_ev0, t_slice),
+                                                  frame.features, frame.branch, self._dp_prev)
+            frame.cuts.add(*frame.branch or ())
         else:  # frames-only: a frame's slices share its pyramid, and read no event value
-            if frame.pyramid is None:
-                frame.pyramid = build_pyramid(self._frame_features(t_frame), cfg.levels,
-                                              cfg.downsample)
-                frame.cuts.add(*frame.pyramid.levels)  # level 0, the features, is a cut already
             pyramid = frame.pyramid
+        cuts.add(*pyramid.levels)  # frames-only: cuts of the frame already
         self._window.append(_Slice(idx, t_slice, max(0, t_slice - t_ev0), pyramid, cuts))
         self._n_slices += 1
 
@@ -493,22 +530,27 @@ class TrackSession:
             self._valid_from[self._n_born:n_born] = idx
             self._sample_templates(n_born, pyramid.levels[0], cuts)
 
-    def _event_features(self, t_ev0: int, t_slice: int) -> Tensor:
-        """Event-encoder features of the events in [t_ev0, t_slice].
+    def _read_frame(self, t_frame: int, reader: _Cuts) -> _Frame:
+        """The frame at t_frame, read by the record whose cuts are `reader`.
+        With frames, its first read runs `frame_forward` and cuts its parts."""
+        frame = self._frames[t_frame]
+        if self.cfg.use_frames and frame.features is None:
+            frame.features, frame.pyramid = frame_forward(self.model, frame.image)
+            frame.cuts.add(frame.features, *(frame.pyramid.levels if frame.pyramid else ()))
+        reader.read(frame.cuts)  # without frames, cuts that stay empty
+        return frame
 
-        The stack's t* values run over [0, bins - 1]; it is scaled to [0, 1]
-        in place, and it is not held once the encoder has read it."""
+    def _event_stack(self, t_ev0: int, t_slice: int) -> np.ndarray:
+        """The stack of the held events in [t_ev0, t_slice], its t* scaled in place to [0, 1]."""
         bins = self.cfg.bins
         if t_slice > t_ev0 and self._chunks:
-            raw = build_event_stack(EventStream.join(self._chunks), t_ev0, t_slice, bins)
-            raw *= np.float32(1 / max(1, bins - 1))
-        else:
-            # a slice coinciding with its frame accumulates no events yet;
-            # conv2d multiplies no column of this zero stack (nor, while the
-            # encoder's biases are zero, of most maps after it)
-            x_ext, y_ext = self._sensor
-            raw = np.zeros((2 * bins, y_ext, x_ext), dtype=np.float32)
-        return self.model.event_encoder(Tensor(raw))
+            stack = build_event_stack(EventStream.join(self._chunks), t_ev0, t_slice, bins)
+            stack *= np.float32(1 / max(1, bins - 1))
+            return stack
+        # a slice at its frame has no events yet: conv2d multiplies no column of
+        # this zero stack (nor, while the encoder's biases are zero, of most maps after it)
+        x_ext, y_ext = self._sensor
+        return np.zeros((2 * bins, y_ext, x_ext), dtype=np.float32)
 
     def _sample_templates(self, n_born: int, fused: Tensor, slice_cuts: _Cuts):
         """Templates of rows [_n_born, n_born), born at this slice: one
@@ -528,8 +570,7 @@ class TrackSession:
                 source = fused
                 self._template_cuts.read(slice_cuts)
             elif t_birth in self._frames:
-                source = self._frame_features(t_birth)
-                self._template_cuts.read(self._frames[t_birth].cuts)
+                source = self._read_frame(t_birth, self._template_cuts).features
             else:
                 raise UsageError(f"query {self.query_ids[a]} born at {t_birth}, "
                                  "which is not a frame time")

@@ -77,9 +77,10 @@ def _frame_image():
     return np.full((1, *SENSOR), 0.5, dtype=np.float32)
 
 
-def _feed_frame(model, field, value):
-    """A session with a valid query is handed a frame with `value` in `field`."""
-    t, image = 0, _frame_image()
+def malformed_frame(field, value, t=0):
+    """A frame at t with `value` in `field` (its time, one pixel or the
+    image), the other fields valid; or `value` itself as the frame."""
+    image = _frame_image()
     if field == "frame.t":
         t = value
     elif field == "frame.pixel":
@@ -87,12 +88,44 @@ def _feed_frame(model, field, value):
         image[0, 5, 7] = value
     elif field == "frame.image":
         image = value
-    frame = value if field == "frame" else (t, image)
+    return value if field == "frame" else (t, image)
+
+
+def _event_columns(field, value, shift=0):
+    """EVENTS's columns, their times shifted by `shift`, and SENSOR, with
+    `value` in `field`: one event's x, y, t or p, a whole column, or the
+    geometry."""
+    cols = {k: list(v) for k, v in EVENTS.items()}
+    cols["t"] = [t + shift for t in cols["t"]]
+    geometry = SENSOR
+    part = field.split(".")[-1]
+    if part in cols:
+        cols[part][1] = value
+    elif part[:-1] in cols:
+        cols[part[:-1]] = value
+    elif part == "geometry":
+        geometry = value
+    return cols, geometry
+
+
+def malformed_batch(field, value, shift=0):
+    """An event batch with `value` in `field` (see `_event_columns`), or
+    `value` itself as the batch."""
+    if field == "events":
+        return value
+    cols, geometry = _event_columns(field, value, shift)
+    return (cols["x"], cols["y"], cols["t"], cols["p"], geometry)
+
+
+def _feed_frame(model, field, value):
+    """A session with a valid query is handed a frame with `value` in `field`."""
+    frame = malformed_frame(field, value)
     session = TrackSession(model, [QUERY])
     try:
         session.advance(frame=frame)
     except EvtrackError:
         return
+    t, image = frame
     assert list(session._frames) == [t] and int(t) == t
     kept = session._frames[t].image
     assert kept.dtype == np.float32
@@ -103,22 +136,13 @@ def _feed_events(model, field, value):
     """A session that holds a frame at 0 is handed an event batch with
     `value` in `field`: one event's x, y, t or p, a whole column, the
     geometry, or the batch itself."""
-    cols = {k: list(v) for k, v in EVENTS.items()}
-    geometry = SENSOR
-    part = field.split(".")[-1]
-    if part in cols:
-        cols[part][1] = value
-    elif part[:-1] in cols:
-        cols[part[:-1]] = value
-    elif part == "geometry":
-        geometry = value
-    batch = value if field == "events" else (cols["x"], cols["y"], cols["t"], cols["p"], geometry)
     session = TrackSession(model, [QUERY])
     session.advance(frame=(0, _frame_image()))
     try:
-        session.advance(events=batch)
+        session.advance(events=malformed_batch(field, value))
     except EvtrackError:
         return
+    cols, _ = _event_columns(field, value)
     kept = session._chunks[-1]
     assert kept.geometry == SENSOR
     for k, column in zip("xytp", (kept.xs, kept.ys, kept.ts, kept.ps)):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from evtrack import pipeline
 from evtrack.autodiff import no_grad
 from evtrack.autodiff.tensor import grad_enabled
-from evtrack.errors import ConfigError, OrderingError, UsageError
+from evtrack.errors import ConfigError, EvtrackError, OrderingError, UsageError
 from evtrack.events import EventStream
 from evtrack.metrics import evaluate_tracks
 from evtrack.pipeline import (
@@ -14,12 +14,15 @@ from evtrack.pipeline import (
     TrackerConfig,
     TrackerModel,
     TrackSession,
+    frame_forward,
     load_queries_csv,
     load_tracks_csv,
     run_offline,
     save_tracks_csv,
+    slice_forward,
 )
 from evtrack.training import sequence_loss
+from test_boundary_fuzz import FIELDS, malformed_batch, malformed_frame
 from util_fixtures import scramble_heads, tiny_model, tiny_sequence, traced_peak
 
 
@@ -433,6 +436,79 @@ class TestStreaming:
                                     np.array([1]), (32, 32)))
 
 
+class TestAllOrNothing:
+    """A rejected call changes nothing: the frame and the batch of one call
+    are both checked before either is held, and so is the sensor."""
+
+    def test_rejected_batch_leaves_its_frame_unheld(self, seq):
+        frames, events, queries, _, _, _ = seq
+        model = tiny_model(seed=0, randomize_heads=True)
+        batches = events.split([t for t, _ in frames])
+        with no_grad():
+            want, _ = run_offline(model, frames, events, queries)
+            session = TrackSession(model, queries)
+            with pytest.raises(UsageError, match="an event batch is an EventStream or"):
+                session.advance(frame=frames[0], events=(1, 2, 3, 4))
+            assert not session._frames and session._sensor is None
+            assert session._watermark is None and session._next_slice_t is None
+            emitted = []
+            for frame, batch in zip(frames, batches):  # the retry is taken
+                emitted += session.advance(frame=frame, events=batch)
+            emitted += session.advance(events=batches[-1]) + session.finish()
+        assert sorted(emitted) == sorted((t.id, *s) for t in want for s in t.samples)
+
+    def test_rejected_first_frame_leaves_the_sensor_unfixed(self, seq):
+        """A first frame after a query's birth is rejected, and the sensor
+        stays open: an event batch of another size may still fix it."""
+        frames, _, _, _, _, _ = seq
+        session = TrackSession(tiny_model(seed=0), [(0, 5_000, 4.0, 4.0)])
+        with pytest.raises(UsageError, match="query 0 born at 5000, which is not a frame time"):
+            session.advance(frame=(10_000, frames[0][1]))
+        assert session._sensor is None and not session._frames
+        session.advance(events=EventStream([], [], [], [], (40, 32)))
+        assert session._sensor == (40, 32)
+
+    def test_frame_and_batch_of_other_sizes_rejected_together(self, seq):
+        frames, events, queries, _, _, _ = seq
+        wide = EventStream(events.xs, events.ys, events.ts, events.ps, (40, 32))
+        session = TrackSession(tiny_model(seed=0), queries)
+        with pytest.raises(ConfigError, match="event batch is 40x32, but the sensor is 32x32"):
+            session.advance(frame=frames[0], events=wide)
+        assert session._sensor is None and not session._frames and not session._chunks
+
+
+class _HookError(Exception):
+    pass
+
+
+class TestFailClosed:
+    """An exception that escapes the processing of accepted input leaves
+    the session partial, so every later call raises a `UsageError` chained
+    to it, and nothing more is taken or refined."""
+
+    @pytest.mark.parametrize("error", [_HookError, KeyboardInterrupt])
+    def test_a_hook_error_fails_the_session(self, seq, error):
+        frames, events, queries, _, _, _ = seq
+        calls = []
+
+        def hook(run):
+            calls.append(run.start_index)
+            raise error("hook")
+
+        session = TrackSession(tiny_model(seed=0), queries, on_window=hook)
+        inputs = list(zip(frames, events.split([t for t, _ in frames])))
+        with pytest.raises(error, match="hook") as first:
+            for frame, batch in inputs:
+                session.advance(frame=frame, events=batch)
+        held = _held(session)
+        for call in (lambda: session.advance(frame=frames[-1]), session.finish,
+                     lambda: session.advance(events=events.split([])[0]), session.finish):
+            with pytest.raises(UsageError, match="session failed: an earlier call raised") as later:
+                call()
+            assert later.value.__cause__ is first.value
+        assert calls == [0] and _held(session) == held
+
+
 def _set_first(events, column: int, value):
     """The (xs, ys, ts, ps, geometry) columns of `events`, with the first
     value of one column replaced by `value` (in a float or str copy)."""
@@ -650,9 +726,9 @@ def input_splits(draw, n_events, n_frames):
 
 
 def _chunked_inputs(frames, events, split):
-    """Feed order for one split: ("f", (t, image)) and ("e", EventStream)
-    items, frames and events each in time order, every frame ahead of the
-    events after its timestamp."""
+    """Feed order for one split: ("frame", (t, image)) and ("events",
+    EventStream) items, frames and events each in time order, every frame
+    ahead of the events after its timestamp."""
     cuts, frame_after_ties, empties = split
     ts = events.ts
     frame_at = [int(np.searchsorted(ts, t, side="right" if after else "left"))
@@ -661,28 +737,87 @@ def _chunked_inputs(frames, events, split):
     empty = EventStream([], [], [], [], events.geometry)
     items = []
     for lo, hi in zip(bounds, bounds[1:] + [None]):
-        items += [("f", frame) for frame, at in zip(frames, frame_at) if at == lo]
-        items += [("e", empty)] * empties.count(lo)
+        items += [("frame", frame) for frame, at in zip(frames, frame_at) if at == lo]
+        items += [("events", empty)] * empties.count(lo)
         if hi is not None and hi > lo:
-            items.append(("e", EventStream(events.xs[lo:hi], events.ys[lo:hi], ts[lo:hi],
-                                           events.ps[lo:hi], events.geometry)))
+            items.append(("events", EventStream(events.xs[lo:hi], events.ys[lo:hi], ts[lo:hi],
+                                                events.ps[lo:hi], events.geometry)))
     return items
 
 
+# Faults that make `advance` reject a call: one malformed field of a frame
+# or an event batch, as the boundary fuzz draws them, or an input out of order.
+FAULTS = [f for f in FIELDS if f.split(".")[0] in ("frame", "events")] + [
+    "order.frame_again", "order.frame_before", "order.events_before", "order.events_processed"]
+_NEVER_BORN = np.iinfo(np.int64).max  # a birth that no frame time passes
+
+
+def _held(session):
+    """What a session holds, compared across a rejected call."""
+    return (list(session._frames), len(session._chunks), session._watermark, session._last_event_t,
+            session._next_slice_t, [s.index for s in session._window], session._sensor,
+            session._n_born)
+
+
+def _malformed_call(data, session, queries, next_item):
+    """Draw a call that `advance` must reject in `session`, as keyword
+    arguments, sometimes with the next accepted input in the same call; or
+    None when the drawn fault does not apply. A malformed field is placed
+    after the watermark, so no ordering check rejects it first, and it is
+    kept only if a new session with the same query positions (born when
+    no frame time passes them) rejects it: then every session does."""
+    fault = data.draw(st.sampled_from(FAULTS), label="fault")
+    t_next = (session._watermark or 0) + 1
+    last_frame = next(reversed(session._frames), None)
+    one_event = lambda t: ([5], [7], [t], [1], (32, 32))
+    if fault in FIELDS:
+        value = data.draw(FIELDS[fault], label="value")
+        kind = fault.split(".")[0]
+        bad = (malformed_frame(fault, value, t_next) if kind == "frame"
+               else malformed_batch(fault, value, shift=t_next))
+        probe = TrackSession(session.model, [(q, _NEVER_BORN, x, y) for q, _, x, y in queries])
+        try:
+            probe.advance(**{kind: bad})
+            return None
+        except EvtrackError:
+            call = {kind: bad}
+    elif fault == "order.frame_again" and last_frame is not None:
+        call = {"frame": (last_frame, session._frames[last_frame].image)}
+    elif fault == "order.frame_before" and last_frame is not None:
+        call = {"frame": (last_frame - 1, session._frames[last_frame].image)}
+    elif fault == "order.events_before" and session._last_event_t is not None:
+        call = {"events": one_event(session._last_event_t - 1)}
+    elif fault == "order.events_processed" and session._window:
+        call = {"events": one_event(session._window[-1].t_slice)}
+    else:
+        return None
+    if next_item is not None and next_item[0] not in call and data.draw(st.booleans()):
+        call[next_item[0]] = next_item[1]
+    return call
+
+
 class TestChunking:
-    """Streaming output equals offline output for any split of the input."""
+    """Streaming output equals offline output for any split of the input,
+    with rejected calls mixed in: each changes nothing the session holds."""
 
     @staticmethod
     def check_split(tied, data):
         frames, events, queries, model, offline_tracks = tied
         split = data.draw(input_splits(len(events), len(frames)))
+        items = _chunked_inputs(frames, events, split)
+        faults = data.draw(st.lists(st.integers(0, len(items)), max_size=4), label="fault positions")
         session = TrackSession(model, queries)
         emitted = []
-        for kind, payload in _chunked_inputs(frames, events, split):
-            if kind == "f":
-                emitted += session.advance(frame=payload)
-            else:
-                emitted += session.advance(events=payload)
+        for i, item in enumerate(items + [None]):
+            for _ in range(faults.count(i)):
+                call = _malformed_call(data, session, queries, item)
+                if call is not None:
+                    before = _held(session)
+                    with pytest.raises(EvtrackError):
+                        session.advance(**call)
+                    assert _held(session) == before
+            if item is not None:
+                emitted += session.advance(**{item[0]: item[1]})
         emitted += session.finish()
         assert sorted(emitted) == sorted((t.id, *s) for t in offline_tracks for s in t.samples)
 
@@ -869,6 +1004,74 @@ class TestImageBranchCache:
     def test_events_only_runs_no_image_branch(self, seq):
         calls, _, tracks = self.conv_image_calls(seq, use_frames=False)
         assert calls == 0 and all(t.samples for t in tracks)
+
+
+# Each ablation, and the model layers and pipeline functions its forward enters.
+FORWARD_MODES = {
+    "fused": ({}, {"frame_encoder", "event_encoder", "fusion", "build_pyramid",
+                   "build_event_stack"}),
+    "events-only": ({"use_frames": False}, {"event_encoder", "fusion", "build_pyramid",
+                                            "build_event_stack"}),
+    "frames-only": ({"use_events": False}, {"frame_encoder", "build_pyramid"}),
+    "fixed": ({"accumulate_mode": "fixed"}, {"frame_encoder", "event_encoder", "fusion",
+                                             "build_pyramid", "build_event_stack"}),
+}
+
+
+class TestRecordForward:
+    """The model forward runs in `frame_forward` and `slice_forward`, which
+    call the model's layers and `pipeline`'s `build_pyramid` and
+    `build_event_stack` as plain callables: a tracer may swap each for a
+    wrapper, as perfbench's `tracing.install` does."""
+
+    @pytest.mark.parametrize("mode", FORWARD_MODES)
+    def test_wrapped_layers_track_as_the_model(self, seq, monkeypatch, mode):
+        frames, events, queries, _, _, _ = seq
+        overrides, used = FORWARD_MODES[mode]
+        model = tiny_model(seed=0, randomize_heads=True, **overrides)
+        with no_grad():
+            want, _ = run_offline(model, frames, events, queries)
+        entered = set()
+
+        def wrap(name, fn):
+            def wrapped(*args, **kwargs):
+                entered.add(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("frame_encoder", "event_encoder", "fusion"):
+            monkeypatch.setattr(model, name, wrap(name, getattr(model, name)))
+        for name in ("build_pyramid", "build_event_stack"):
+            monkeypatch.setattr(pipeline, name, wrap(name, getattr(pipeline, name)))
+        with no_grad():
+            got, _ = run_offline(model, frames, events, queries)
+        assert [t.samples for t in got] == [t.samples for t in want]
+        assert entered == used
+
+    @pytest.mark.parametrize("mode", FORWARD_MODES)
+    def test_held_pyramid_is_the_forward_of_its_inputs(self, seq, mode):
+        """The pyramid a session holds for its slice at 25 ms, which reads
+        the frame at 0, is `frame_forward` of that frame and
+        `slice_forward` of the same event stack, called by hand."""
+        frames, events, queries, _, _, _ = seq
+        model = tiny_model(seed=0, randomize_heads=True, **FORWARD_MODES[mode][0])
+        stacks = []
+        encode = model.event_encoder
+        model.event_encoder = lambda x: stacks.append(x.data.copy()) or encode(x)
+        batches = events.split([t for t, _ in frames])
+        with no_grad():
+            session = TrackSession(model, queries)
+            for k in range(2):  # the frames at 0 and 50 ms, and the events before 50 ms
+                session.advance(frame=frames[k], events=batches[k])
+            held = session._window[-1]
+            assert (held.t_slice, len(session._window)) == (25_000, 2)
+            image = frames[0][1].astype(np.float32)
+            features, pyramid = frame_forward(model, image) if model.cfg.use_frames else (None, None)
+            if model.cfg.use_events:
+                pyramid, _ = slice_forward(model, stacks[-1], features, None, 0.0)
+        assert len(held.pyramid.levels) == len(pyramid.levels) == model.cfg.levels
+        for got, want in zip(held.pyramid.levels, pyramid.levels):
+            assert np.array_equal(got.data, want.data)
 
 
 def test_track_csv_roundtrip(tmp_path):
